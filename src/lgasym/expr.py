@@ -144,12 +144,13 @@ class _Tokenizer:
             self.pos += 1
 
     def peek(self):
+        """The next token (kind, value, start, end), not consumed."""
         self._skip_ws()
         if self.pos >= len(self.text):
-            return ("end", None, self.pos)
+            return ("end", None, self.pos, self.pos)
         ch = self.text[self.pos]
         if ch in "+-*/^()":
-            return (ch, ch, self.pos)
+            return (ch, ch, self.pos, self.pos + 1)
         if ch.isdigit() or ch == ".":
             return self._number()
         if ch.isalpha():
@@ -175,7 +176,7 @@ class _Tokenizer:
             val = float(lit)
         except ValueError:
             raise ParseError("bad numeric literal %r" % lit, start) from None
-        return ("number", val, start)
+        return ("number", val, start, i)
 
     def _ident(self):
         start = self.pos
@@ -183,31 +184,11 @@ class _Tokenizer:
         i = start
         while i < len(text) and text[i].isalnum():
             i += 1
-        return ("ident", text[start:i], start)
+        return ("ident", text[start:i], start, i)
 
     def advance(self):
         tok = self.peek()
-        if tok[0] == "number":
-            # re-scan to find the literal length
-            _, _, start = tok
-            i = start
-            while i < len(self.text) and (self.text[i].isdigit() or self.text[i] == "."):
-                i += 1
-            if i < len(self.text) and self.text[i] in "eE":
-                j = i + 1
-                if j < len(self.text) and self.text[j] in "+-":
-                    j += 1
-                if j < len(self.text) and self.text[j].isdigit():
-                    while j < len(self.text) and self.text[j].isdigit():
-                        j += 1
-                    i = j
-            self.pos = i
-        elif tok[0] == "ident":
-            self.pos = tok[2] + len(tok[1])
-        elif tok[0] == "end":
-            pass
-        else:
-            self.pos = tok[2] + 1
+        self.pos = tok[3]
         return tok
 
 
@@ -219,7 +200,7 @@ def parse(text):
     """
     tz = _Tokenizer(text)
     node = _parse_expr(tz)
-    kind, _, off = tz.peek()
+    kind, _, off, _ = tz.peek()
     if kind != "end":
         raise ParseError("trailing input", off)
     return node
@@ -228,7 +209,7 @@ def parse(text):
 def _parse_expr(tz):
     node = _parse_term(tz)
     while True:
-        kind, _, _ = tz.peek()
+        kind = tz.peek()[0]
         if kind == "+":
             tz.advance()
             node = binary("add", node, _parse_term(tz))
@@ -242,7 +223,7 @@ def _parse_expr(tz):
 def _parse_term(tz):
     node = _parse_factor(tz)
     while True:
-        kind, _, _ = tz.peek()
+        kind = tz.peek()[0]
         if kind == "*":
             tz.advance()
             node = binary("mul", node, _parse_factor(tz))
@@ -254,7 +235,7 @@ def _parse_term(tz):
 
 
 def _parse_factor(tz):
-    kind, _, _ = tz.peek()
+    kind = tz.peek()[0]
     if kind == "-":
         tz.advance()
         inner = _parse_factor(tz)
@@ -266,7 +247,7 @@ def _parse_factor(tz):
 
 def _parse_power(tz):
     base = _parse_atom(tz)
-    kind, _, _ = tz.peek()
+    kind = tz.peek()[0]
     if kind == "^":
         tz.advance()
         expo = _parse_exponent(tz)
@@ -275,16 +256,16 @@ def _parse_power(tz):
 
 
 def _parse_exponent(tz):
-    kind, val, off = tz.peek()
+    kind, val, off, _ = tz.peek()
     sign = 1.0
     if kind == "-":
         tz.advance()
         sign = -1.0
-        kind, val, off = tz.peek()
+        kind, val, off, _ = tz.peek()
     if kind != "number":
         raise ParseError("pow exponent must be a numeric constant", off)
     tz.advance()
-    kind, _, _ = tz.peek()
+    kind = tz.peek()[0]
     if kind == "^":
         tz.advance()
         return sign * (val ** _parse_exponent(tz))
@@ -292,7 +273,7 @@ def _parse_exponent(tz):
 
 
 def _parse_atom(tz):
-    kind, val, off = tz.peek()
+    kind, val, off, _ = tz.peek()
     if kind == "number":
         tz.advance()
         return const(val)
@@ -301,12 +282,12 @@ def _parse_atom(tz):
         if val == "x":
             return VAR
         if val in FUNCTIONS:
-            k2, _, off2 = tz.peek()
+            k2, _, off2, _ = tz.peek()
             if k2 != "(":
                 raise ParseError("expected '(' after %r" % val, off2)
             tz.advance()
             arg = _parse_expr(tz)
-            k3, _, off3 = tz.peek()
+            k3, _, off3, _ = tz.peek()
             if k3 != ")":
                 raise ParseError("expected ')'", off3)
             tz.advance()
@@ -315,7 +296,7 @@ def _parse_atom(tz):
     if kind == "(":
         tz.advance()
         node = _parse_expr(tz)
-        k2, _, off2 = tz.peek()
+        k2, _, off2, _ = tz.peek()
         if k2 != ")":
             raise ParseError("expected ')'", off2)
         tz.advance()

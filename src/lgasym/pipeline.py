@@ -3,11 +3,18 @@ leading-order solution behavior.
 
 analyze() parses the split, classifies the regime, chooses a cutoff whose
 perturbation tail is certifiably small, marches the correction equation
-on a uniform phase grid at two resolutions (the raw fine run carries the
-hard envelope guarantees; Richardson extrapolation of the pair feeds the
+on a uniform grid at two resolutions (the raw fine run carries the hard
+envelope guarantees; Richardson extrapolation of the pair feeds the
 reported constants and solution callables), completes the connection
 constants across the un-marched tail with a computable residual bound,
 and packages everything into an AnalysisReport.
+
+One object per regime (_Algebraic, _Exponential, _Oscillatory) gives the
+certificate weight, one march attempt, the tail completion, the solution
+pair and the table's model and value; the rest is shared.  Constant f is
+an affine phase map with unit amplitude (_ConstantShape), not a regime of
+its own.  For real coefficients the zeta = -i run is the conjugate of the
+zeta = +i run, so only the +i run is marched.
 
 Problems posed at the endpoint 0 are analyzed at infinity in the
 inverted variable s = 1/x and the solutions are pulled back through
@@ -17,6 +24,7 @@ u(x) = x * v(1/x), which is exact.
 from __future__ import annotations
 
 import cmath
+import dataclasses
 import math
 from dataclasses import dataclass, field
 
@@ -24,7 +32,6 @@ import numpy as np
 
 from . import certificate as certificate_mod
 from . import expr, quadrature, transform, volterra
-from .transform import HypothesisFailed, Regime
 
 
 class AnalysisError(RuntimeError):
@@ -43,24 +50,17 @@ class NormalizedSolution:
     derivative: object = field(repr=False)
 
 
+@dataclass
 class _Work:
     """Deterministic effort counters (never wall-clock)."""
 
-    def __init__(self):
-        self.quadrature_evaluations = 0
-        self.march_steps = 0
-        self.map_nodes = 0
+    quadrature_evaluations: int = 0
+    march_steps: int = 0
+    map_nodes: int = 0
 
     def quad(self, result):
         self.quadrature_evaluations += result.evaluations
         return result.value
-
-    def as_dict(self):
-        return {
-            "quadrature_evaluations": int(self.quadrature_evaluations),
-            "march_steps": int(self.march_steps),
-            "map_nodes": int(self.map_nodes),
-        }
 
 
 def _vectorize(fn):
@@ -94,10 +94,8 @@ def _extrapolate(coarse, fine):
         return (4.0 * b - a) / 3.0
 
     z = comb(coarse.z, fine.z[::2])
-    zd = comb(coarse.z_deriv, fine.z_deriv[::2])
-    return volterra.VolterraSolution(
-        kind=coarse.kind, mu=coarse.mu, h=coarse.h, grid=coarse.grid,
-        w=coarse.w, z=z, z_deriv=zd,
+    return dataclasses.replace(
+        coarse, z=z, z_deriv=comb(coarse.z_deriv, fine.z_deriv[::2]),
         envelope_log=fine.envelope_log[::2], l1_q=fine.l1_q[::2],
         P0=comb(coarse.P0, fine.P0),
         P_refl=comb(coarse.P_refl, fine.P_refl),
@@ -105,12 +103,12 @@ def _extrapolate(coarse, fine):
         z_max=float(np.max(np.abs(z))), steps=coarse.steps + fine.steps)
 
 
-def _merge_reports(reports):
-    out = dict(reports[0])
-    for r in reports[1:]:
-        for key in ("max_abs_z", "z_env_max_ratio", "l1_q_excess", "l1_q_end"):
-            out[key] = max(out[key], r[key])
-    return out
+def _conjugate(run):
+    """The zeta = -i run of real samples: the conjugate of the +i run."""
+    return dataclasses.replace(
+        run, mu=run.mu.conjugate(), z=np.conj(run.z),
+        z_deriv=np.conj(run.z_deriv), P0=run.P0.conjugate(),
+        P_refl=run.P_refl.conjugate())
 
 
 def _abs_fn(fn):
@@ -120,32 +118,12 @@ def _abs_fn(fn):
     return wrapped
 
 
-@dataclass
-class _Bundle:
-    """Everything produced by the infinity-side analysis."""
-
-    regime: Regime
-    classification: transform.Classification
-    psi: transform.PsiData | None
-    cutoff: float
-    tail_at_cutoff: float
-    x_end: float
-    y_span: float
-    h_coarse: float
-    refinements: int
-    phase_map: transform.PhaseMap | None
-    sol_raw: object            # fine run(s): solution or (fwd, bwd) pair
-    sol: object                # extrapolated run(s)
-    completion: object
-    residual: float
-    certificate: certificate_mod.Certificate
-    verification: dict
-    constants: dict
-    solutions: list
-    weight: object
-    work: _Work
-    approximants: tuple | None = None
-    extras: dict = field(default_factory=dict)
+def _exp(y):
+    # plain math.exp raises on overflow; far out on the grid the growing
+    # branch can genuinely exceed the float range, and inf is the honest
+    # answer there
+    with np.errstate(over="ignore"):
+        return float(np.exp(np.float64(y)))
 
 
 _H_COARSE_MIN = 0.004
@@ -162,219 +140,121 @@ def _choose_h(y_span, override=None):
     return y_span / n, n
 
 
-def _analyze_infinity(split, cls, lo, tol, tail_tol, x_floor, step, work):
-    """Run the whole infinity-side machinery for a classified split."""
-    regime = cls.regime
-    algebraic = regime.algebraic
-    psi = cls.psi
-    if algebraic:
-        g_fn = split.g
+# --------------------------------------------------------------------------
+# leading-order shapes: how the phase is tabulated and the amplitude read
 
-        def weight(x):
-            with np.errstate(all="ignore"):
-                return np.abs(np.asarray(x, dtype=float) * g_fn(x))
+class _Shape:
+    """Variable f: amplitude |f|^(-1/4) and phase Phi = int_a^x |f|^(1/2),
+    tabulated by the Runge-Kutta phase map from the cutoff a."""
+
+    template = "|f(x)|^(-1/4) * %s(%sPhi(x))"   # % (function, sign)
+    decay_text = ""
+    # the solutions are normalized at phase origin_rate * a; the recessive
+    # model is amp e^{-Phi} / norm
+    origin_rate = 0.0
+    norm = 1.0
+
+    def __init__(self, psi):
+        self.psi = psi
+        self.amp = psi.amplitude
+
+    def amp_deriv(self):
+        return expr.compile_fn(expr.differentiate(self.psi.amplitude_ast))
+
+    def span(self, a, x_end, tol, work):
+        return work.quad(quadrature.integrate_finite(
+            self.psi.sqrt_f, a, x_end, tol=min(tol, 1e-12)))
+
+    def phase_map(self, a, y_span, h):
+        inv = self.psi.inv_sqrt_f
+        return transform.PhaseMap.build(
+            lambda x: float(inv(x)), self.psi.sqrt_f, a, y_span, h)
+
+
+class _ConstantShape(_Shape):
+    """Constant f: the affine phase map y = rate (x - a) with unit
+    amplitude; the solutions are normalized to e^{+-rate x}."""
+
+    def __init__(self, rate):
+        self.rate = self.origin_rate = self.norm = rate
+        r_s = "%.12g" % rate
+        one = r_s == "1"
+        self.template = "%s(%s" + ("" if one else r_s + "*") + "x)"
+        self.decay_text = "" if one else " / " + r_s
+
+    def amp(self, x):
+        return 1.0
+
+    def amp_deriv(self):
+        return lambda x: 0.0
+
+    def span(self, a, x_end, tol, work):
+        return self.rate * (x_end - a)
+
+    def phase_map(self, a, y_span, h):
+        return transform.PhaseMap.affine(a, self.rate, y_span, h)
+
+
+# --------------------------------------------------------------------------
+# one object per regime
+
+def _regime_for(split, cls, work):
+    """The regime object for a classified split: the one place the
+    regime is consulted."""
+    if cls.regime.algebraic:
+        return _Algebraic(split.g, work)
+    if cls.constant_f is not None:
+        shape = _ConstantShape(math.sqrt(abs(cls.constant_f)))
     else:
-        weight = _abs_fn(psi.psi)
-
-    cutoff, tail0 = certificate_mod.find_cutoff(weight, lo, tol=tol)
-    a = cutoff
-
-    x_end = max(x_floor if x_floor is not None else a, a + 10.0)
-    for _ in range(80):
-        if quadrature.l1_tail_norm(weight, x_end, tol=1e-6).value <= 0.05:
-            break
-        x_end *= 1.8
-    else:
-        raise AnalysisError("perturbation tail refuses to decay")
-
-    refinements = 0
-    history = []
-    for _round in range(6):
-        parts = _march_once(split, cls, a, x_end, tol, step, refinements, work)
-        (phase_map, y_span, h_c, sol_raw, sol, refinements) = parts
-        completion, residual, const_extras = _complete(
-            regime, cls, psi, split, phase_map, sol, x_end, tol, work)
-        history.append((x_end, residual))
-        if residual <= tail_tol:
-            break
-        # Predict the cutoff that meets the target from the observed decay
-        # residual ~ C x^{-p}; default to the quadratic rate the tail
-        # completions guarantee for 1/x-type masses until two rounds exist.
-        p = 2.0
-        if len(history) >= 2:
-            (x_prev, r_prev), (x_cur, r_cur) = history[-2], history[-1]
-            if r_prev > r_cur > 0.0 and x_cur > x_prev:
-                p = min(6.0, max(0.5, math.log(r_prev / r_cur)
-                                 / math.log(x_cur / x_prev)))
-        grow = (residual / tail_tol) ** (1.0 / p) * 1.25
-        x_end = x_end * min(50.0, max(1.3, grow)) + 1.0
-    else:
-        raise AnalysisError(
-            "could not certify the connection constants to %.3g "
-            "(best residual bound %.3g); increase --tail-tol or --xmax"
-            % (tail_tol, history[-1][1]))
-
-    if isinstance(sol_raw, tuple):
-        env_report = _merge_reports([s.envelope_report() for s in sol_raw])
-    else:
-        env_report = sol_raw.envelope_report()
-    cert = certificate_mod.gronwall_certificate(a, tail0, env_report)
-    verification = certificate_mod.verify_certificate(cert, weight, tol=tol)
-
-    constants, solutions, approximants, extras = _build_solutions(
-        regime, cls, psi, split, phase_map, sol, completion, x_end, work)
-    constants.update(const_extras)
-    constants["tail_residual_bound"] = residual
-    x_end_actual = (float(phase_map.x_nodes[-1]) if phase_map is not None
-                    else float(sol.grid[-1]))
-    return _Bundle(
-        regime=regime, classification=cls, psi=psi, cutoff=a,
-        tail_at_cutoff=tail0, x_end=x_end_actual, y_span=y_span,
-        h_coarse=h_c, refinements=refinements, phase_map=phase_map,
-        sol_raw=sol_raw, sol=sol, completion=completion, residual=residual,
-        certificate=cert, verification=verification, constants=constants,
-        solutions=solutions, weight=weight, work=work,
-        approximants=approximants, extras=extras)
+        shape = _Shape(cls.psi)
+    kind = _Oscillatory if cls.regime.oscillatory else _Exponential
+    return kind(cls.psi, shape, work)
 
 
-def _march_once(split, cls, a, x_end, tol, step, refinements, work):
-    """Build the phase map and run the coarse/fine march pair, halving
-    the step (and rebuilding the map) on envelope violations."""
-    regime = cls.regime
-    algebraic = regime.algebraic
-    psi = cls.psi
-    constant = cls.constant_f is not None
+class _Algebraic:
+    """f == 0: solutions like x and 1; z is marched in x itself and the
+    table follows the dominant branch against x."""
 
-    if algebraic:
-        span = x_end - a
-        h_c, n_c = _choose_h(span, step)
-    else:
-        if constant:
-            rate = math.sqrt(abs(cls.constant_f))
-            y_span = rate * (x_end - a)
-        else:
-            y_span = work.quad(quadrature.integrate_finite(
-                psi.sqrt_f, a, x_end, tol=min(tol, 1e-12)))
-        h_c, n_c = _choose_h(y_span, step)
+    def __init__(self, g, work):
+        self.g, self.work = g, work
 
-    for attempt in range(4):
-        try:
-            if algebraic:
-                h_f = h_c / 2.0
-                s_f = a + h_f * np.arange(2 * n_c + 1)
-                with np.errstate(all="ignore"):
-                    g_f = np.asarray(split.g(s_f), dtype=float)
-                coarse = volterra.solve_algebraic(g_f[::2], a, h_c)
-                fine = volterra.solve_algebraic(g_f, a, h_f)
-                work.march_steps += coarse.steps + fine.steps
-                sol = _extrapolate(coarse, fine)
-                return None, float(span), h_c, fine, sol, refinements
+    def sg(self, x):
+        with np.errstate(all="ignore"):
+            return np.asarray(x, dtype=float) * self.g(x)
 
-            h_f = h_c / 2.0
-            if constant:
-                pmap = transform.PhaseMap.affine(a, rate, y_span, h_f)
-            else:
-                inv = psi.inv_sqrt_f
-                pmap = transform.PhaseMap.build(
-                    lambda x: float(inv(x)), psi.sqrt_f, a, y_span, h_f)
-            work.map_nodes += len(pmap.x_nodes)
-            x_f = pmap.x_nodes
-            with np.errstate(all="ignore"):
-                w_f = (np.asarray(psi.psi(x_f), dtype=float)
-                       * np.asarray(psi.inv_sqrt_f(x_f), dtype=float))
-            if regime.oscillatory:
-                runs_raw = []
-                runs_ex = []
-                for zeta in (1j, -1j):
-                    coarse = volterra.solve_kernel(w_f[::2], h_c, zeta)
-                    fine = volterra.solve_kernel(w_f, h_f, zeta)
-                    work.march_steps += coarse.steps + fine.steps
-                    runs_raw.append(fine)
-                    runs_ex.append(_extrapolate(coarse, fine))
-                return (pmap, y_span, h_c, tuple(runs_raw), tuple(runs_ex),
-                        refinements)
-            coarse = volterra.solve_kernel(w_f[::2], h_c, 1.0)
-            fine = volterra.solve_kernel(w_f, h_f, 1.0)
-            work.march_steps += coarse.steps + fine.steps
-            sol = _extrapolate(coarse, fine)
-            return pmap, y_span, h_c, fine, sol, refinements
-        except (volterra.EnvelopeError, volterra.StepTooLargeError):
-            if attempt == 3:
-                raise
-            h_c /= 2.0
-            n_c *= 2
-            refinements += 1
-    raise AnalysisError("unreachable")
+    def weight(self, x):
+        return np.abs(self.sg(x))
 
+    @property
+    def end(self):
+        return float(self.sol.grid[-1])
 
-def _complete(regime, cls, psi, split, pmap, sol, x_end, tol, work):
-    """Tail-complete the connection constants; returns (completion,
-    total residual bound, constants dict)."""
-    qtol = max(min(tol, 1e-12), 1e-14)
-    if regime.algebraic:
-        g_fn = split.g
+    def span(self, a, x_end, tol):
+        return float(x_end - a)
 
-        def sg(x):
-            with np.errstate(all="ignore"):
-                return np.asarray(x, dtype=float) * g_fn(x)
+    def march(self, a, span, h_c, n_c):
+        h_f = h_c / 2.0
+        s_f = a + h_f * np.arange(2 * n_c + 1)
+        with np.errstate(all="ignore"):
+            g_f = np.asarray(self.g(s_f), dtype=float)
+        coarse = volterra.solve_algebraic(g_f[::2], a, h_c)
+        fine = volterra.solve_algebraic(g_f, a, h_f)
+        self.work.march_steps += coarse.steps + fine.steps
+        self.fine, self.sol = fine, _extrapolate(coarse, fine)
 
-        X = float(sol.grid[-1])
-        W0 = work.quad(quadrature.integrate_to_infinity(sg, X, tol=qtol))
-        W0a = work.quad(quadrature.l1_tail_norm(sg, X, tol=qtol))
-        comp = volterra.complete_algebraic(sol, W0, W0a)
-        return comp, comp.residual_bound, {
-            "z_infinity": comp.value,
-        }
+    def complete(self, qtol):
+        X = self.end
+        W0 = self.work.quad(quadrature.integrate_to_infinity(
+            self.sg, X, tol=qtol))
+        W0a = self.work.quad(quadrature.l1_tail_norm(self.sg, X, tol=qtol))
+        self.completion = volterra.complete_algebraic(self.sol, W0, W0a)
+        self.constants = {"z_infinity": self.completion.value}
+        return self.completion.residual_bound
 
-    X = float(pmap.x_nodes[-1])
-    G0 = work.quad(quadrature.integrate_to_infinity(psi.psi, X, tol=qtol))
-    G0a = work.quad(quadrature.l1_tail_norm(psi.psi, X, tol=qtol))
-    if not regime.oscillatory:
-        comp = volterra.complete_exponential(sol, G0, G0a)
-        return comp, comp.residual_bound, {
-            "z_infinity": comp.value,
-        }
-
-    # oscillatory: the e^{+-2iy} tail moments via two integrations by
-    # parts in x, with everything differentiated symbolically
-    a1_ast = expr.differentiate(
-        expr.binary("mul", psi.psi_ast, psi.inv_sqrt_f_ast))
-    a2_ast = expr.differentiate(
-        expr.binary("mul", a1_ast, psi.inv_sqrt_f_ast))
-    a1 = expr.compile_fn(a1_ast)
-    a2 = expr.compile_fn(a2_ast)
-    R2 = work.quad(quadrature.l1_tail_norm(_abs_fn(a2), X, tol=qtol))
-    Y = pmap.y_span
-    invX = float(psi.inv_sqrt_f(X))
-    psiX = float(psi.psi(X))
-    a1X = float(a1(X))
-    Gs = {}
-    for sign in (1, -1):
-        E = cmath.exp(2j * sign * Y)
-        Gs[sign] = E * invX * (-psiX / (2j * sign) - a1X / 4.0)
-    g_err = R2 / 4.0
-    sol_fwd, sol_bwd = sol
-    comp = volterra.complete_oscillatory(sol_fwd, sol_bwd, G0,
-                                         Gs[1], Gs[-1], G0a)
-    size = (abs(comp.xi1) + abs(comp.xi2) + abs(comp.eta1) + abs(comp.eta2))
-    residual = comp.residual_bound + g_err * (1.0 + size) / (1.0 - min(G0a, 0.9))
-    consts = {
-        "xi1": comp.xi1, "xi2": comp.xi2,
-        "eta1": comp.eta1, "eta2": comp.eta2,
-        "conjugation_defect": comp.conjugation_defect,
-    }
-    return comp, residual, consts
-
-
-def _build_solutions(regime, cls, psi, split, pmap, sol, completion,
-                     x_end, work):
-    """Normalized solution callables plus reporting metadata."""
-    constants = {}
-    extras = {}
-    if regime.algebraic:
-        zhat = float(np.real(completion.value))
+    def solutions(self):
+        sol, X = self.sol, self.end
+        zhat = float(np.real(self.completion.value))
         a = float(sol.grid[0])
-        X = float(sol.grid[-1])
 
         def _sv(x):
             xv = np.asarray(x, dtype=float)
@@ -400,148 +280,300 @@ def _build_solutions(regime, cls, psi, split, pmap, sol, completion,
 
         # int_X^inf u1^{-2} = 1/(u1 u1')(X), exact for any u1 ~ x + b;
         # passed to the reduction scaled by u1(X)^2
-        tail_coeff = float(u1(X)) / float(u1d(X))
-        u2, u2d = _reduction_pair(u1, u1d, log_u1, X, tail_coeff, 1.0)
-        solutions = [
-            NormalizedSolution("dominant", "x", _vectorize(u1),
-                               _vectorize(u1d)),
-            NormalizedSolution("recessive", "1", u2, u2d),
-        ]
-        approximants = transform.build_approximants(regime, None, None)
-        extras["wronskian"] = -1.0
-        return constants, solutions, approximants, extras
+        self.pair = _reduced(u1, u1d, log_u1, X,
+                             float(u1(X)) / float(u1d(X)), 1.0, "x", "1")
+        return self.pair
 
-    constant = cls.constant_f is not None
-    rate = math.sqrt(abs(cls.constant_f)) if constant else None
-    a = pmap.a
-    X_grid = float(pmap.x_nodes[-1])
-    y_grid = float(pmap.y_nodes[-1])
-    amp_ast = psi.amplitude_ast
-    amp_d = expr.compile_fn(expr.differentiate(amp_ast))
-    amp = psi.amplitude
-    sqrt_f = psi.sqrt_f
-    approximants = transform.build_approximants(regime, psi, pmap)
+    def table_end(self):
+        return self.end * (1 - 1e-6)
 
-    def phase(x):
-        if x > X_grid * (1 + 1e-12) or x < a - 1e-12 * max(1.0, abs(a)):
-            raise RangeError(
-                "x=%g outside the resolved range [%g, %g]; rerun with a "
-                "larger --xmax to extend it" % (x, a, X_grid))
-        y = float(pmap.y_of_x(min(max(x, a), X_grid)))
-        return min(y, y_grid)
+    def value(self, s):
+        return float(self.pair[0].value(s))
 
-    if not regime.oscillatory:
-        zhat = float(np.real(completion.value))
-        scale = math.exp(rate * a) / zhat if constant else 1.0 / zhat
+    def model(self, s):
+        return float(s)
+
+
+class _Phased:
+    """What the exponential and oscillatory regimes share: the weight
+    |psi|, the march of the branch e^{zeta y} in the phase variable y and
+    the tail integrals of psi."""
+
+    def __init__(self, psi, shape, work):
+        self.psi, self.shape, self.work = psi, shape, work
+        self.weight = _abs_fn(psi.psi)
+
+    @property
+    def end(self):
+        return float(self.phase_map.x_nodes[-1])
+
+    def span(self, a, x_end, tol):
+        return self.shape.span(a, x_end, tol, self.work)
+
+    def march(self, a, y_span, h_c, n_c):
+        h_f = h_c / 2.0
+        pmap = self.shape.phase_map(a, y_span, h_f)
+        self.work.map_nodes += len(pmap.x_nodes)
+        x_f = pmap.x_nodes
+        with np.errstate(all="ignore"):
+            w_f = (np.asarray(self.psi.psi(x_f), dtype=float)
+                   * np.asarray(self.psi.inv_sqrt_f(x_f), dtype=float))
+        coarse = volterra.solve_kernel(w_f[::2], h_c, self.zeta)
+        fine = volterra.solve_kernel(w_f, h_f, self.zeta)
+        self.work.march_steps += coarse.steps + fine.steps
+        self.phase_map, self.fine = pmap, fine
+        self.sol = _extrapolate(coarse, fine)
+
+    def tail_integrals(self, qtol):
+        """int psi and int |psi| past the grid end."""
+        X, psi = self.end, self.psi.psi
+        return (
+            self.work.quad(quadrature.integrate_to_infinity(psi, X, tol=qtol)),
+            self.work.quad(quadrature.l1_tail_norm(psi, X, tol=qtol)))
+
+    def phase_fn(self):
+        # y(x) on the resolved range, which it refuses to leave; a plain
+        # closure, so the solutions holding it do not keep the regime (and
+        # its arrays) alive in a reference cycle
+        pmap = self.phase_map
+        a, X, y_end = pmap.a, float(pmap.x_nodes[-1]), float(pmap.y_nodes[-1])
+
+        def phase(x):
+            if x > X * (1 + 1e-12) or x < a - 1e-12 * max(1.0, abs(a)):
+                raise RangeError(
+                    "x=%g outside the resolved range [%g, %g]; rerun with a "
+                    "larger --xmax to extend it" % (x, a, X))
+            return min(float(pmap.y_of_x(min(max(x, a), X))), y_end)
+
+        return phase
+
+    def table_end(self):
+        return self.end * (1 - 1e-6)
+
+
+class _Exponential(_Phased):
+    """f > 0: solutions like |f|^(-1/4) e^{+-Phi}.  The growing branch is
+    marched, the decaying one follows by reduction of order, and the
+    table follows the decaying one against its leading shape."""
+
+    zeta = 1.0
+
+    def complete(self, qtol):
+        self.completion = volterra.complete_exponential(
+            self.sol, *self.tail_integrals(qtol))
+        self.constants = {"z_infinity": self.completion.value}
+        return self.completion.residual_bound
+
+    def solutions(self):
+        sol, shape, phase = self.sol, self.shape, self.phase_fn()
+        zhat = float(np.real(self.completion.value))
+        scale = math.exp(shape.origin_rate * self.phase_map.a) / zhat
         log_scale = math.log(scale)
-
-        def _exp(y):
-            # plain math.exp raises on overflow; far out on the grid the
-            # growing branch can genuinely exceed the float range, and
-            # inf is the honest answer there
-            with np.errstate(over="ignore"):
-                return float(np.exp(np.float64(y)))
+        amp, amp_d, sqrt_f = shape.amp, shape.amp_deriv(), self.psi.sqrt_f
 
         def u1(x):
             y = phase(x)
             zv = float(np.real(sol.z_at(y)))
-            av = 1.0 if constant else float(amp(x))
-            return scale * av * _exp(y) * zv
+            return scale * float(amp(x)) * _exp(y) * zv
 
         def u1d(x):
             y = phase(x)
             zv = float(np.real(sol.z_at(y)))
             zdv = float(np.real(sol.deriv_at(y)))
-            rv = float(sqrt_f(x))
-            if constant:
-                av, adv = 1.0, 0.0
-            else:
-                av, adv = float(amp(x)), float(amp_d(x))
-            return scale * _exp(y) * (adv * zv + av * rv * (zv + zdv))
+            return scale * _exp(y) * (float(amp_d(x)) * zv + float(amp(x))
+                                      * float(sqrt_f(x)) * (zv + zdv))
 
         def log_u1(x):
             y = phase(x)
             zv = float(np.real(sol.z_at(y)))
-            av = 1.0 if constant else float(amp(x))
-            return log_scale + math.log(av) + y + math.log(zv)
+            return log_scale + math.log(float(amp(x))) + y + math.log(zv)
 
-        X = float(pmap.x_nodes[-1])
-        rate_end = float(sqrt_f(X))
+        X = self.end
         # int_X^inf u1^{-2} = u1(X)^{-2} / (2 |f(X)|^{1/2}): exact for any
         # pure shape |f|^{-1/4} e^{Phi} because then u1^{-2} is the exact
         # derivative of -e^{-2 Phi}/2; only the decayed z-variation past X
         # is neglected.  Passed scaled by u1(X)^2.
-        u2, u2d = _reduction_pair(u1, u1d, log_u1, X,
-                                  1.0 / (2.0 * rate_end), 2.0)
-        if constant:
-            r_s = _fmt(rate)
-            dom = "exp(+x)" if r_s == "1" else "exp(+%s*x)" % r_s
-            rec = ("exp(-x)" if r_s == "1"
-                   else "exp(-%s*x) / %s" % (r_s, r_s))
-        else:
-            dom = "|f(x)|^(-1/4) * exp(+Phi(x))"
-            rec = "|f(x)|^(-1/4) * exp(-Phi(x))"
-        solutions = [
-            NormalizedSolution("dominant", dom, _vectorize(u1),
-                               _vectorize(u1d)),
-            NormalizedSolution("recessive", rec, u2, u2d),
+        self.pair = _reduced(
+            u1, u1d, log_u1, X, 1.0 / (2.0 * float(sqrt_f(X))), 2.0,
+            shape.template % ("exp", "+"),
+            shape.template % ("exp", "-") + shape.decay_text)
+        return self.pair
+
+    def table_end(self):
+        # keep the decaying branch well inside the float range: values at
+        # phase y scale like e^{-y}, so cap the tabulated phase
+        if float(self.phase_map.y_nodes[-1]) > 300.0:
+            return float(self.phase_map.x_of_y(300.0))
+        return super().table_end()
+
+    def value(self, s):
+        return float(np.real(self.pair[1].value(s)))
+
+    def model(self, s):
+        pmap, shape = self.phase_map, self.shape
+        y = pmap.y_of_x(s)
+        return float(shape.amp(s)) \
+            * math.exp(-(y + shape.origin_rate * pmap.a)) / shape.norm
+
+
+class _Oscillatory(_Phased):
+    """f < 0: solutions like |f|^(-1/4) cos Phi and |f|^(-1/4) sin Phi,
+    read off the e^{+-i Phi} pair.  The table follows the modulus of the
+    complex solution against the amplitude, which is zero-free."""
+
+    zeta = 1j
+
+    def complete(self, qtol):
+        # the e^{+-2iy} tail moments via two integrations by parts in x,
+        # with everything differentiated symbolically
+        psi = self.psi
+        G0, G0a = self.tail_integrals(qtol)
+        a1_ast = expr.differentiate(
+            expr.binary("mul", psi.psi_ast, psi.inv_sqrt_f_ast))
+        a2_ast = expr.differentiate(
+            expr.binary("mul", a1_ast, psi.inv_sqrt_f_ast))
+        a1 = expr.compile_fn(a1_ast)
+        a2 = expr.compile_fn(a2_ast)
+        X = self.end
+        R2 = self.work.quad(quadrature.l1_tail_norm(_abs_fn(a2), X, tol=qtol))
+        Y = self.phase_map.y_span
+        invX = float(psi.inv_sqrt_f(X))
+        psiX = float(psi.psi(X))
+        a1X = float(a1(X))
+        Gp, Gm = (cmath.exp(2j * sign * Y) * invX
+                  * (-psiX / (2j * sign) - a1X / 4.0) for sign in (1, -1))
+        g_err = R2 / 4.0
+        self.sol_bwd = _conjugate(self.sol)
+        c = self.completion = volterra.complete_oscillatory(
+            self.sol, self.sol_bwd, G0, Gp, Gm, G0a)
+        self.constants = {"xi1": c.xi1, "xi2": c.xi2, "eta1": c.eta1,
+                          "eta2": c.eta2,
+                          "conjugation_defect": c.conjugation_defect}
+        size = (abs(c.xi1) + abs(c.xi2) + abs(c.eta1) + abs(c.eta2))
+        return c.residual_bound + g_err * (1.0 + size) / (1.0 - min(G0a, 0.9))
+
+    def solutions(self):
+        c, shape, phase = self.completion, self.shape, self.phase_fn()
+        M = np.array([[c.xi1, c.eta1], [c.xi2, c.eta2]])
+        alpha, beta = np.linalg.solve(M, np.array([1.0, 0.0]))
+        turn = cmath.exp(1j * shape.origin_rate * self.phase_map.a)
+        alpha, beta = alpha * turn, beta * turn
+        self.constants["basis_combination"] = (complex(alpha), complex(beta))
+        fwd, bwd = self.sol, self.sol_bwd
+        amp, amp_d, sqrt_f = shape.amp, shape.amp_deriv(), self.psi.sqrt_f
+
+        def U(x):
+            y = phase(x)
+            return float(amp(x)) * (
+                alpha * cmath.exp(1j * y) * complex(fwd.z_at(y))
+                + beta * cmath.exp(-1j * y) * complex(bwd.z_at(y)))
+
+        def Ud(x):
+            y = phase(x)
+            p, m = alpha * cmath.exp(1j * y), beta * cmath.exp(-1j * y)
+            z1, z2 = complex(fwd.z_at(y)), complex(bwd.z_at(y))
+            core = (p * (1j * z1 + complex(fwd.deriv_at(y)))
+                    + m * (-1j * z2 + complex(bwd.deriv_at(y))))
+            return (float(amp(x)) * float(sqrt_f(x)) * core
+                    + float(amp_d(x)) * (p * z1 + m * z2))
+
+        self.U = U
+        self.pair = [
+            NormalizedSolution("cos-like", shape.template % ("cos", ""),
+                               _vectorize(lambda x: U(x).real),
+                               _vectorize(lambda x: Ud(x).real)),
+            NormalizedSolution("sin-like", shape.template % ("sin", ""),
+                               _vectorize(lambda x: U(x).imag),
+                               _vectorize(lambda x: Ud(x).imag)),
         ]
-        extras["wronskian"] = -2.0
-        return constants, solutions, approximants, extras
+        return self.pair
 
-    # oscillatory
-    coeffs = completion
-    M = np.array([[coeffs.xi1, coeffs.eta1], [coeffs.xi2, coeffs.eta2]])
-    alpha, beta = np.linalg.solve(M, np.array([1.0, 0.0]))
-    if constant:
-        alpha *= cmath.exp(1j * rate * a)
-        beta *= cmath.exp(1j * rate * a)
-    sol_fwd, sol_bwd = sol
-    constants["basis_combination"] = (complex(alpha), complex(beta))
+    def value(self, s):
+        return abs(complex(self.U(s)))
 
-    def U(x):
-        y = phase(x)
-        z1 = complex(sol_fwd.z_at(y))
-        z2 = complex(sol_bwd.z_at(y))
-        av = 1.0 if constant else float(amp(x))
-        return av * (alpha * cmath.exp(1j * y) * z1
-                     + beta * cmath.exp(-1j * y) * z2)
+    def model(self, s):
+        return float(self.shape.amp(s))
 
-    def Ud(x):
-        y = phase(x)
-        z1 = complex(sol_fwd.z_at(y))
-        z2 = complex(sol_bwd.z_at(y))
-        d1 = complex(sol_fwd.deriv_at(y))
-        d2 = complex(sol_bwd.deriv_at(y))
-        rv = float(sqrt_f(x))
-        if constant:
-            av, adv = 1.0, 0.0
-        else:
-            av, adv = float(amp(x)), float(amp_d(x))
-        core = (alpha * cmath.exp(1j * y) * (1j * z1 + d1)
-                + beta * cmath.exp(-1j * y) * (-1j * z2 + d2))
-        boundary = (alpha * cmath.exp(1j * y) * z1
-                    + beta * cmath.exp(-1j * y) * z2)
-        return av * rv * core + adv * boundary
 
-    if constant:
-        r_s = "" if _fmt(rate) == "1" else _fmt(rate) + "*"
-        c_desc = "cos(%sx)" % r_s
-        s_desc = "sin(%sx)" % r_s
+def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, work,
+                      inverted):
+    """The infinity-side machinery for a classified split: the regime
+    object marched and completed, the march summary in the caller's
+    frame, the certificate, its verification and the constants."""
+    reg = _regime_for(split, cls, work)
+    a, tail0 = certificate_mod.find_cutoff(reg.weight, lo, tol=tol)
+    reg.cutoff = a
+
+    x_end = max(x_floor if x_floor is not None else a, a + 10.0)
+    for _ in range(80):
+        if quadrature.l1_tail_norm(reg.weight, x_end, tol=1e-6).value <= 0.05:
+            break
+        x_end *= 1.8
     else:
-        c_desc = "|f(x)|^(-1/4) * cos(Phi(x))"
-        s_desc = "|f(x)|^(-1/4) * sin(Phi(x))"
-    solutions = [
-        NormalizedSolution("cos-like", c_desc,
-                           _vectorize(lambda x: U(x).real),
-                           _vectorize(lambda x: Ud(x).real)),
-        NormalizedSolution("sin-like", s_desc,
-                           _vectorize(lambda x: U(x).imag),
-                           _vectorize(lambda x: Ud(x).imag)),
-    ]
-    extras["wronskian"] = 1.0
-    extras["complex_solution"] = (_vectorize(U), _vectorize(Ud))
-    return constants, solutions, approximants, extras
+        raise AnalysisError("perturbation tail refuses to decay")
+
+    qtol = max(min(tol, 1e-12), 1e-14)
+    refinements = 0
+    history = []
+    for _round in range(6):
+        # the coarse/fine march pair, halving the step (and rebuilding
+        # the grid) on envelope violations
+        span = reg.span(a, x_end, tol)
+        h_c, n_c = _choose_h(span, step)
+        for attempt in range(4):
+            try:
+                reg.march(a, span, h_c, n_c)
+                break
+            except (volterra.EnvelopeError, volterra.StepTooLargeError):
+                if attempt == 3:
+                    raise
+                h_c /= 2.0
+                n_c *= 2
+                refinements += 1
+        residual = reg.complete(qtol)
+        history.append((x_end, residual))
+        if residual <= tail_tol:
+            break
+        # Predict the cutoff that meets the target from the observed decay
+        # residual ~ C x^{-p}; default to the quadratic rate the tail
+        # completions guarantee for 1/x-type masses until two rounds exist.
+        p = 2.0
+        if len(history) >= 2:
+            (x_prev, r_prev), (x_cur, r_cur) = history[-2], history[-1]
+            if r_prev > r_cur > 0.0 and x_cur > x_prev:
+                p = min(6.0, max(0.5, math.log(r_prev / r_cur)
+                                 / math.log(x_cur / x_prev)))
+        grow = (residual / tail_tol) ** (1.0 / p) * 1.25
+        x_end = x_end * min(50.0, max(1.3, grow)) + 1.0
+    else:
+        raise AnalysisError(
+            "could not certify the connection constants to %.3g "
+            "(best residual bound %.3g); increase --tail-tol or --xmax"
+            % (tail_tol, history[-1][1]))
+
+    cert = certificate_mod.gronwall_certificate(
+        a, tail0, reg.fine.envelope_report())
+    verification = certificate_mod.verify_certificate(cert, reg.weight,
+                                                      tol=tol)
+    reg.solutions()
+    constants = dict(reg.constants, tail_residual_bound=residual)
+    end = reg.end
+    if inverted:
+        march = {"frame": "inverted (s = 1/x)", "cutoff_s": a,
+                 "cutoff_x": 1.0 / a, "s_max": end, "x_min": 1.0 / end}
+    else:
+        march = {"frame": "direct", "cutoff": a, "x_max": end}
+    march.update(phase_span=span, coarse_step=h_c, refinements=refinements)
+    return reg, march, cert, verification, constants
+
+
+def _reduced(u1, u1d, log_u1, X, tail_coeff, factor, dominant, recessive):
+    """The marched solution u1 and its partner by reduction of order,
+    labeled with their asymptotic forms."""
+    u2, u2d = _reduction_pair(u1, u1d, log_u1, X, tail_coeff, factor)
+    return [NormalizedSolution("dominant", dominant, _vectorize(u1),
+                               _vectorize(u1d)),
+            NormalizedSolution("recessive", recessive, u2, u2d)]
 
 
 def _reduction_pair(u1, u1d, log_u1, X, tail_coeff, factor):
@@ -594,11 +626,6 @@ def _reduction_pair(u1, u1d, log_u1, X, tail_coeff, factor):
     return _vectorize(u2_scalar), _vectorize(u2d_scalar)
 
 
-def _fmt(v):
-    s = "%.12g" % v
-    return s
-
-
 # --------------------------------------------------------------------------
 # public entry point
 
@@ -610,7 +637,7 @@ class AnalysisReport:
     interval: tuple
     tolerance: float
     tail_tolerance: float
-    regime: Regime
+    regime: transform.Regime
     checks: list
     psi_text: str | None
     certificate: certificate_mod.Certificate
@@ -619,7 +646,10 @@ class AnalysisReport:
     constants: dict
     solutions: list
     work: dict
-    internals: dict = field(repr=False, default_factory=dict)
+    # the raw fine march the certificate's envelope report comes from (the
+    # zeta = +i run for oscillatory regimes; in s = 1/x at the zero endpoint)
+    fine_run: volterra.VolterraSolution = field(repr=False, compare=False)
+    _regime: object = field(repr=False, compare=False)
 
     def solution(self, label):
         for s in self.solutions:
@@ -628,9 +658,7 @@ class AnalysisReport:
         raise KeyError(label)
 
     def to_json_dict(self):
-        consts = {}
-        for key, val in sorted(self.constants.items()):
-            consts[key] = _jsonable(val)
+        consts = {k: _jsonable(v) for k, v in sorted(self.constants.items())}
         return {
             "schema": 1,
             "input": {
@@ -656,7 +684,28 @@ class AnalysisReport:
         }
 
     def sample_rows(self, count=9):
-        return _sample_rows(self, count)
+        """Rows (x, value, approximant, ratio, envelope bound) along the
+        certified branch; the envelope bound column is the remaining
+        correction radius exp(tail |w| past x) - 1, non-increasing toward
+        the endpoint."""
+        reg = self._regime
+        s_hi = reg.table_end()
+        s_lo = reg.cutoff + (s_hi - reg.cutoff) * 0.05
+        rows = []
+        for s in np.linspace(s_lo, s_hi, count):
+            s = float(s)
+            # u(x) = x v(1/x) at the zero endpoint
+            x, k = (1.0 / s, 1.0 / s) if self.endpoint == "zero" else (s, 1.0)
+            val, m = k * reg.value(s), k * reg.model(s)
+            tail = quadrature.l1_tail_norm(reg.weight, s, tol=1e-8).value
+            rows.append({
+                "x": x,
+                "value": val,
+                "approximant": m,
+                "ratio": val / m if m != 0 else math.inf,
+                "envelope_bound": math.expm1(tail),
+            })
+        return rows
 
 
 def _jsonable(val):
@@ -686,72 +735,33 @@ def analyze(f_text, g_text, endpoint="infinity", interval=None, tol=1e-10,
     derivative callables, valid on the resolved range.
     """
     split = transform.CoefficientSplit.from_expressions(f_text, g_text)
-    if endpoint == "infinity":
-        interval = interval if interval is not None else (1.0, math.inf)
-    elif endpoint == "zero":
-        interval = interval if interval is not None else (0.0, 1.0)
-    else:
+    if endpoint not in ("infinity", "zero"):
         raise ValueError("endpoint must be 'infinity' or 'zero'")
+    if interval is None:
+        interval = (1.0, math.inf) if endpoint == "infinity" else (0.0, 1.0)
     work = _Work()
     cls = transform.classify_regime(split, endpoint, interval)
 
-    if endpoint == "infinity":
-        bundle = _analyze_infinity(split, cls, float(interval[0]), tol,
-                                   tail_tol, x_max, step, work)
-        return _report_from_bundle(bundle, f_text, g_text, endpoint,
-                                   interval, tol, tail_tol, inverted=False)
-
-    # zero endpoint: run everything on the inverted split
-    inner_cls = cls.inner
-    s_lo = 1.0 / float(interval[1])
-    s_floor = (1.0 / x_max) if x_max else None
-    bundle = _analyze_infinity(cls.inverted, inner_cls, s_lo, tol,
-                               tail_tol, s_floor, step, work)
-    return _report_from_bundle(bundle, f_text, g_text, endpoint,
-                               interval, tol, tail_tol, inverted=True,
-                               outer_cls=cls)
-
-
-def _report_from_bundle(bundle, f_text, g_text, endpoint, interval, tol,
-                        tail_tol, inverted, outer_cls=None):
-    regime = bundle.regime if not inverted else outer_cls.regime
-    if inverted:
-        solutions = [_pull_back(s) for s in bundle.solutions]
-        march = {
-            "frame": "inverted (s = 1/x)",
-            "cutoff_s": bundle.cutoff,
-            "cutoff_x": 1.0 / bundle.cutoff,
-            "s_max": bundle.x_end,
-            "x_min": 1.0 / bundle.x_end,
-            "phase_span": bundle.y_span,
-            "coarse_step": bundle.h_coarse,
-            "refinements": bundle.refinements,
-        }
-        checks = outer_cls.checks
+    inverted = endpoint == "zero"
+    if inverted:    # run everything on the inverted split
+        frame = (cls.inverted, cls.inner, 1.0 / float(interval[1]),
+                 (1.0 / x_max) if x_max else None)
     else:
-        solutions = bundle.solutions
-        march = {
-            "frame": "direct",
-            "cutoff": bundle.cutoff,
-            "x_max": bundle.x_end,
-            "phase_span": bundle.y_span,
-            "coarse_step": bundle.h_coarse,
-            "refinements": bundle.refinements,
-        }
-        checks = bundle.classification.checks
-    psi_text = (expr.to_string(bundle.psi.psi_ast)
-                if bundle.psi is not None else None)
-    report = AnalysisReport(
+        frame = (split, cls, float(interval[0]), x_max)
+    reg, march, cert, verification, constants = _analyze_infinity(
+        *frame, tol, tail_tol, step, work, inverted)
+    solutions = [_pull_back(s) for s in reg.pair] if inverted else reg.pair
+    return AnalysisReport(
         f_text=f_text, g_text=g_text, endpoint=endpoint,
         interval=(float(interval[0]), float(interval[1])),
         tolerance=tol, tail_tolerance=tail_tol,
-        regime=regime, checks=checks, psi_text=psi_text,
-        certificate=bundle.certificate, verification=bundle.verification,
-        march=march, constants=bundle.constants, solutions=solutions,
-        work=bundle.work.as_dict(),
-        internals={"bundle": bundle, "inverted": inverted},
+        regime=cls.regime, checks=cls.checks,
+        psi_text=(expr.to_string(cls.psi.psi_ast)
+                  if cls.psi is not None else None),
+        certificate=cert, verification=verification,
+        march=march, constants=constants, solutions=solutions,
+        work=dataclasses.asdict(work), fine_run=reg.fine, _regime=reg,
     )
-    return report
 
 
 def _pull_back(sol):
@@ -770,75 +780,3 @@ def _pull_back(sol):
 
     asym = "x * [%s at s=1/x]" % sol.asymptotic
     return NormalizedSolution(sol.label + "-at-zero", asym, value, deriv)
-
-
-def _sample_rows(report, count):
-    """Rows (x, value, approximant, ratio, envelope bound) along the
-    certified branch; the envelope bound column is the remaining
-    correction radius exp(tail |w| past x) - 1, non-increasing toward
-    the endpoint.  Oscillatory regimes tabulate the modulus of the
-    complex solution against the amplitude, which is zero-free."""
-    bundle = report.internals["bundle"]
-    inverted = report.internals["inverted"]
-    regime = bundle.regime        # inner regime when inverted
-    weight = bundle.weight
-    pmap = bundle.phase_map
-    constant = bundle.classification.constant_f is not None
-    amp_fn = bundle.psi.amplitude if bundle.psi is not None else None
-
-    if regime.algebraic:
-        def inner_val(s):
-            return float(report.solution("dominant").value(s))
-
-        def inner_model(s):
-            return float(s)
-    elif regime.oscillatory:
-        U = bundle.extras["complex_solution"][0]
-
-        def inner_val(s):
-            return abs(complex(U(s)))
-
-        def inner_model(s):
-            return 1.0 if constant else float(amp_fn(s))
-    else:
-        rec = bundle.solutions[1]
-        rate = (math.sqrt(abs(bundle.classification.constant_f))
-                if constant else None)
-
-        def inner_val(s):
-            return float(np.real(rec.value(s)))
-
-        def inner_model(s):
-            y = pmap.y_of_x(s)
-            if constant:
-                return math.exp(-(y + rate * pmap.a)) / rate
-            return float(amp_fn(s)) * math.exp(-y)
-
-    s_hi = bundle.x_end * (1 - 1e-6)
-    if not regime.algebraic and not regime.oscillatory and pmap is not None:
-        # keep the decaying branch well inside the float range: values at
-        # phase y scale like e^{-y}, so cap the tabulated phase
-        y_end = float(pmap.y_nodes[-1])
-        if y_end > 300.0:
-            s_hi = float(pmap.x_of_y(300.0))
-    s_lo = bundle.cutoff + (s_hi - bundle.cutoff) * 0.05
-    s_pts = np.linspace(s_lo, s_hi, count)
-    rows = []
-    for s in s_pts:
-        s = float(s)
-        val = inner_val(s)
-        m = inner_model(s)
-        if inverted:
-            x = 1.0 / s
-            val, m = x * val, x * m
-        else:
-            x = s
-        tail = quadrature.l1_tail_norm(weight, s, tol=1e-8).value
-        rows.append({
-            "x": x,
-            "value": val,
-            "approximant": m,
-            "ratio": val / m if m != 0 else math.inf,
-            "envelope_bound": math.expm1(tail),
-        })
-    return rows

@@ -26,7 +26,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import expr, quadrature
+from . import expr, quadrature, volterra
 
 
 class HypothesisFailed(RuntimeError):
@@ -250,18 +250,12 @@ def classify_regime(split, endpoint, interval, checks=None):
                 dict(c, name="inverted:" + c["name"]) for c in e.checks)
             raise HypothesisFailed(str(e), checks) from None
         checks.extend(dict(c, name="inverted:" + c["name"]) for c in sub.checks)
-        if sub.regime is Regime.EXP_INFINITY:
-            regime = Regime.EXP_SINGULAR
-        elif sub.regime is Regime.OSC_INFINITY:
-            regime = Regime.OSC_SINGULAR
-        elif sub.regime in (Regime.CONSTANT_EXP, Regime.CONSTANT_OSC):
-            # constant inverted leading part can only come from c/x^4
-            regime = (Regime.EXP_SINGULAR if sub.sign > 0
-                      else Regime.OSC_SINGULAR)
-        else:
+        if sub.sign == 0:
             _check(checks, "leading-part-at-zero", False,
                    "f vanishes identically near 0; substitute s = 1/x and "
                    "pose the problem at infinity instead")
+        # the sign of the inverted leading part fixes the regime at zero
+        regime = Regime.EXP_SINGULAR if sub.sign > 0 else Regime.OSC_SINGULAR
         return Classification(regime, sub.sign, checks,
                               inverted=inverted, psi=sub.psi, inner=sub)
 
@@ -400,22 +394,8 @@ class PhaseMap:
     def x_of_y(self, y):
         if self.affine_rate is not None:
             return self.a + np.asarray(y, dtype=float) / self.affine_rate
-        y = np.asarray(y, dtype=float)
-        scalar = y.ndim == 0
-        yv = np.atleast_1d(y)
-        if np.any(yv < -1e-12) or np.any(yv > self.y_span * (1 + 1e-12)):
-            raise ValueError("y outside the tabulated phase range")
-        idx = np.clip((yv / self.h).astype(int), 0, len(self.x_nodes) - 2)
-        t = yv / self.h - idx
-        x0 = self.x_nodes[idx]
-        x1 = self.x_nodes[idx + 1]
-        m0 = self.slopes[idx] * self.h
-        m1 = self.slopes[idx + 1] * self.h
-        t2 = t * t
-        t3 = t2 * t
-        val = ((2 * t3 - 3 * t2 + 1) * x0 + (t3 - 2 * t2 + t) * m0
-               + (-2 * t3 + 3 * t2) * x1 + (t3 - t2) * m1)
-        return float(val[0]) if scalar else val
+        x = volterra.hermite_uniform(0.0, self.h, self.x_nodes, self.slopes, y)
+        return float(x) if np.ndim(y) == 0 else x
 
     def y_of_x(self, x):
         """Phi(x) by quadrature from the nearest tabulated node."""

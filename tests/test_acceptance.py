@@ -175,12 +175,10 @@ def test_c05_envelope_property_suite():
     checked = 0
     for f_text, g_text, interval, tail_tol in GRONWALL_FIXTURES:
         r = analyze(f_text, g_text, interval=interval, tail_tol=tail_tol)
-        bundle = r.internals["bundle"]
-        sols = bundle.sol_raw if isinstance(bundle.sol_raw, tuple) \
-            else (bundle.sol_raw,)
-        for sol in sols:
-            violations += _envelope_violations(sol)
-            checked += len(sol.z)
+        # oscillatory fixtures: the zeta = -i run is the conjugate of this
+        # one, so its envelope arrays are the same
+        violations += _envelope_violations(r.fine_run)
+        checked += len(r.fine_run.z)
         radius = r.certificate.radius
         assert radius < 1.0, (f_text, g_text)
         if "xi1" in r.constants:

@@ -150,6 +150,19 @@ def test_validate_bessel_half_suite():
     assert "FAIL" not in p.stdout
 
 
+def test_validate_gronwall_suite():
+    p = run_cli("validate", "--suite", "gronwall", "--seed", "3")
+    assert p.returncode == 0
+    assert "all checks passed" in p.stdout
+    lines = p.stdout.strip().splitlines()[:-1]
+    assert len(lines) == 15
+    assert all(line.startswith("PASS") for line in lines)
+    # every case checks the Wronskian its pair is normalized to
+    for want in ("Wronskian -2 for f=1 ", "Wronskian 1 for f=-1 ",
+                 "Wronskian -1 for f=0 "):
+        assert sum(want in line for line in lines) == 1
+
+
 def test_validate_unknown_suite_rejected():
     p = run_cli("validate", "--suite", "nope")
     assert p.returncode == 2  # argparse usage error

@@ -29,6 +29,8 @@ CASES = [
     ("3/(4*x^2)", 1.0, 0.75),
     ("-x^-2", 2.0, -0.25),
     ("2.5e-1*x", 4.0, 1.0),
+    ("1.5E+2*x", 2.0, 300.0),
+    ("3e2*x", 0.5, 150.0),
 ]
 
 
