@@ -315,23 +315,31 @@ def _suite_gronwall(rng):
 
 def _suite_convergence(rng):
     checks = []
-    # marching order: halving h must cut the error close to fourfold
-    a, X = 0.0, 6.0
+    # marching order: halving h must cut the error close to fourfold, for
+    # the real and the oscillatory kernel march (w = e^-t on [0, 6]) and
+    # the algebraic march (g = s^-4 on [1, 7])
     import numpy as np
-    results = {}
-    for h in (0.08, 0.04, 0.02, 0.0025):
-        n = int(round((X - a) / h))
-        w = np.exp(-(a + h * np.arange(n + 1)))
-        sol = volterra.solve_kernel(w, h, 1.0)
-        results[h] = complex(sol.z[-1]).real
-    ref = results[0.0025]
-    e1 = abs(results[0.08] - ref)
-    e2 = abs(results[0.04] - ref)
-    e3 = abs(results[0.02] - ref)
-    r12, r23 = e1 / e2, e2 / e3
-    checks.append(("march error drops fourfold per halving",
-                   3.5 <= r12 <= 4.5 and 3.5 <= r23 <= 4.5,
-                   "ratios %.2f, %.2f" % (r12, r23)))
+    marches = (
+        ("kernel march, zeta = 1", 0.0,
+         lambda s, h: volterra.solve_kernel(np.exp(-s), h, 1.0)),
+        ("kernel march, zeta = 1j", 0.0,
+         lambda s, h: volterra.solve_kernel(np.exp(-s), h, 1j)),
+        ("algebraic march", 1.0,
+         lambda s, h: volterra.solve_algebraic(s ** -4.0, s[0], h)),
+    )
+    for label, a, march in marches:
+        results = {}
+        for h in (0.08, 0.04, 0.02, 0.0025):
+            n = int(round(6.0 / h))
+            results[h] = complex(march(a + h * np.arange(n + 1), h).z[-1])
+        ref = results[0.0025]
+        e1 = abs(results[0.08] - ref)
+        e2 = abs(results[0.04] - ref)
+        e3 = abs(results[0.02] - ref)
+        r12, r23 = e1 / e2, e2 / e3
+        checks.append(("%s: error drops fourfold per halving" % label,
+                       3.5 <= r12 <= 4.5 and 3.5 <= r23 <= 4.5,
+                       "ratios %.2f, %.2f" % (r12, r23)))
     # integrator order: a tenfold tolerance drop must buy >= ~8x accuracy
     exact = math.cosh(5.0)
     errs = []

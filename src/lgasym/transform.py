@@ -412,61 +412,3 @@ class PhaseMap:
             return float(base)
         seg = quadrature.integrate_finite(self.sqrt_f, xi, x, tol=1e-13)
         return float(base + seg.value)
-
-
-# --------------------------------------------------------------------------
-# closed-form approximants
-
-@dataclass
-class LGApproximant:
-    """One branch of the leading-order approximation.
-
-    value(x) = amplitude(x) * exp(zeta * phase(x)); real for zeta = +-1,
-    complex on the unit-imaginary branches.
-    """
-
-    label: str
-    zeta: complex
-    amplitude: object
-    phase: object
-
-    def value(self, x):
-        z = self.zeta * self.phase(x)
-        if isinstance(z, complex):
-            return complex(self.amplitude(x)) * np.exp(z)
-        return float(self.amplitude(x)) * math.exp(float(z))
-
-
-def build_approximants(regime, psi, phase_map):
-    """The (dominant, recessive) or (e^{+i.}, e^{-i.}) approximant pair.
-
-    Constant-f regimes use the absolute phase (anchored at x = 0) with
-    unit amplitude, matching the e^{zeta x} normalization; general
-    regimes use the phase from the map's anchor and the |f|^(-1/4)
-    amplitude.  Algebraic regimes return the pair (x, 1).
-    """
-    if regime.algebraic:
-        one = LGApproximant("linear", 0.0, lambda x: np.asarray(x, float),
-                            lambda x: 0.0)
-        const = LGApproximant("constant", 0.0, lambda x: np.ones_like(
-            np.asarray(x, dtype=float)), lambda x: 0.0)
-        return one, const
-    if regime in (Regime.CONSTANT_EXP, Regime.CONSTANT_OSC):
-        rate = phase_map.affine_rate
-
-        def phase(x):
-            return rate * float(x)
-
-        def amp(x):
-            return 1.0
-    else:
-        phase = phase_map.y_of_x
-
-        def amp(x):
-            return float(psi.amplitude(x))
-
-    if regime.oscillatory:
-        return (LGApproximant("forward", 1j, amp, phase),
-                LGApproximant("backward", -1j, amp, phase))
-    return (LGApproximant("growing", 1.0, amp, phase),
-            LGApproximant("decaying", -1.0, amp, phase))

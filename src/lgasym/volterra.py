@@ -15,13 +15,18 @@ Both are solved by second-order product integration: z is interpolated
 linearly between uniform nodes and every kernel moment over a cell is
 integrated exactly, giving an implicit scalar update per step.  The
 derivative comes for free (z' equals the memory integral E in the kernel
-case, S2/x^2 in the algebraic case).
+case, S2/x^2 in the algebraic case).  That update is affine in the state
+(z, Q, E), resp. (z, S1, S2), with coefficients fixed by the samples
+alone, so the march is evaluated as a blocked affine scan
+(_affine_scan): block maps on four lanes, a short chain of block start
+states, and one more vectorized pass from those starts.
 
 The continuous solutions obey |z| <= exp(T) with T the running L1 norm of
 the perturbation weight; the discrete march asserts this envelope at
-every step, allowing only its own O(h^2) discretization slack (which
-vanishes identically when w == 0).  A violation raises EnvelopeError and
-is the caller's cue to halve the step.
+every node, allowing only its own O(h^2) discretization slack (which
+vanishes identically when w == 0).  A violation raises EnvelopeError at
+the first node that breaks it, and is the caller's cue to halve the
+step.
 
 Connection constants at infinity are completed past the end of the grid
 by a small linear solve against tail integrals supplied by the caller,
@@ -32,6 +37,7 @@ until the perturbation underflows.
 from __future__ import annotations
 
 import cmath
+import functools
 import math
 from dataclasses import dataclass
 
@@ -101,13 +107,17 @@ class VolterraSolution:
     def z_at(self, t):
         return hermite_uniform(self.grid[0], self.h, self.z, self.z_deriv, t)
 
+    @functools.cached_property
+    def _deriv_slopes(self):
+        # a second difference for the slopes of the Hermite interpolant
+        # of z' keeps O(h^2) accuracy; sufficient since z' is only
+        # reported, never re-integrated.  Cached in the instance dict, so
+        # dataclasses.replace starts a copy without it.
+        return np.gradient(self.z_deriv, self.h)
+
     def deriv_at(self, t):
-        # derivative of the Hermite interpolant of z', using a second
-        # difference for its slopes, keeps O(h^2) accuracy; sufficient
-        # since z' is only reported, never re-integrated.
-        d = self.z_deriv
-        slopes = np.gradient(d, self.h)
-        return hermite_uniform(self.grid[0], self.h, d, slopes, t)
+        return hermite_uniform(self.grid[0], self.h, self.z_deriv,
+                               self._deriv_slopes, t)
 
     def envelope_report(self):
         env = np.exp(self.envelope_log)
@@ -194,7 +204,103 @@ def _reflected_weights(mu, h):
 def _envelope_bound(T, h):
     """Admissible |z| at envelope log T: the Gronwall bound exp(T) plus
     the scheme's own O(h^2) slack (exactly exp(0) = 1 when T == 0)."""
-    return math.exp(T) * (1.0 + _ROUNDOFF + h * h * T)
+    return np.exp(T) * (1.0 + _ROUNDOFF + h * h * T)
+
+
+def _contracting_steps(denom):
+    """Number of steps before the first implicit update whose
+    denominator falls below the contraction margin."""
+    lost = np.flatnonzero(np.abs(denom) < 0.5)
+    return int(lost[0]) if lost.size else len(denom)
+
+
+def _block_size(m):
+    """Steps per block when scanning m steps: about sqrt(m / 32).
+
+    Passes 1 and 3 of _affine_scan cost some 30 numpy calls per in-block
+    position, pass 2 about one call's time per block, so this size
+    balances the two (both grow like sqrt(m))."""
+    return max(1, math.isqrt(m // 32))
+
+
+def _affine_scan(step, coefs, dtype):
+    """March x_{k+1} = step(x_k, c_k) from x_0 = (1, 0, 0) over the m
+    steps whose coefficients c_k = (coefs[0][k], coefs[1][k], ...) are
+    given, and return the state components z and v at every node.
+
+    step(z, u, v, one, *c) must be affine in the state (z, u, v), with
+    `one` scaling its constant part; it is called on arrays, one entry
+    per block.  The steps are cut into blocks of _block_size(m).
+
+    1. Every block runs at once on four lanes: the constant part (one = 1
+       from the zero state) and the three unit states (one = 0).  The
+       lanes' end states are the columns of the block's affine map.
+    2. The block maps are chained in order into each block's start state.
+    3. Every block runs again at once from its true start state.
+
+    The interpreter thus sees O(sqrt(m)) vectorized steps, and working
+    memory stays O(m): there are no per-step maps or lane histories.
+    """
+    m = len(coefs[0])
+    if m == 0:
+        return np.ones(1, dtype), np.zeros(1, dtype)
+    size = _block_size(m)
+    nb = -(-m // size)
+    # row j holds step j of every block; the last block is padded with
+    # copies of the final step, whose results are never read
+    cols = [np.ascontiguousarray(
+        np.pad(c, (0, nb * size - m), mode="edge").reshape(nb, size).T)
+        for c in coefs]
+    with np.errstate(over="ignore", invalid="ignore"):
+        # pass 1: lanes[i, 1 + i] starts at 1, everything else at 0
+        lanes = np.zeros((3, 4, nb), dtype)
+        for i in range(3):
+            lanes[i, i + 1] = 1.0
+        z, u, v = lanes
+        one = np.array([[1.0], [0.0], [0.0], [0.0]])
+        for j in range(size):
+            z, u, v = step(z, u, v, one, *(c[j] for c in cols))
+        # pass 2, on Python scalars: start_{b+1} = c_b + M_b start_b
+        zs, us, vs = [1.0], [0.0], [0.0]
+        for (cz, zz, zu, zv, cu, uz, uu, uv, cv, vz, vu, vv) in zip(
+                *z.tolist(), *u.tolist(), *v.tolist()):
+            z0, u0, v0 = zs[-1], us[-1], vs[-1]
+            zs.append(cz + zz * z0 + zu * u0 + zv * v0)
+            us.append(cu + uz * z0 + uu * u0 + uv * v0)
+            vs.append(cv + vz * z0 + vu * u0 + vv * v0)
+        # pass 3
+        z, u, v = (np.array(s[:nb], dtype) for s in (zs, us, vs))
+        z_out = np.empty((size, nb), dtype)
+        v_out = np.empty((size, nb), dtype)
+        for j in range(size):
+            z, u, v = step(z, u, v, 1.0, *(c[j] for c in cols))
+            z_out[j] = z
+            v_out[j] = v
+    return (np.concatenate(([1.0], z_out.T.reshape(-1)[:m])),
+            np.concatenate(([0.0], v_out.T.reshape(-1)[:m])))
+
+
+def _running(increments):
+    """Running sum from node 0 (where it is 0) of per-step increments."""
+    return np.concatenate(([0.0], np.cumsum(increments)))
+
+
+def _check_march(z, T, h, lost):
+    """The march's checks in node order: the first node whose |z| breaks
+    its envelope (a non-finite |z| breaks it too) wins over a lost
+    contraction, which the caller has already cut the march short at.
+    Returns max |z|."""
+    az = np.abs(z)
+    with np.errstate(over="ignore", invalid="ignore"):
+        broken = np.flatnonzero(~(az[1:] <= _envelope_bound(T[1:], h)))
+    if broken.size:
+        k = int(broken[0]) + 1
+        raise EnvelopeError(
+            "|z| = %.6g exceeded its envelope %.6g at node %d"
+            % (az[k], math.exp(T[k]), k))
+    if lost:
+        raise StepTooLargeError("implicit update lost contraction")
+    return float(np.max(az))
 
 
 def solve_kernel(w_vals, h, zeta, grid=None):
@@ -204,6 +310,10 @@ def solve_kernel(w_vals, h, zeta, grid=None):
     exponential branch) or +-1j (oscillatory branches).  Oscillatory runs
     also accumulate the reflected moment int e^{mu t} w z dt needed for
     the second connection constant.
+
+    The step is affine in (z, Q, E), with Q = int w z and E the memory
+    integral, and its coefficients depend on the samples alone, so the
+    march is one blocked scan (_affine_scan).
     """
     w_arr = np.asarray(w_vals, dtype=float)
     if not np.all(np.isfinite(w_arr)):
@@ -218,64 +328,39 @@ def solve_kernel(w_vals, h, zeta, grid=None):
             "h * max|w| = %.3g exceeds the contraction margin"
             % (float(np.max(np.abs(w_arr))) * h))
     D, A, B, cL, cR = _kernel_weights(mu, h)
+    denom = 1.0 - w_arr[1:] * cR
+    m = _contracting_steps(denom)
+
+    def step(z, Q, E, one, wk, wk1, den):
+        qk = wk * z
+        z1 = (one + (Q - D * E) / mu + qk * cL) / den
+        qk1 = wk1 * z1
+        return z1, Q + 0.5 * h * (qk + qk1), D * E + qk * A + qk1 * B
+
+    dtype = complex if oscillatory else float
+    z, E = _affine_scan(step, (w_arr[:m], w_arr[1:m + 1], denom[:m]), dtype)
+    aw = np.abs(w_arr[:m + 1])
+    T = _running(0.5 * h * (aw[:-1] + aw[1:]))
+    zmax = _check_march(z, T, h, m < n - 1)
+    q = w_arr * z
+    aq = np.abs(q)
+    P0 = np.sum(0.5 * h * (q[:-1] + q[1:]))
     if oscillatory:
         Em, JL, JR = _reflected_weights(mu, h)
-        phase = 1.0 + 0j
-        P = 0.0 + 0j
+        # e^{mu t_k} as the running product of Em, as a loop would form it
+        phase = np.cumprod(np.concatenate(([1.0 + 0j], np.full(n - 2, Em))))
+        P = complex(np.sum(phase * (q[:-1] * JL + q[1:] * JR)))
     else:
         P = None
-    w = w_arr.tolist()
-    zero = 0j if oscillatory else 0.0
-    z = [1.0 + zero]
-    E = zero
-    Q = zero
-    T = 0.0
-    L1 = 0.0
-    derivs = [zero]
-    Ts = [0.0]
-    L1s = [0.0]
-    zmax = 1.0
-    zk = 1.0 + zero
-    for k in range(n - 1):
-        wk = w[k]
-        wk1 = w[k + 1]
-        qk = wk * zk
-        num = 1.0 + (Q - D * E) / mu + qk * cL
-        denom = 1.0 - wk1 * cR
-        if abs(denom) < 0.5:
-            raise StepTooLargeError("implicit update lost contraction")
-        zk1 = num / denom
-        qk1 = wk1 * zk1
-        if oscillatory:
-            P += phase * (qk * JL + qk1 * JR)
-            phase *= Em
-        Q += 0.5 * h * (qk + qk1)
-        E = D * E + qk * A + qk1 * B
-        T += 0.5 * h * (abs(wk) + abs(wk1))
-        L1 += 0.5 * h * (abs(qk) + abs(qk1))
-        az = abs(zk1)
-        if az > _envelope_bound(T, h):
-            raise EnvelopeError(
-                "|z| = %.6g exceeded its envelope %.6g at node %d"
-                % (az, math.exp(T), k + 1))
-        if az > zmax:
-            zmax = az
-        z.append(zk1)
-        derivs.append(E)
-        Ts.append(T)
-        L1s.append(L1)
-        zk = zk1
     if grid is None:
         grid = h * np.arange(n)
-    dtype = complex if oscillatory else float
     return VolterraSolution(
         kind="oscillatory" if oscillatory else "exponential",
         mu=mu, h=h, grid=np.asarray(grid, dtype=float),
-        w=w_arr,
-        z=np.array(z, dtype=dtype),
-        z_deriv=np.array(derivs, dtype=dtype),
-        envelope_log=np.array(Ts), l1_q=np.array(L1s),
-        P0=Q, P_refl=P, z_max=zmax, steps=n - 1)
+        w=w_arr, z=z, z_deriv=E, envelope_log=T,
+        l1_q=_running(0.5 * h * (aq[:-1] + aq[1:])),
+        P0=complex(P0) if oscillatory else float(P0), P_refl=P,
+        z_max=zmax, steps=n - 1)
 
 
 def solve_algebraic(g_vals, a, h):
@@ -285,7 +370,9 @@ def solve_algebraic(g_vals, a, h):
     with exact polynomial moments of the hat interpolant of g z, so the
     kernel weight at the diagonal vanishes to the same order as the
     kernel itself.  The envelope uses the same exact first moments of
-    |g|, making T the product-integration value of int s |g| ds.
+    |g|, making T the product-integration value of int s |g| ds.  The
+    step is affine in (z, S1, S2), so the march is one blocked scan
+    (_affine_scan).
     """
     g_arr = np.asarray(g_vals, dtype=float)
     if not np.all(np.isfinite(g_arr)):
@@ -300,58 +387,43 @@ def solve_algebraic(g_vals, a, h):
     if peak * h > 0.5:
         raise StepTooLargeError(
             "h * max|s g| = %.3g exceeds the contraction margin" % (peak * h))
-    g = g_arr.tolist()
-    z = [1.0]
-    derivs = [0.0]
-    Ts = [0.0]
-    L1s = [0.0]
-    S1 = 0.0
-    S2 = 0.0
-    T = 0.0
-    L1 = 0.0
-    zmax = 1.0
-    zk = 1.0
     h2_6 = h * h / 6.0
     h2_3 = h * h / 3.0
     h3_12 = h ** 3 / 12.0
     h3_4 = h ** 3 / 4.0
-    for k in range(n - 1):
-        sk = a + k * h
-        sk1 = sk + h
-        # exact cell moments of s and s^2 against the two hat halves
-        m1L = 0.5 * h * sk + h2_6
-        m1R = 0.5 * h * sk + h2_3
-        m2L = 0.5 * h * sk * sk + h2_3 * sk + h3_12
-        m2R = 0.5 * h * sk * sk + 2.0 * h2_3 * sk + h3_4
-        pk = g[k] * zk
-        gk1 = g[k + 1]
-        num = 1.0 + S1 + m1L * pk - (S2 + m2L * pk) / sk1
-        denom = 1.0 - gk1 * (m1R - m2R / sk1)
-        if abs(denom) < 0.5:
-            raise StepTooLargeError("implicit update lost contraction")
-        zk1 = num / denom
-        pk1 = gk1 * zk1
-        S1 += m1L * pk + m1R * pk1
-        S2 += m2L * pk + m2R * pk1
-        T += m1L * abs(g[k]) + m1R * abs(gk1)
-        L1 += m1L * abs(pk) + m1R * abs(pk1)
-        az = abs(zk1)
-        if az > _envelope_bound(T, h):
-            raise EnvelopeError(
-                "|z| = %.6g exceeded its envelope %.6g at node %d"
-                % (az, math.exp(T), k + 1))
-        if az > zmax:
-            zmax = az
-        z.append(zk1)
-        derivs.append(S2 / (sk1 * sk1))
-        Ts.append(T)
-        L1s.append(L1)
-        zk = zk1
-    grid = a + h * np.arange(n)
+    sk = a + h * np.arange(n - 1)
+    sk1 = sk + h
+    # exact cell moments of s and s^2 against the two hat halves
+    m1L = 0.5 * h * sk + h2_6
+    m1R = 0.5 * h * sk + h2_3
+    m2L = 0.5 * h * sk * sk + h2_3 * sk + h3_12
+    m2R = 0.5 * h * sk * sk + 2.0 * h2_3 * sk + h3_4
+    denom = 1.0 - g_arr[1:] * (m1R - m2R / sk1)
+    m = _contracting_steps(denom)
+
+    def step(z, S1, S2, one, gk, gk1, m1L, m1R, m2L, m2R, sk1, den):
+        pk = gk * z
+        z1 = (one + S1 + m1L * pk - (S2 + m2L * pk) / sk1) / den
+        pk1 = gk1 * z1
+        return (z1, S1 + (m1L * pk + m1R * pk1),
+                S2 + (m2L * pk + m2R * pk1))
+
+    # z and S2 at every node
+    z, z_deriv = _affine_scan(
+        step, tuple(c[:m] for c in (g_arr[:-1], g_arr[1:], m1L, m1R, m2L,
+                                    m2R, sk1, denom)), float)
+    ag = np.abs(g_arr[:m + 1])
+    T = _running(m1L[:m] * ag[:-1] + m1R[:m] * ag[1:])
+    zmax = _check_march(z, T, h, m < n - 1)
+    p = g_arr * z
+    ap = np.abs(p)
+    S1 = float(np.sum(m1L * p[:-1] + m1R * p[1:]))
+    S2 = float(np.sum(m2L * p[:-1] + m2R * p[1:]))
+    z_deriv[1:] /= sk1 * sk1        # z' = S2 / x^2
     return VolterraSolution(
-        kind="algebraic", mu=0.0, h=h, grid=grid, w=g_arr,
-        z=np.array(z), z_deriv=np.array(derivs),
-        envelope_log=np.array(Ts), l1_q=np.array(L1s),
+        kind="algebraic", mu=0.0, h=h, grid=a + h * np.arange(n), w=g_arr,
+        z=z, z_deriv=z_deriv, envelope_log=T,
+        l1_q=_running(m1L * ap[:-1] + m1R * ap[1:]),
         P0=S1, P_refl=None, S1=S1, S2=S2, z_max=zmax, steps=n - 1)
 
 

@@ -10,7 +10,6 @@ from lgasym.transform import (
     HypothesisFailed,
     PhaseMap,
     Regime,
-    build_approximants,
     classify_regime,
     compute_psi,
     invert_split,
@@ -227,44 +226,6 @@ def test_phase_map_range_guard():
         pm.x_of_y(2.5)
     with pytest.raises(ValueError):
         pm.x_of_y(-0.1)
-
-
-# --------------------------------------------------------- approximants
-
-def test_approximants_algebraic_pair():
-    lin, const = build_approximants(Regime.ALGEBRAIC_INFINITY, None, None)
-    assert lin.value(7.0) == pytest.approx(7.0)
-    assert const.value(7.0) == pytest.approx(1.0)
-
-
-def test_approximants_constant_exponential():
-    pm = PhaseMap.affine(0.0, 1.0, 10.0, 0.01)
-    grow, decay = build_approximants(Regime.CONSTANT_EXP, None, pm)
-    assert grow.value(2.0) == pytest.approx(math.exp(2.0), rel=1e-14)
-    assert decay.value(2.0) == pytest.approx(math.exp(-2.0), rel=1e-14)
-
-
-def test_approximants_general_exponential():
-    psi = compute_psi(split_of("x^2", "0"), 1)
-    pm = PhaseMap.build(lambda x: 1.0 / x, lambda x: np.asarray(x, float),
-                        1.0, 6.0, 0.005)
-    grow, decay = build_approximants(Regime.EXP_INFINITY, psi, pm)
-    x = 2.5
-    phase = (x * x - 1.0) / 2.0
-    want = x ** -0.5 * math.exp(phase)
-    assert grow.value(x) == pytest.approx(want, rel=1e-9)
-    assert decay.value(x) == pytest.approx(x ** -0.5 * math.exp(-phase),
-                                           rel=1e-9)
-
-
-def test_approximants_oscillatory_conjugate_pair():
-    pm = PhaseMap.affine(0.0, 2.0, 20.0, 0.01)
-    fwd, bwd = build_approximants(Regime.CONSTANT_OSC, None, pm)
-    v1 = fwd.value(1.3)
-    v2 = bwd.value(1.3)
-    assert v1 == pytest.approx(complex(math.cos(2.6), math.sin(2.6)), rel=1e-12)
-    assert v2 == pytest.approx(v1.conjugate(), rel=1e-12)
-    assert abs(v1) == pytest.approx(1.0, rel=1e-12)
 
 
 def test_regime_predicates():

@@ -1,9 +1,12 @@
 import cmath
+import dataclasses
 import math
+import re
 
 import numpy as np
 import pytest
 
+from lgasym import volterra
 from lgasym.oracle import integrate_ivp
 from lgasym.volterra import (
     EnvelopeError,
@@ -131,6 +134,20 @@ def test_kernel_interpolants():
     mid = 0.5 * (t[10] + t[11])
     assert sol.z[10] <= sol.z_at(mid) <= sol.z[11] * 1.001
     assert sol.deriv_at(t[50]) == pytest.approx(sol.z_deriv[50], rel=1e-12)
+
+
+def test_deriv_slopes_cached_per_solution():
+    h = 0.02
+    t = h * np.arange(301)
+    sol = solve_kernel(np.exp(-t) * np.sin(3.0 * t), h, 1j)
+    ys = np.array([0.13, 2.71, 5.99])
+    want = hermite_uniform(0.0, h, sol.z_deriv, np.gradient(sol.z_deriv, h),
+                           ys)
+    assert np.array_equal(sol.deriv_at(ys), want)
+    assert np.array_equal(sol.deriv_at(ys), want)
+    # a replaced solution must not inherit the slopes of the original
+    conj = dataclasses.replace(sol, z_deriv=np.conj(sol.z_deriv))
+    assert np.array_equal(conj.deriv_at(ys), np.conj(want))
 
 
 def test_kernel_step_guards():
@@ -280,3 +297,203 @@ def test_complete_algebraic_refuses_fat_tail():
     sol = solve_algebraic(np.zeros(11), 1.0, 0.1)
     with pytest.raises(VolterraError):
         complete_algebraic(sol, 0.7, 0.7)
+
+
+# ------------------------------------------- scan against the loop march
+#
+# The marches run as a blocked affine scan.  The plain sequential march
+# below, one interpreted step per node, is the oracle: both must agree on
+# every field and fail the same way at the same node.
+
+def _reference_kernel(w, h, zeta):
+    oscillatory = complex(zeta).real == 0.0
+    mu = complex(2.0 * zeta) if oscillatory else float(2.0 * zeta)
+    D, A, B, cL, cR = volterra._kernel_weights(mu, h)
+    zero = 0j if oscillatory else 0.0
+    Em, JL, JR = volterra._reflected_weights(mu, h)
+    phase, P = 1.0 + 0j, 0.0 + 0j
+    E = Q = zero
+    T = L1 = 0.0
+    zk = 1.0 + zero
+    z, derivs, Ts, L1s, zmax = [zk], [zero], [0.0], [0.0], 1.0
+    for k in range(len(w) - 1):
+        wk, wk1 = float(w[k]), float(w[k + 1])
+        qk = wk * zk
+        num = 1.0 + (Q - D * E) / mu + qk * cL
+        denom = 1.0 - wk1 * cR
+        if abs(denom) < 0.5:
+            raise StepTooLargeError("implicit update lost contraction")
+        zk = num / denom
+        qk1 = wk1 * zk
+        P += phase * (qk * JL + qk1 * JR)
+        phase *= Em
+        Q += 0.5 * h * (qk + qk1)
+        E = D * E + qk * A + qk1 * B
+        T += 0.5 * h * (abs(wk) + abs(wk1))
+        L1 += 0.5 * h * (abs(qk) + abs(qk1))
+        _reference_envelope(zk, T, h, k + 1)
+        zmax = max(zmax, abs(zk))
+        z.append(zk)
+        derivs.append(E)
+        Ts.append(T)
+        L1s.append(L1)
+    return dict(z=z, z_deriv=derivs, envelope_log=Ts, l1_q=L1s, P0=Q,
+                P_refl=P if oscillatory else None, S1=None, S2=None,
+                z_max=zmax, steps=len(w) - 1)
+
+
+def _reference_algebraic(g, a, h):
+    S1 = S2 = T = L1 = 0.0
+    zk = 1.0
+    z, derivs, Ts, L1s, zmax = [zk], [0.0], [0.0], [0.0], 1.0
+    for k in range(len(g) - 1):
+        sk = a + k * h
+        sk1 = sk + h
+        m1L = 0.5 * h * sk + h * h / 6.0
+        m1R = 0.5 * h * sk + h * h / 3.0
+        m2L = 0.5 * h * sk * sk + h * h / 3.0 * sk + h ** 3 / 12.0
+        m2R = 0.5 * h * sk * sk + 2.0 * (h * h / 3.0) * sk + h ** 3 / 4.0
+        gk, gk1 = float(g[k]), float(g[k + 1])
+        pk = gk * zk
+        num = 1.0 + S1 + m1L * pk - (S2 + m2L * pk) / sk1
+        denom = 1.0 - gk1 * (m1R - m2R / sk1)
+        if abs(denom) < 0.5:
+            raise StepTooLargeError("implicit update lost contraction")
+        zk = num / denom
+        pk1 = gk1 * zk
+        S1 += m1L * pk + m1R * pk1
+        S2 += m2L * pk + m2R * pk1
+        T += m1L * abs(gk) + m1R * abs(gk1)
+        L1 += m1L * abs(pk) + m1R * abs(pk1)
+        _reference_envelope(zk, T, h, k + 1)
+        zmax = max(zmax, abs(zk))
+        z.append(zk)
+        derivs.append(S2 / (sk1 * sk1))
+        Ts.append(T)
+        L1s.append(L1)
+    return dict(z=z, z_deriv=derivs, envelope_log=Ts, l1_q=L1s, P0=S1,
+                P_refl=None, S1=S1, S2=S2, z_max=zmax, steps=len(g) - 1)
+
+
+def _reference_envelope(zk, T, h, node):
+    if not abs(zk) <= volterra._envelope_bound(T, h):
+        raise EnvelopeError(
+            "|z| = %.6g exceeded its envelope %.6g at node %d"
+            % (abs(zk), math.exp(T), node))
+
+
+def _march_pair(kind, n, seed=7):
+    """(scan, reference) callables for one march on seeded random data."""
+    rng = np.random.default_rng(seed)
+    h = 1e-4
+    if kind == "algebraic":
+        a = 1.0
+        s = a + h * np.arange(n)
+        g = rng.uniform(-0.5, 1.0, n) / s ** 3
+        return (lambda: solve_algebraic(g, a, h),
+                lambda: _reference_algebraic(g, a, h))
+    w = rng.uniform(-0.5, 1.0, n)
+    return (lambda: solve_kernel(w, h, kind),
+            lambda: _reference_kernel(w, h, kind))
+
+
+_MARCHES = (1.0, 1j, -1j, "algebraic")
+
+# node counts: the smallest marches, a step count just short of, equal to
+# and just past a whole number of blocks, one that leaves a ragged last
+# block, and a long march
+_SCAN_NODES = (2, 3, 800, 801, 802, 1004, 80001)
+
+
+def test_scan_node_counts_cover_the_block_layouts():
+    def layout(n):
+        m = n - 1
+        size = volterra._block_size(m)
+        return m % size, size
+    assert layout(801) == (0, 5)             # 160 whole blocks
+    assert layout(800) == (3, 4)             # last block one step short
+    assert layout(802) == (1, 5)             # one step into a new block
+    assert layout(1004)[0] not in (0, 1, layout(1004)[1] - 1)
+
+
+@pytest.mark.parametrize("n", _SCAN_NODES)
+@pytest.mark.parametrize("kind", _MARCHES)
+def test_scan_matches_sequential_march(kind, n):
+    scan, reference = _march_pair(kind, n)
+    sol, ref = scan(), reference()
+    assert sol.steps == ref["steps"]
+    for name in ("z", "z_deriv", "envelope_log", "l1_q"):
+        got = getattr(sol, name)
+        want = np.array(ref[name])
+        assert got.shape == want.shape and got.dtype == want.dtype, name
+        scale = np.max(np.abs(want))
+        assert np.max(np.abs(got - want)) <= 1e-13 * scale, name
+    for name in ("P0", "P_refl", "S1", "S2", "z_max"):
+        got, want = getattr(sol, name), ref[name]
+        if want is None:
+            assert got is None, name
+        else:
+            assert abs(got - want) <= 1e-13 * abs(want), name
+
+
+def _node(message):
+    return int(re.search(r"at node (\d+)", message).group(1))
+
+
+@pytest.mark.parametrize("kind", _MARCHES)
+def test_scan_envelope_error_at_the_loop_node(kind, monkeypatch):
+    # |z| e^-T peaks right at the start of any march, so a negative slack
+    # trips node 1; an envelope that closes once T reaches its value at
+    # node 2000 trips deep inside the grid.
+    scan, reference = _march_pair(kind, 3001)
+    T_stop = scan().envelope_log[2000]
+    bound = volterra._envelope_bound
+    for slack, patched, node in (
+            (-0.5, bound, 1),
+            (volterra._ROUNDOFF,
+             lambda T, h: np.where(T < T_stop, bound(T, h), 0.0), 2000)):
+        monkeypatch.setattr(volterra, "_ROUNDOFF", slack)
+        monkeypatch.setattr(volterra, "_envelope_bound", patched)
+        with pytest.raises(EnvelopeError) as got:
+            scan()
+        with pytest.raises(EnvelopeError) as want:
+            reference()
+        assert _node(str(got.value)) == _node(str(want.value)) == node
+
+
+@pytest.mark.parametrize("bad", (math.inf, math.nan))
+def test_scan_non_finite_z_breaks_the_envelope(bad, monkeypatch):
+    # a non-finite implicit weight makes z non-finite from node 1 on
+    weights = volterra._kernel_weights
+    monkeypatch.setattr(volterra, "_kernel_weights",
+                        lambda mu, h: weights(mu, h)[:3] + (bad,)
+                        + weights(mu, h)[4:])
+    w = np.full(50, 0.1)
+    for run in (lambda: solve_kernel(w, 0.01, 1.0),
+                lambda: _reference_kernel(w, 0.01, 1.0)):
+        with pytest.raises(EnvelopeError, match="at node 1$"):
+            run()
+
+
+@pytest.mark.parametrize("zeta", (1.0, 1j))
+def test_scan_lost_contraction_like_the_loop(zeta, monkeypatch):
+    # No real sample set loses contraction once h max|w| <= 0.5, so blow
+    # up the implicit weight: the denominator 1 - w cR first drops below
+    # 0.5 where w turns on, at step 1500.
+    weights = volterra._kernel_weights
+    monkeypatch.setattr(
+        volterra, "_kernel_weights",
+        lambda mu, h: weights(mu, h)[:4] + (weights(mu, h)[4] * 1e9,))
+    cR = abs(volterra._kernel_weights(2.0 * zeta, 0.01)[4])
+    w = np.zeros(3001)
+    w[1501:] = 0.9 / cR
+    scan, reference = (lambda: solve_kernel(w, 0.01, zeta),
+                       lambda: _reference_kernel(w, 0.01, zeta))
+    for run in (scan, reference):
+        with pytest.raises(StepTooLargeError, match="lost contraction"):
+            run()
+    # an envelope violation before the lost step still wins
+    monkeypatch.setattr(volterra, "_ROUNDOFF", -0.5)
+    for run in (scan, reference):
+        with pytest.raises(EnvelopeError, match="at node 1$"):
+            run()
