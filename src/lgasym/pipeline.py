@@ -16,6 +16,12 @@ an affine phase map with unit amplitude (_ConstantShape), not a regime of
 its own.  For real coefficients the zeta = -i run is the conjugate of the
 zeta = +i run, so only the +i run is marched.
 
+The recessive branch u2 = c u1 int_x^inf u1^{-2} is read off the march
+grid: u1^{-2} dx is a constant times e^{-2y} z(y)^{-2} dy in the phase
+variable (the amplitude cancels the Jacobian) and z^{-2} dx / x^2 in the
+algebraic regime, summed per cell by volterra.InverseSquareIntegral.
+Every solution callable maps scalars or arrays elementwise.
+
 Problems posed at the endpoint 0 are analyzed at infinity in the
 inverted variable s = 1/x and the solutions are pulled back through
 u(x) = x * v(1/x), which is exact.
@@ -63,19 +69,15 @@ class _Work:
         return result.value
 
 
-def _vectorize(fn):
-    """Lift a scalar callable to accept arrays (used for solution
-    callables whose cores involve per-point quadrature)."""
-
-    def wrapped(x):
-        arr = np.asarray(x, dtype=float)
-        if arr.ndim == 0:
-            return fn(float(arr))
-        flat = [fn(float(v)) for v in arr.ravel()]
-        out = np.array(flat)
-        return out.reshape(arr.shape)
-
-    return wrapped
+def _clip_to_range(x, a, X):
+    """x clipped to [a, X], which no element may leave beyond roundoff."""
+    xv = np.asarray(x, dtype=float)
+    inside = (xv <= X * (1 + 1e-12)) & (xv >= a - 1e-12 * max(1.0, abs(a)))
+    if not np.all(inside):
+        raise RangeError(
+            "x=%g outside the resolved range [%g, %g]; rerun with a larger "
+            "--xmax to extend it" % (np.extract(~inside, xv)[0], a, X))
+    return np.minimum(np.maximum(xv, a), X)
 
 
 def _extrapolate(coarse, fine):
@@ -116,14 +118,6 @@ def _abs_fn(fn):
         with np.errstate(all="ignore"):
             return np.abs(fn(x))
     return wrapped
-
-
-def _exp(y):
-    # plain math.exp raises on overflow; far out on the grid the growing
-    # branch can genuinely exceed the float range, and inf is the honest
-    # answer there
-    with np.errstate(over="ignore"):
-        return float(np.exp(np.float64(y)))
 
 
 _H_COARSE_MIN = 0.004
@@ -183,10 +177,10 @@ class _ConstantShape(_Shape):
         self.decay_text = "" if one else " / " + r_s
 
     def amp(self, x):
-        return 1.0
+        return np.ones_like(x)
 
     def amp_deriv(self):
-        return lambda x: 0.0
+        return np.zeros_like
 
     def span(self, a, x_end, tol, work):
         return self.rate * (x_end - a)
@@ -252,46 +246,45 @@ class _Algebraic:
         return self.completion.residual_bound
 
     def solutions(self):
-        sol, X = self.sol, self.end
+        sol, X, a = self.sol, self.end, float(self.sol.grid[0])
         zhat = float(np.real(self.completion.value))
-        a = float(sol.grid[0])
-
-        def _sv(x):
-            xv = np.asarray(x, dtype=float)
-            if np.any(xv > X * (1 + 1e-12)) or np.any(xv < a - 1e-12):
-                raise RangeError(
-                    "x outside the resolved range [%g, %g]; rerun with a "
-                    "larger --xmax to extend it" % (a, X))
-            return np.clip(xv, a, X)
+        # int_x^inf u1^{-2} = zhat^2 rest(x) for u1 = x z / zhat; past X the
+        # closed tail 1/(u1 u1')(X), exact for any u1 ~ x + b
+        z, zd = sol.z[-1], sol.z_deriv[-1]
+        rest = volterra.InverseSquareIntegral(
+            sol, 0.0, 1.0 / (X * z * (z + X * zd)), reciprocal=True)
 
         def u1(x):
-            xv = _sv(x)
-            return xv * sol.z_at(xv) / zhat
+            x = _clip_to_range(x, a, X)
+            return x * sol.z_at(x) / zhat
 
         def u1d(x):
-            xv = _sv(x)
-            return (sol.z_at(xv) + xv * sol.deriv_at(xv)) / zhat
+            x = _clip_to_range(x, a, X)
+            return (sol.z_at(x) + x * sol.deriv_at(x)) / zhat
 
-        def log_u1(x):
-            # z stays positive: the certificate pins |z - 1| below one
-            xv = float(_sv(x))
-            return math.log(xv) + math.log(float(sol.z_at(xv))) \
-                - math.log(zhat)
+        def u2(x):
+            x = _clip_to_range(x, a, X)
+            return zhat * x * sol.z_at(x) * rest(x)
 
-        # int_X^inf u1^{-2} = 1/(u1 u1')(X), exact for any u1 ~ x + b;
-        # passed to the reduction scaled by u1(X)^2
-        self.pair = _reduced(u1, u1d, log_u1, X,
-                             float(u1(X)) / float(u1d(X)), 1.0, "x", "1")
+        def u2d(x):
+            # (u1'/u1) u2 - 1/u1
+            x = _clip_to_range(x, a, X)
+            z = sol.z_at(x)
+            return zhat * ((z + x * sol.deriv_at(x)) * rest(x)
+                           - 1.0 / (x * z))
+
+        self.pair = [NormalizedSolution("dominant", "x", u1, u1d),
+                     NormalizedSolution("recessive", "1", u2, u2d)]
         return self.pair
 
     def table_end(self):
         return self.end * (1 - 1e-6)
 
     def value(self, s):
-        return float(self.pair[0].value(s))
+        return self.pair[0].value(s)
 
     def model(self, s):
-        return float(s)
+        return np.asarray(s, dtype=float)
 
 
 class _Phased:
@@ -332,18 +325,15 @@ class _Phased:
             self.work.quad(quadrature.l1_tail_norm(psi, X, tol=qtol)))
 
     def phase_fn(self):
-        # y(x) on the resolved range, which it refuses to leave; a plain
+        # (x, y(x)) on the resolved range, which x may not leave; a plain
         # closure, so the solutions holding it do not keep the regime (and
         # its arrays) alive in a reference cycle
         pmap = self.phase_map
         a, X, y_end = pmap.a, float(pmap.x_nodes[-1]), float(pmap.y_nodes[-1])
 
         def phase(x):
-            if x > X * (1 + 1e-12) or x < a - 1e-12 * max(1.0, abs(a)):
-                raise RangeError(
-                    "x=%g outside the resolved range [%g, %g]; rerun with a "
-                    "larger --xmax to extend it" % (x, a, X))
-            return min(float(pmap.y_of_x(min(max(x, a), X))), y_end)
+            x = _clip_to_range(x, a, X)
+            return x, np.minimum(pmap.y_of_x(x), y_end)
 
         return phase
 
@@ -368,35 +358,46 @@ class _Exponential(_Phased):
         sol, shape, phase = self.sol, self.shape, self.phase_fn()
         zhat = float(np.real(self.completion.value))
         scale = math.exp(shape.origin_rate * self.phase_map.a) / zhat
-        log_scale = math.log(scale)
         amp, amp_d, sqrt_f = shape.amp, shape.amp_deriv(), self.psi.sqrt_f
+        # In the phase variable u1^{-2} dx = scale^{-2} kappa e^{-2y} z^{-2} dy
+        # exactly: the amplitude |f|^{-1/4} cancels the Jacobian |f|^{-1/2},
+        # and kappa = 1 / norm is the constant map's 1 / rate.  Past the grid
+        # end Y the closed tail u1(Y)^{-2} / (2 |f|^{1/2}), exact for any
+        # pure shape |f|^{-1/4} e^{Phi}, is e^{-2Y} / (2 z(Y)^2) in these
+        # units.  So u2 = 2 u1 int_x^inf u1^{-2} is a constant times
+        # amp z e^{-y} rest(y), and no factor in it overflows.
+        rest = volterra.InverseSquareIntegral(sol, 2.0, 0.5 / sol.z[-1] ** 2)
 
         def u1(x):
-            y = phase(x)
-            zv = float(np.real(sol.z_at(y)))
-            return scale * float(amp(x)) * _exp(y) * zv
+            x, y = phase(x)
+            with np.errstate(over="ignore"):
+                return scale * amp(x) * np.exp(y) * sol.z_at(y)
 
         def u1d(x):
-            y = phase(x)
-            zv = float(np.real(sol.z_at(y)))
-            zdv = float(np.real(sol.deriv_at(y)))
-            return scale * _exp(y) * (float(amp_d(x)) * zv + float(amp(x))
-                                      * float(sqrt_f(x)) * (zv + zdv))
+            x, y = phase(x)
+            z = sol.z_at(y)
+            with np.errstate(over="ignore"):
+                return scale * np.exp(y) * (amp_d(x) * z + amp(x) * sqrt_f(x)
+                                            * (z + sol.deriv_at(y)))
 
-        def log_u1(x):
-            y = phase(x)
-            zv = float(np.real(sol.z_at(y)))
-            return log_scale + math.log(float(amp(x))) + y + math.log(zv)
+        def u2(x):
+            x, y = phase(x)
+            return 2.0 / (scale * shape.norm) * amp(x) * sol.z_at(y) \
+                * np.exp(-y) * rest(y)
 
-        X = self.end
-        # int_X^inf u1^{-2} = u1(X)^{-2} / (2 |f(X)|^{1/2}): exact for any
-        # pure shape |f|^{-1/4} e^{Phi} because then u1^{-2} is the exact
-        # derivative of -e^{-2 Phi}/2; only the decayed z-variation past X
-        # is neglected.  Passed scaled by u1(X)^2.
-        self.pair = _reduced(
-            u1, u1d, log_u1, X, 1.0 / (2.0 * float(sqrt_f(X))), 2.0,
-            shape.template % ("exp", "+"),
-            shape.template % ("exp", "-") + shape.decay_text)
+        def u2d(x):
+            # (u1'/u1) u2 - 2/u1
+            x, y = phase(x)
+            z, ax = sol.z_at(y), amp(x)
+            core = amp_d(x) * z + ax * sqrt_f(x) * (z + sol.deriv_at(y))
+            return 2.0 / scale * np.exp(-y) * (
+                core * rest(y) / shape.norm - 1.0 / (ax * z))
+
+        self.pair = [
+            NormalizedSolution("dominant", shape.template % ("exp", "+"),
+                               u1, u1d),
+            NormalizedSolution("recessive", shape.template % ("exp", "-")
+                               + shape.decay_text, u2, u2d)]
         return self.pair
 
     def table_end(self):
@@ -407,13 +408,12 @@ class _Exponential(_Phased):
         return super().table_end()
 
     def value(self, s):
-        return float(np.real(self.pair[1].value(s)))
+        return self.pair[1].value(s)
 
     def model(self, s):
         pmap, shape = self.phase_map, self.shape
-        y = pmap.y_of_x(s)
-        return float(shape.amp(s)) \
-            * math.exp(-(y + shape.origin_rate * pmap.a)) / shape.norm
+        return shape.amp(s) * np.exp(-(pmap.y_of_x(s) + shape.origin_rate
+                                       * pmap.a)) / shape.norm
 
 
 class _Oscillatory(_Phased):
@@ -463,36 +463,33 @@ class _Oscillatory(_Phased):
         amp, amp_d, sqrt_f = shape.amp, shape.amp_deriv(), self.psi.sqrt_f
 
         def U(x):
-            y = phase(x)
-            return float(amp(x)) * (
-                alpha * cmath.exp(1j * y) * complex(fwd.z_at(y))
-                + beta * cmath.exp(-1j * y) * complex(bwd.z_at(y)))
+            x, y = phase(x)
+            return amp(x) * (alpha * np.exp(1j * y) * fwd.z_at(y)
+                             + beta * np.exp(-1j * y) * bwd.z_at(y))
 
         def Ud(x):
-            y = phase(x)
-            p, m = alpha * cmath.exp(1j * y), beta * cmath.exp(-1j * y)
-            z1, z2 = complex(fwd.z_at(y)), complex(bwd.z_at(y))
-            core = (p * (1j * z1 + complex(fwd.deriv_at(y)))
-                    + m * (-1j * z2 + complex(bwd.deriv_at(y))))
-            return (float(amp(x)) * float(sqrt_f(x)) * core
-                    + float(amp_d(x)) * (p * z1 + m * z2))
+            x, y = phase(x)
+            p, m = alpha * np.exp(1j * y), beta * np.exp(-1j * y)
+            z1, z2 = fwd.z_at(y), bwd.z_at(y)
+            core = (p * (1j * z1 + fwd.deriv_at(y))
+                    + m * (-1j * z2 + bwd.deriv_at(y)))
+            return (amp(x) * sqrt_f(x) * core
+                    + amp_d(x) * (p * z1 + m * z2))
 
         self.U = U
         self.pair = [
             NormalizedSolution("cos-like", shape.template % ("cos", ""),
-                               _vectorize(lambda x: U(x).real),
-                               _vectorize(lambda x: Ud(x).real)),
+                               lambda x: U(x).real, lambda x: Ud(x).real),
             NormalizedSolution("sin-like", shape.template % ("sin", ""),
-                               _vectorize(lambda x: U(x).imag),
-                               _vectorize(lambda x: Ud(x).imag)),
+                               lambda x: U(x).imag, lambda x: Ud(x).imag),
         ]
         return self.pair
 
     def value(self, s):
-        return abs(complex(self.U(s)))
+        return np.abs(self.U(s))
 
     def model(self, s):
-        return float(self.shape.amp(s))
+        return self.shape.amp(s)
 
 
 def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, work,
@@ -567,65 +564,6 @@ def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, work,
     return reg, march, cert, verification, constants
 
 
-def _reduced(u1, u1d, log_u1, X, tail_coeff, factor, dominant, recessive):
-    """The marched solution u1 and its partner by reduction of order,
-    labeled with their asymptotic forms."""
-    u2, u2d = _reduction_pair(u1, u1d, log_u1, X, tail_coeff, factor)
-    return [NormalizedSolution("dominant", dominant, _vectorize(u1),
-                               _vectorize(u1d)),
-            NormalizedSolution("recessive", recessive, u2, u2d)]
-
-
-def _reduction_pair(u1, u1d, log_u1, X, tail_coeff, factor):
-    """The second solution u2 = factor * u1(x) * int_x^inf u1^{-2}, with
-    the beyond-grid part of the integral replaced by its closed tail
-    model, supplied as tail_coeff = u1(X)^2 * int_X^inf u1^{-2} (exact
-    for pure leading-order shapes).  All ratios are formed in log space,
-    so nothing overflows no matter how large u1 grows before X."""
-    cache = {}
-    LX = log_u1(X)
-
-    def u2_scalar(x):
-        if x in cache:
-            return cache[x]
-        if x > X * (1 + 1e-12):
-            raise RangeError(
-                "x=%g is beyond the resolved range (up to %g); rerun with "
-                "a larger --xmax to extend it" % (x, X))
-        Lx = log_u1(x)
-
-        def scaled(s):
-            sv = np.atleast_1d(np.asarray(s, dtype=float))
-            return np.exp([2.0 * (Lx - log_u1(t)) for t in sv])
-
-        if x < X:
-            # 1e-11, scaled by magnitude: the integrand is the exp of an
-            # interpolated log-amplitude, so it has a small C^1 kink at
-            # every march node and a tighter tolerance makes the adaptive
-            # quadrature chase those kinks into its budget.  The integral
-            # itself can be large (a power-law tail over a decade-wide
-            # span integrates to ~x/2), and roundoff alone then floors
-            # the achievable absolute error near eps * value, so a loose
-            # probe pass sets the scale first.  Either way the result is
-            # orders of magnitude below any certified residual it feeds.
-            probe = quadrature.integrate_finite(scaled, x, X, tol=1.0).value
-            seg_tol = 1e-11 * (1.0 + abs(probe))
-            seg = quadrature.integrate_finite(scaled, x, X,
-                                              tol=seg_tol).value
-        else:
-            seg = 0.0
-        val = factor * (seg + math.exp(2.0 * (Lx - LX)) * tail_coeff) \
-            / float(u1(x))
-        cache[x] = val
-        return val
-
-    def u2d_scalar(x):
-        u1x = float(u1(x))
-        return float(u1d(x)) / u1x * u2_scalar(x) - factor / u1x
-
-    return _vectorize(u2_scalar), _vectorize(u2d_scalar)
-
-
 # --------------------------------------------------------------------------
 # public entry point
 
@@ -691,12 +629,13 @@ class AnalysisReport:
         reg = self._regime
         s_hi = reg.table_end()
         s_lo = reg.cutoff + (s_hi - reg.cutoff) * 0.05
+        ss = np.linspace(s_lo, s_hi, count)
         rows = []
-        for s in np.linspace(s_lo, s_hi, count):
-            s = float(s)
+        for s, val, m in zip(ss.tolist(), reg.value(ss).tolist(),
+                             reg.model(ss).tolist()):
             # u(x) = x v(1/x) at the zero endpoint
             x, k = (1.0 / s, 1.0 / s) if self.endpoint == "zero" else (s, 1.0)
-            val, m = k * reg.value(s), k * reg.model(s)
+            val, m = k * val, k * m
             tail = quadrature.l1_tail_norm(reg.weight, s, tol=1e-8).value
             rows.append({
                 "x": x,
@@ -766,17 +705,15 @@ def analyze(f_text, g_text, endpoint="infinity", interval=None, tol=1e-10,
 
 def _pull_back(sol):
     """Map an s-domain solution v to x through u(x) = x * v(1/x)."""
-    v = sol.value
-    vd = sol.derivative
+    v, vd = sol.value, sol.derivative
 
     def value(x):
-        xv = np.asarray(x, dtype=float)
-        return xv * v(1.0 / xv)
+        x = np.asarray(x, dtype=float)
+        return x * v(1.0 / x)
 
     def deriv(x):
-        xv = np.asarray(x, dtype=float)
-        s = 1.0 / xv
-        return v(s) - vd(s) / xv
+        x = np.asarray(x, dtype=float)
+        return v(1.0 / x) - vd(1.0 / x) / x
 
     asym = "x * [%s at s=1/x]" % sol.asymptotic
     return NormalizedSolution(sol.label + "-at-zero", asym, value, deriv)

@@ -394,21 +394,20 @@ class PhaseMap:
     def x_of_y(self, y):
         if self.affine_rate is not None:
             return self.a + np.asarray(y, dtype=float) / self.affine_rate
-        x = volterra.hermite_uniform(0.0, self.h, self.x_nodes, self.slopes, y)
-        return float(x) if np.ndim(y) == 0 else x
+        return volterra.hermite_uniform(0.0, self.h, self.x_nodes,
+                                        self.slopes, y)
 
     def y_of_x(self, x):
-        """Phi(x) by quadrature from the nearest tabulated node."""
+        """Phi(x), elementwise, by quadrature from the nearest node."""
         if self.affine_rate is not None:
-            return self.affine_rate * (float(x) - self.a)
-        x = float(x)
-        i = int(np.searchsorted(self.x_nodes, x))
-        i = min(max(i, 0), len(self.x_nodes) - 1)
-        if i > 0 and abs(self.x_nodes[i - 1] - x) < abs(self.x_nodes[i] - x):
-            i -= 1
-        base = self.y_nodes[i]
-        xi = self.x_nodes[i]
-        if x == xi:
-            return float(base)
-        seg = quadrature.integrate_finite(self.sqrt_f, xi, x, tol=1e-13)
-        return float(base + seg.value)
+            return self.affine_rate * (np.asarray(x, dtype=float) - self.a)
+        x = np.asarray(x, dtype=float)
+        xs, nodes = x.ravel(), self.x_nodes
+        i = np.minimum(np.searchsorted(nodes, xs), len(nodes) - 1)
+        left = np.maximum(i - 1, 0)
+        i = np.where(np.abs(nodes[left] - xs) < np.abs(nodes[i] - xs), left, i)
+        y = self.y_nodes[i]
+        for k in np.flatnonzero(xs != nodes[i]):
+            y[k] += quadrature.integrate_finite(
+                self.sqrt_f, nodes[i[k]], xs[k], tol=1e-13).value
+        return y.reshape(x.shape)[()]

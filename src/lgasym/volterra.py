@@ -64,26 +64,22 @@ def hermite_uniform(origin, h, vals, derivs, t):
 
     Works for real or complex node values; error O(h^4) for smooth data.
     """
-    t = np.asarray(t, dtype=float)
-    scalar = t.ndim == 0
-    tv = np.atleast_1d(t)
-    pos = (tv - origin) / h
+    pos = (np.asarray(t, dtype=float) - origin) / h
     n = len(vals)
     if np.any(pos < -1e-9) or np.any(pos > (n - 1) * (1 + 1e-12) + 1e-9):
         raise ValueError("interpolation point outside the grid")
     idx = np.clip(pos.astype(int), 0, n - 2)
-    u = pos - idx
-    v0 = np.asarray(vals)[idx]
-    v1 = np.asarray(vals)[idx + 1]
-    m0 = np.asarray(derivs)[idx] * h
-    m1 = np.asarray(derivs)[idx + 1] * h
+    return _hermite(pos - idx, vals[idx], derivs[idx] * h, vals[idx + 1],
+                    derivs[idx + 1] * h)
+
+
+def _hermite(u, v0, m0, v1, m1):
+    """The cubic Hermite basis at local coordinate u in [0, 1] of a cell
+    with end values v0, v1 and slopes m0, m1 scaled by the cell width."""
     u2 = u * u
     u3 = u2 * u
-    out = ((2 * u3 - 3 * u2 + 1) * v0 + (u3 - 2 * u2 + u) * m0
-           + (-2 * u3 + 3 * u2) * v1 + (u3 - u2) * m1)
-    if scalar:
-        return out[0]
-    return out
+    return ((2 * u3 - 3 * u2 + 1) * v0 + (u3 - 2 * u2 + u) * m0
+            + (-2 * u3 + 3 * u2) * v1 + (u3 - u2) * m1)
 
 
 @dataclass
@@ -425,6 +421,74 @@ def solve_algebraic(g_vals, a, h):
         z=z, z_deriv=z_deriv, envelope_log=T,
         l1_q=_running(m1L * ap[:-1] + m1R * ap[1:]),
         P0=S1, P_refl=None, S1=S1, S2=S2, z_max=zmax, steps=n - 1)
+
+
+# --------------------------------------------------------------------------
+# reduction of order on the march grid
+
+# 8-point Gauss-Legendre rule on [0, 1] by Golub-Welsch: the nodes are the
+# eigenvalues of the Jacobi matrix of the Legendre recurrence, the weights
+# the squared first components of its unit eigenvectors
+_K = np.arange(1.0, 8.0)
+_GL_NODES, _V = np.linalg.eigh(np.diag(_K / np.sqrt(4 * _K * _K - 1), -1))
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), _V[0] ** 2
+
+
+class InverseSquareIntegral:
+    """I(t) = int_t^T e^{-decay (s - t)} z(s)^{-2} dv(s) + e^{-decay (T - t)}
+    tail, with z the real Hermite correction of a march, T its grid end and
+    tail the closed integral past T: up to a constant, int_t^inf u1^{-2} of
+    the marched solution.  dv = ds, or ds / s^2 when reciprocal (decay 0):
+    then int ds / s^2 is exact and only (z^{-2} - 1) / s^2, bounded near
+    s = 0, is summed.  The nodes hold I_k = c_k + e^{-decay h} I_{k+1} from
+    I_N = tail, with c_k a Gauss-Legendre sum per cell, tabulated on the
+    first call; a point adds one partial-cell sum."""
+
+    def __init__(self, sol, decay, tail, reciprocal=False):
+        self.grid, self.h = sol.grid, sol.h
+        self.z, self.zd = np.real(sol.z), np.real(sol.z_deriv)
+        self.decay, self.tail, self.reciprocal = decay, tail, reciprocal
+
+    def _cell_sums(self, lo, width, k):
+        """The integral from lo, in cell k, to t_{k+1} = lo + width; whole
+        cells pass width = h, free of the rounding of the node positions."""
+        h, hi = self.h, self.grid[k + 1]
+        ends = self.z[k], self.zd[k] * h, self.z[k + 1], self.zd[k + 1] * h
+        total = 0.0
+        for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
+            back = width * (1.0 - node)          # t_{k+1} - s
+            zs = _hermite(1.0 - back / h, *ends)
+            f = 1.0 / (zs * zs)
+            if self.reciprocal:
+                f = (f - 1.0) / (hi - back) ** 2
+            total = total + weight * np.exp(-self.decay * (width - back)) * f
+        with np.errstate(divide="ignore"):      # +inf when lo == 0
+            exact = width / (lo * hi) if self.reciprocal else 0.0
+        return width * total + exact
+
+    @functools.cached_property
+    def _nodes(self):
+        c = np.append(self._cell_sums(self.grid[:-1], self.h,
+                                      np.arange(len(self.z) - 1)), self.tail)
+        # reversed cumulative sums of e^{-rate j} c_j within each block, plus
+        # the decayed value at the next block's start.  A block spans a decay
+        # of 60: rounding the exponents costs about 60 eps, and the carry of
+        # the block after next (e^{-60} smaller) is far below rounding.
+        rate = self.decay * self.h
+        size = len(c) if rate == 0 else max(1, int(60.0 / rate))
+        r = rate * np.arange(size)
+        blocks = np.pad(c, (0, -len(c) % size)).reshape(-1, size) * np.exp(-r)
+        local = np.cumsum(blocks[:, ::-1], axis=1)[:, ::-1] * np.exp(r)
+        after = np.append(local[1:, 0], 0.0)[:, None]
+        return (local + np.exp(r - rate * size) * after).ravel()[:len(c)]
+
+    def __call__(self, t):
+        t = np.asarray(t, dtype=float)
+        k = np.minimum(((t - self.grid[0]) / self.h).astype(int),
+                       len(self.z) - 2)
+        width = self.grid[k + 1] - t
+        return self._cell_sums(t, width, k) \
+            + np.exp(-self.decay * width) * self._nodes[k + 1]
 
 
 # --------------------------------------------------------------------------

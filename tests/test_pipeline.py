@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lgasym import expr
+from lgasym import expr, quadrature
 from lgasym.oracle import BesselFixture, small_argument_series
 from lgasym.pipeline import AnalysisError, RangeError, analyze
 from lgasym.transform import HypothesisFailed, Regime
@@ -236,3 +236,105 @@ def test_fine_run_is_what_the_certificate_rests_on():
     # the zeta = +i run is kept; its -i partner is its conjugate
     assert r.fine_run.mu == 2j
     assert r.fine_run.grid[-1] == pytest.approx(r.march["phase_span"])
+
+
+# ------------------------------------------------ recessive branch oracle
+
+# one report per regime with a reduction-of-order partner, and the zero
+# endpoint (whose recessive branch is built in s = 1/x)
+RECESSIVE_CASES = [
+    ("1.037", "0.729/x^2", {}),
+    ("1.049*x", "0", {}),
+    ("0", "1.419*x^-4", {}),
+    ("1/x^2", "1.889 - 1/(4*x^2)", {"endpoint": "zero", "interval": (0, 1)}),
+]
+
+
+def _reduction_oracle(r, x):
+    """u2 = c u1(x) [int_x^X u1^{-2} + u1(X)^{-2} tail] evaluated directly
+    from the dominant callable u1 by adaptive quadrature, with the closed
+    tail past the grid end X: u1(X)/u1'(X) in the algebraic regime and
+    1/(2 |f(X)|^{1/2}) otherwise (c = 1 and 2).  Returns u2, u2' and the
+    size of the two terms u2' = (u1'/u1) u2 - c/u1 is the difference of."""
+    reg = r._regime       # at the zero endpoint: the pair in s = 1/x
+    u1, u1d = reg.pair[0].value, reg.pair[0].derivative
+    X = reg.end
+    if r.regime.algebraic:
+        c, tail = 1.0, float(u1(X)) / float(u1d(X))
+    else:
+        c, tail = 2.0, 1.0 / (2.0 * float(reg.psi.sqrt_f(X)))
+    ux = float(u1(x))
+
+    def ratio(t):
+        return (ux / u1(t)) ** 2
+
+    # the integral can be large (~x over a power-law tail), so a loose
+    # pass sets the scale of the absolute tolerance
+    probe = quadrature.integrate_finite(ratio, x, X, tol=1.0).value
+    seg = quadrature.integrate_finite(ratio, x, X,
+                                      tol=1e-14 * (1.0 + abs(probe))).value
+    u2 = c * (seg + (ux / float(u1(X))) ** 2 * tail) / ux
+    grow = float(u1d(x)) / ux * u2
+    return u2, grow - c / ux, abs(grow) + abs(c / ux)
+
+
+@pytest.mark.parametrize("f_text,g_text,kw", RECESSIVE_CASES)
+def test_recessive_branch_matches_reduction_oracle(f_text, g_text, kw):
+    r = analyze(f_text, g_text, **kw)
+    reg = r._regime
+    rec = reg.pair[1]
+    rng = np.random.default_rng(7)
+    for s in reg.cutoff + (reg.table_end() - reg.cutoff) * rng.uniform(
+            0.0, 1.0, 4):
+        want, want_d, terms = _reduction_oracle(r, float(s))
+        assert rec.value(s) == pytest.approx(want, rel=1e-10)
+        # u2' is a difference of two terms, which cancel to ~1/x^2 in the
+        # algebraic regime: compare on the scale of the terms
+        assert abs(rec.derivative(s) - want_d) <= 1e-10 * terms
+        if r.endpoint == "zero":     # u(x) = x v(1/x)
+            x = 1.0 / s
+            pulled = r.solution("recessive-at-zero")
+            assert pulled.value(x) == pytest.approx(x * want, rel=1e-10)
+            assert abs(pulled.derivative(x) - (want - want_d / x)) \
+                <= 1e-10 * (abs(want) + terms / x)
+
+
+# ---------------------------------------------------- array contract
+
+ARRAY_CASES = [
+    ("1", "3/(4*x^2)", {}),
+    ("-(1.2+1/x)", "0", {}),
+    ("0", "1.5*x^-4", {}),
+    ("1/x^2", "1.75 - 1/(4*x^2)", {"endpoint": "zero", "interval": (0, 1)}),
+]
+
+
+@pytest.mark.parametrize("f_text,g_text,kw", ARRAY_CASES)
+def test_solutions_take_arrays(f_text, g_text, kw):
+    r = analyze(f_text, g_text, **kw)
+    m = r.march
+    if r.endpoint == "zero":
+        lo, hi = m["x_min"], m["cutoff_x"]
+    else:
+        lo, hi = m["cutoff"], min(m["x_max"], m["cutoff"] + 40.0)
+    xs = lo + (hi - lo) * np.random.default_rng(3).uniform(0.0, 1.0, (3, 4))
+    for sol in r.solutions:
+        for fn in (sol.value, sol.derivative):
+            assert np.shape(fn(float(xs[0, 0]))) == ()
+            assert fn(xs[0]).shape == (4,)
+            grid = fn(xs)
+            assert grid.shape == (3, 4)
+            # oscillatory values cross zero: measure against the array's
+            # scale as well
+            scale = float(np.max(np.abs(grid)))
+            for x, v in zip(xs.ravel(), grid.ravel()):
+                assert v == pytest.approx(fn(float(x)), rel=1e-15,
+                                          abs=1e-15 * scale)
+            # one element past either end of the resolved range
+            for bad in (0.5 * lo, 2.0 * (hi if r.endpoint == "zero"
+                                         else m["x_max"])):
+                outside = xs[0].copy()
+                outside[2] = bad
+                with pytest.raises(RangeError) as exc:
+                    fn(outside)
+                assert "--xmax" in str(exc.value)

@@ -2,11 +2,12 @@ import cmath
 import dataclasses
 import math
 import re
+import types
 
 import numpy as np
 import pytest
 
-from lgasym import volterra
+from lgasym import quadrature, volterra
 from lgasym.oracle import integrate_ivp
 from lgasym.volterra import (
     EnvelopeError,
@@ -497,3 +498,69 @@ def test_scan_lost_contraction_like_the_loop(zeta, monkeypatch):
     for run in (scan, reference):
         with pytest.raises(EnvelopeError, match="at node 1$"):
             run()
+
+
+# ------------------------------------------ reduction-of-order integral
+
+def _grid_run(h, n, z_fn, zd_fn, origin=0.0):
+    """The fields of a march that InverseSquareIntegral reads."""
+    grid = origin + h * np.arange(n)
+    return types.SimpleNamespace(grid=grid, h=h, z=z_fn(grid),
+                                 z_deriv=zd_fn(grid))
+
+
+def test_inverse_square_integral_of_unit_z_is_its_tail():
+    # z == 1: int_t^T e^{-2(s-t)} ds + e^{-2(T-t)} / 2 == 1/2 everywhere;
+    # the span covers several blocks of the node recurrence
+    run = _grid_run(0.05, 30001, np.ones_like, np.zeros_like)
+    integral = volterra.InverseSquareIntegral(run, 2.0, 0.5)
+    ts = np.concatenate([run.grid[::997], run.grid[-1] * np.random.default_rng(
+        1).uniform(0.0, 1.0, 40)])
+    assert np.max(np.abs(integral(ts) / 0.5 - 1.0)) < 1e-14
+
+
+def test_inverse_square_integral_against_recurrence_and_quadrature():
+    run = _grid_run(0.05, 30001, lambda t: 1.0 + 0.1 * np.sin(t),
+                    lambda t: 0.1 * np.cos(t))
+    integral = volterra.InverseSquareIntegral(run, 2.0, 0.25)
+    n = len(run.z) - 1
+    # the blocked node table against the sequential recurrence
+    c = integral._cell_sums(run.grid[:-1], run.h, np.arange(n))
+    want = [0.25]
+    q = math.exp(-2.0 * run.h)
+    for ck in c[::-1]:
+        want.append(ck + q * want[-1])
+    want = np.array(want[::-1])
+    assert np.max(np.abs(integral._nodes / want - 1.0)) < 1e-13
+
+    # interior points against adaptive quadrature of the Hermite z: past
+    # t + 20 the integrand is below e^{-40} of its value at t
+    def z(s):
+        return hermite_uniform(0.0, run.h, run.z, run.z_deriv, s)
+
+    for t in run.grid[-1] * np.random.default_rng(2).uniform(0.0, 0.98, 6):
+        ref = quadrature.integrate_finite(
+            lambda s: np.exp(-2.0 * (s - t)) / z(s) ** 2, t, t + 20.0,
+            tol=1e-14).value
+        assert integral(t) == pytest.approx(ref, rel=1e-13)
+
+
+def test_inverse_square_integral_reciprocal_closed_form():
+    # z = 1 + b s^2 is a cubic, so its Hermite interpolant is exact, and
+    # int ds / (s^2 (1 + b s^2)^2) = F(s) below; the grid starts at s = 0,
+    # where the integral diverges like 1/t
+    b = 0.3
+    q = math.sqrt(b)
+
+    def F(s):
+        return (-1.0 / s - 1.5 * q * math.atan(q * s)
+                - 0.5 * q * q * s / (1.0 + b * s * s))
+
+    run = _grid_run(0.01, 1001, lambda s: 1.0 + b * s * s,
+                    lambda s: 2.0 * b * s)
+    T, tail = float(run.grid[-1]), 0.3
+    integral = volterra.InverseSquareIntegral(run, 0.0, tail,
+                                              reciprocal=True)
+    for t in (1e-9, 1e-5, 3e-3, 0.01, 0.5, 7.3, T):
+        assert integral(t) == pytest.approx(F(T) - F(t) + tail, rel=1e-13)
+    assert integral(0.0) == math.inf
