@@ -138,8 +138,11 @@ def _choose_h(y_span, override=None):
 # leading-order shapes: how the phase is tabulated and the amplitude read
 
 class _Shape:
-    """Variable f: amplitude |f|^(-1/4) and phase Phi = int_a^x |f|^(1/2),
-    tabulated by the Runge-Kutta phase map from the cutoff a."""
+    """Variable f: amplitude |f|^(-1/4) and phase Phi = int_a^x |f|^(1/2).
+
+    span() builds one PhaseTable of Phi on [a, x_end] per tail round and
+    charges its samples to the quadrature work; the span is its total and
+    phase_map() places the uniform-y nodes by Newton inside it."""
 
     template = "|f(x)|^(-1/4) * %s(%sPhi(x))"   # % (function, sign)
     decay_text = ""
@@ -155,14 +158,14 @@ class _Shape:
     def amp_deriv(self):
         return expr.compile_fn(expr.differentiate(self.psi.amplitude_ast))
 
-    def span(self, a, x_end, tol, work):
-        return work.quad(quadrature.integrate_finite(
-            self.psi.sqrt_f, a, x_end, tol=min(tol, 1e-12)))
+    def span(self, a, x_end, work):
+        self.table = transform.PhaseTable(self.psi.sqrt_f, a, x_end)
+        work.quadrature_evaluations += self.table.samples
+        return self.table.span
 
     def phase_map(self, a, y_span, h):
-        inv = self.psi.inv_sqrt_f
-        return transform.PhaseMap.build(
-            lambda x: float(inv(x)), self.psi.sqrt_f, a, y_span, h)
+        return transform.PhaseMap.build(self.table, self.psi.inv_sqrt_f,
+                                        y_span, h)
 
 
 class _ConstantShape(_Shape):
@@ -182,7 +185,7 @@ class _ConstantShape(_Shape):
     def amp_deriv(self):
         return np.zeros_like
 
-    def span(self, a, x_end, tol, work):
+    def span(self, a, x_end, work):
         return self.rate * (x_end - a)
 
     def phase_map(self, a, y_span, h):
@@ -223,7 +226,7 @@ class _Algebraic:
     def end(self):
         return float(self.sol.grid[-1])
 
-    def span(self, a, x_end, tol):
+    def span(self, a, x_end):
         return float(x_end - a)
 
     def march(self, a, span, h_c, n_c):
@@ -300,8 +303,8 @@ class _Phased:
     def end(self):
         return float(self.phase_map.x_nodes[-1])
 
-    def span(self, a, x_end, tol):
-        return self.shape.span(a, x_end, tol, self.work)
+    def span(self, a, x_end):
+        return self.shape.span(a, x_end, self.work)
 
     def march(self, a, y_span, h_c, n_c):
         h_f = h_c / 2.0
@@ -515,7 +518,7 @@ def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, work,
     for _round in range(6):
         # the coarse/fine march pair, halving the step (and rebuilding
         # the grid) on envelope violations
-        span = reg.span(a, x_end, tol)
+        span = reg.span(a, x_end)
         h_c, n_c = _choose_h(span, step)
         for attempt in range(4):
             try:

@@ -38,6 +38,7 @@ _XK = np.array([
     0.586087235467691, 0.741531185599394, 0.864864423359769,
     0.949107912342759, 0.991455371120813,
 ])
+CELL_SAMPLES = len(_XK)
 _WK = np.array([
     0.022935322010529, 0.063092092629979, 0.104790010322250,
     0.140653259715525, 0.169004726639267, 0.190350578064785,
@@ -84,6 +85,35 @@ def _gk_cell(fn, lo, hi):
     k = half * float(np.dot(_WK, ys))
     g = half * float(np.dot(_WG, ys[1::2]))
     return k, abs(k - g)
+
+
+# cells per integrand call of gk_cells: bounds its sample block at 61440
+# floats, so a table of many cells does not hold all its samples at once
+CHUNK_CELLS = 4096
+
+
+def gk_cells(fn, lo, hi):
+    """Gauss-Kronrod on the cells [lo[i], hi[i]] at once -> (kronrod,
+    |K-G|) arrays, one call of fn per block of CHUNK_CELLS cells.
+
+    Non-finite samples are not checked here: they make that cell's
+    values non-finite, which the caller tests.
+    """
+    lo = np.asarray(lo, dtype=float)
+    hi = np.asarray(hi, dtype=float)
+    blocks = [_gk_block(fn, lo[s:s + CHUNK_CELLS], hi[s:s + CHUNK_CELLS])
+              for s in range(0, len(lo), CHUNK_CELLS)]
+    if len(blocks) == 1:
+        return blocks[0]
+    return tuple(np.concatenate(part) for part in zip(*blocks))
+
+
+def _gk_block(fn, lo, hi):
+    mid = 0.5 * (lo + hi)
+    half = 0.5 * (hi - lo)
+    ys = np.asarray(fn(mid[:, None] + half[:, None] * _XK), dtype=float)
+    k = half * (ys @ _WK)
+    return k, np.abs(k - half * (ys[:, 1::2] @ _WG))
 
 
 def _adapt(fn, lo, hi, tol, budget):

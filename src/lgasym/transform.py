@@ -12,7 +12,10 @@ under which v'' = (zeta^2 + psi/|f|^(1/2) ...) v with the perturbation
     psi = g * |f|^(-1/2) - |f|^(-1/4) * (|f|^(-1/4))''.
 
 psi is built symbolically from the coefficient ASTs so its derivatives
-and L1 norms are available to the rest of the pipeline.  Problems posed
+and L1 norms are available to the rest of the pipeline.  Phi is tabulated
+once per resolved range (PhaseTable, Gauss-Kronrod cells evaluated on
+whole arrays), and the uniform-y nodes of the map are found from that
+table by vectorized Newton steps (PhaseMap.build).  Problems posed
 at the endpoint 0 are inverted through s = 1/x, v(s) = s * u(1/s), which
 multiplies both coefficients by s^(-4) after substitution; the inverted
 split is classified at infinity.
@@ -330,15 +333,77 @@ def _weighted_g(split):
 # --------------------------------------------------------------------------
 # phase map
 
+# A table cell is accepted when |K - G| <= _CELL_RTOL |K|.  The test is
+# relative because |K - G| bottoms out near 4e-15 |K|, the precision of the
+# 15-digit Gauss-Kronrod weights: an absolute target on a phase of size
+# ~500 lies below that floor and would bisect until the budget ran out.
+_CELL_RTOL = 1e-13
+# The table starts from this many equal cells.  Gauss-Kronrod accepts a
+# polynomial |f|^(1/2) on one cell however wide, and from a linear start
+# across a cell where |f|^(1/2) grows by a factor 10-100 Newton needs 7-9
+# steps; from 64 cells every bench and test case settles within 4.
+_FIRST_CELLS = 64
+# Newton steps a map node may take.  From the linear start inside an
+# accepted cell the quadratic convergence needs about four.
+_NEWTON_STEPS = 6
+# what one Gauss-Kronrod cell from the nearest node may miss in y_of_x
+_NODE_ATOL = 1e-13
+
+
+class PhaseTable:
+    """Phi(x) = int_a^x |f|^(1/2) at the edges of Gauss-Kronrod cells
+    covering [a, x_end]: 64 equal cells to start with, every cell bisected
+    until |K - G| <= 1e-13 |K|.
+
+    All cells of a bisection round are evaluated together
+    (quadrature.gk_cells), and Phi at the edges is the cumulative sum of
+    the accepted cells; span is its total and samples counts every
+    integrand sample taken, within quadrature.EVAL_BUDGET.
+    """
+
+    def __init__(self, sqrt_f, a, x_end):
+        self.sqrt_f, self.a = sqrt_f, float(a)
+        edges = np.linspace(self.a, float(x_end), _FIRST_CELLS + 1)
+        lo, hi = edges[:-1], edges[1:]
+        starts, values, self.samples = [], [], 0
+        while lo.size:
+            self.samples += quadrature.CELL_SAMPLES * len(lo)
+            if self.samples > quadrature.EVAL_BUDGET:
+                raise quadrature.BudgetExceededError(
+                    "phase table budget exhausted (%d samples)"
+                    % self.samples)
+            k, err = quadrature.gk_cells(sqrt_f, lo, hi)
+            if not np.all(np.isfinite(k)):
+                bad = np.flatnonzero(~np.isfinite(k))[0]
+                raise HypothesisFailed(
+                    "phase map left the domain of |f|^(1/2) in [%.17g, %.17g]"
+                    % (lo[bad], hi[bad]))
+            ok = err <= _CELL_RTOL * np.abs(k)
+            starts.append(lo[ok])
+            values.append(k[ok])
+            lo, hi = lo[~ok], hi[~ok]
+            mid = 0.5 * (lo + hi)
+            lo, hi = np.concatenate([lo, mid]), np.concatenate([mid, hi])
+        starts = np.concatenate(starts)
+        order = np.argsort(starts)
+        self.edges = np.append(starts[order], float(x_end))
+        self.phi = np.concatenate(
+            [[0.0], np.cumsum(np.concatenate(values)[order])])
+
+    @property
+    def span(self):
+        return float(self.phi[-1])
+
+
 class PhaseMap:
     """The monotone change of variables y = Phi(x) = int_a^x |f|^(1/2).
 
-    Forward values x(y) are tabulated on the uniform marching grid by a
-    fixed-step classical Runge-Kutta integration of dx/dy = |f(x)|^(-1/2)
-    (local error O(h^5), far below the marching error), with cubic Hermite
-    interpolation between nodes.  The inverse y(x) is evaluated directly
-    as a quadrature of |f|^(1/2) from the nearest node, so it carries no
-    interpolation error.
+    Forward values x(y) are tabulated on the uniform marching grid by
+    Newton's method on Phi(x) = y, started inside the cell of a PhaseTable
+    (Phi' = |f|^(1/2) is known exactly), with cubic Hermite interpolation
+    between nodes.  The inverse y(x) is evaluated directly as one
+    Gauss-Kronrod cell of |f|^(1/2) from the nearest node, so it carries
+    no interpolation error.
     """
 
     def __init__(self, a, h, x_nodes, slopes, sqrt_f, affine_rate=None):
@@ -351,31 +416,46 @@ class PhaseMap:
         self.y_nodes = h * np.arange(len(x_nodes))
 
     @classmethod
-    def build(cls, w, sqrt_f, a, y_span, h):
+    def build(cls, table, inv_sqrt_f, y_span, h):
         """Tabulate x(y) for y in [0, y_span] with uniform step h.
 
-        w(x) must return |f(x)|^(-1/2) (the reciprocal of sqrt_f); both
-        must be positive on the swept interval.
+        table is the PhaseTable of |f|^(1/2) from the map's origin;
+        inv_sqrt_f(x) must return |f(x)|^(-1/2).  Each node starts from the
+        linear interpolant inside its table cell [x_j, x_{j+1}] and takes
+        Newton steps x <- x - (Phi_j + GK15(x_j, x) - y) |f(x)|^(-1/2)
+        until every step is within 1e-14 |x|.
         """
         n = int(round(y_span / h))
-        xs = np.empty(n + 1)
-        slopes = np.empty(n + 1)
-        x = float(a)
-        k1 = float(w(x))
-        for i in range(n):
-            xs[i] = x
-            slopes[i] = k1
-            k2 = float(w(x + 0.5 * h * k1))
-            k3 = float(w(x + 0.5 * h * k2))
-            k4 = float(w(x + h * k3))
-            x = x + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-            k1 = float(w(x))
-        xs[n] = x
-        slopes[n] = k1
-        if not np.all(np.isfinite(xs)):
+        ys = h * np.arange(n + 1)
+        edges, phi = table.edges, table.phi
+        j = np.clip(np.searchsorted(phi, ys, side="right") - 1,
+                    0, len(phi) - 2)
+        left = edges[j]
+        behind = phi[j] - ys    # Phi(x_j) - y, at most 0
+        xs = left - behind / (phi[j + 1] - phi[j]) * (edges[j + 1] - left)
+        for s in range(0, n + 1, quadrature.CHUNK_CELLS):
+            todo = np.arange(s, min(s + quadrature.CHUNK_CELLS, n + 1))
+            for _step in range(_NEWTON_STEPS):
+                k, _ = quadrature.gk_cells(table.sqrt_f, left[todo], xs[todo])
+                with np.errstate(all="ignore"):
+                    dx = (behind[todo] + k) * inv_sqrt_f(xs[todo])
+                # a non-finite step leaves its node non-finite and drops
+                # it here; the domain check below raises for it
+                xs[todo] -= dx
+                todo = todo[np.abs(dx) > 1e-14 * np.abs(xs[todo])]
+                if not todo.size:
+                    break
+            else:
+                raise HypothesisFailed(
+                    "phase map: Newton left %d nodes unsettled after %d "
+                    "steps (first at x=%.17g)"
+                    % (todo.size, _NEWTON_STEPS, xs[todo[0]]))
+        with np.errstate(all="ignore"):
+            slopes = np.asarray(inv_sqrt_f(xs), dtype=float)
+        if not np.all(np.isfinite(xs) & np.isfinite(slopes)):
             raise HypothesisFailed(
                 "phase map left the domain of |f|^(-1/2)")
-        return cls(a, h, xs, slopes, sqrt_f)
+        return cls(table.a, h, xs, slopes, table.sqrt_f)
 
     @classmethod
     def affine(cls, a, rate, y_span, h):
@@ -398,7 +478,8 @@ class PhaseMap:
                                         self.slopes, y)
 
     def y_of_x(self, x):
-        """Phi(x), elementwise, by quadrature from the nearest node."""
+        """Phi(x), elementwise: one Gauss-Kronrod cell from the nearest
+        node, whose |K - G| must be within 1e-13."""
         if self.affine_rate is not None:
             return self.affine_rate * (np.asarray(x, dtype=float) - self.a)
         x = np.asarray(x, dtype=float)
@@ -406,8 +487,9 @@ class PhaseMap:
         i = np.minimum(np.searchsorted(nodes, xs), len(nodes) - 1)
         left = np.maximum(i - 1, 0)
         i = np.where(np.abs(nodes[left] - xs) < np.abs(nodes[i] - xs), left, i)
-        y = self.y_nodes[i]
-        for k in np.flatnonzero(xs != nodes[i]):
-            y[k] += quadrature.integrate_finite(
-                self.sqrt_f, nodes[i[k]], xs[k], tol=1e-13).value
-        return y.reshape(x.shape)[()]
+        k, err = quadrature.gk_cells(self.sqrt_f, nodes[i], xs)
+        if not np.all(err <= _NODE_ATOL):
+            raise quadrature.QuadratureError(
+                "phase from the nearest node missed %g (|K-G| = %.3g)"
+                % (_NODE_ATOL, np.max(err)))
+        return (self.y_nodes[i] + k).reshape(x.shape)[()]

@@ -66,9 +66,9 @@ def hermite_uniform(origin, h, vals, derivs, t):
     """
     pos = (np.asarray(t, dtype=float) - origin) / h
     n = len(vals)
-    if np.any(pos < -1e-9) or np.any(pos > (n - 1) * (1 + 1e-12) + 1e-9):
+    if not np.all((pos >= -1e-9) & (pos <= (n - 1) * (1 + 1e-12) + 1e-9)):
         raise ValueError("interpolation point outside the grid")
-    idx = np.clip(pos.astype(int), 0, n - 2)
+    idx = np.minimum(np.maximum(pos, 0), n - 2).astype(int)
     return _hermite(pos - idx, vals[idx], derivs[idx] * h, vals[idx + 1],
                     derivs[idx + 1] * h)
 
@@ -105,11 +105,19 @@ class VolterraSolution:
 
     @functools.cached_property
     def _deriv_slopes(self):
-        # a second difference for the slopes of the Hermite interpolant
-        # of z' keeps O(h^2) accuracy; sufficient since z' is only
-        # reported, never re-integrated.  Cached in the instance dict, so
-        # dataclasses.replace starts a copy without it.
-        return np.gradient(self.z_deriv, self.h)
+        # z'' at the nodes from the correction equation itself: z'' =
+        # w z - mu z' for the kernel march, z'' = g z - 2 z' / x for the
+        # algebraic one, so the Hermite interpolant of z' keeps the
+        # O(h^4) of z_at (a second difference of z' was O(h^2), about
+        # 1e-7 of u' on the Airy inputs).  Cached in the instance dict,
+        # so dataclasses.replace starts a copy without it.
+        wz = self.w * self.z
+        if self.kind != "algebraic":
+            return wz - self.mu * self.z_deriv
+        # z' = S2 / x^2 -> x g z / 3 at a cutoff x = 0, so z'' -> g z / 3
+        x = self.grid
+        return np.where(x == 0.0, wz / 3.0,
+                        wz - 2.0 * self.z_deriv / np.where(x == 0.0, 1.0, x))
 
     def deriv_at(self, t):
         return hermite_uniform(self.grid[0], self.h, self.z_deriv,

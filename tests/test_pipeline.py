@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lgasym import expr, quadrature
+from lgasym import expr, oracle, pipeline, quadrature, transform
 from lgasym.oracle import BesselFixture, small_argument_series
 from lgasym.pipeline import AnalysisError, RangeError, analyze
 from lgasym.transform import HypothesisFailed, Regime
@@ -137,6 +137,100 @@ def test_zero_endpoint_solutions():
     # package normalization u2 -> x^{3/2}
     u2 = r.solution("recessive-at-zero")
     assert u2.value(1e-3) / 1e-3 ** 1.5 == pytest.approx(1.0, abs=1e-5)
+
+
+# ------------------------------------------------------------- Airy
+
+def _airy(x):
+    """(Ai(x), Ai(-x), Bi(-x)) for x > 0 from the ascending Bessel series
+    of order +-1/3 at zeta = 2/3 x^(3/2) (Abramowitz & Stegun 10.4.14,
+    10.4.15, 10.4.18)."""
+    zeta = 2.0 / 3.0 * x ** 1.5
+
+    def series(kind, nu):
+        return oracle._series_eval(kind, nu, zeta, 1e-16)[0]
+
+    i_m, i_p = series("+", -1.0 / 3.0), series("+", 1.0 / 3.0)
+    j_m, j_p = series("-", -1.0 / 3.0), series("-", 1.0 / 3.0)
+    root = math.sqrt(x)
+    return (root / 3.0 * (i_m - i_p), root / 3.0 * (j_p + j_m),
+            math.sqrt(x / 3.0) * (j_m - j_p))
+
+
+def test_airy_oracle_values():
+    ai, ai_neg, bi_neg = _airy(1.0)
+    assert ai == pytest.approx(0.1352924163128814, rel=1e-13)
+    assert ai_neg == pytest.approx(0.5355608832923521, rel=1e-13)
+    assert bi_neg == pytest.approx(0.1039973894969446, rel=1e-13)
+
+
+def test_airy_exponential_side_is_ai():
+    # u2 ~ x^(-1/4) e^{-Phi}, Phi = 2/3 (x^(3/2) - 1) from the cutoff 1, and
+    # Ai ~ x^(-1/4) e^{-2/3 x^(3/2)} / (2 sqrt(pi))
+    r = analyze("x", "0")
+    assert r.certificate.passed()
+    assert r.march["cutoff"] == 1.0
+    bound = r.constants["tail_residual_bound"]
+    rec = r.solution("recessive")
+    scale = 2.0 * math.sqrt(math.pi) * math.exp(2.0 / 3.0)
+    # Ai is a difference of two I series of size e^zeta: on this range the
+    # cancellation costs under 1e-11
+    for x in np.linspace(1.2, 3.5, 6):
+        assert rec.value(x) == pytest.approx(scale * _airy(x)[0], rel=bound)
+
+
+def test_airy_oscillatory_side():
+    # cos(Phi) = cos(zeta + pi/4 - theta) with theta = 2/3 + pi/4, and
+    # Ai(-x), Bi(-x) ~ x^(-1/4) (sin, cos)(zeta + pi/4) / sqrt(pi)
+    r = analyze("-x", "0")
+    assert r.certificate.passed()
+    assert r.march["cutoff"] == 1.0
+    theta = 2.0 / 3.0 + math.pi / 4.0
+    c, s = math.cos(theta), math.sin(theta)
+    cos_like, sin_like = r.solution("cos-like"), r.solution("sin-like")
+    for x in np.linspace(1.2, 3.5, 6):
+        _, ai, bi = _airy(x)
+        root_pi = math.sqrt(math.pi)
+        assert abs(cos_like.value(x) - root_pi * (bi * c + ai * s)) < 1e-7
+        assert abs(sin_like.value(x) - root_pi * (ai * c - bi * s)) < 1e-7
+
+
+def test_airy_quadratic_certifies():
+    r = analyze("x^2", "0")
+    assert r.certificate.passed()
+    assert r.constants["tail_residual_bound"] <= r.tail_tolerance
+    for x in (2.0, 4.0):
+        assert wronskian(r, "dominant", "recessive", x) == pytest.approx(
+            -2.0, rel=1e-6)
+
+
+def test_phase_table_samples_are_charged_as_quadrature_work(monkeypatch):
+    # count the samples each phase table takes through a wrapping sqrt_f,
+    # and what every other quadrature charges, separately
+    tables, quads = [], []
+    build_table = transform.PhaseTable.__init__
+    charge = pipeline._Work.quad
+
+    def counting_table(self, sqrt_f, a, x_end):
+        taken = [0]
+
+        def counted(x):
+            taken[0] += np.size(x)
+            return sqrt_f(x)
+
+        build_table(self, counted, a, x_end)
+        self.sqrt_f = sqrt_f
+        tables.append(taken[0])
+
+    def counting_quad(self, result):
+        quads.append(result.evaluations)
+        return charge(self, result)
+
+    monkeypatch.setattr(transform.PhaseTable, "__init__", counting_table)
+    monkeypatch.setattr(pipeline._Work, "quad", counting_quad)
+    r = analyze("-(1+1/x)", "0")
+    assert len(tables) >= 1 and min(tables) > 0
+    assert sum(tables) + sum(quads) == r.work["quadrature_evaluations"]
 
 
 # ----------------------------------------------------------- rejection

@@ -3,12 +3,13 @@ import math
 import numpy as np
 import pytest
 
-from lgasym import expr
+from lgasym import expr, quadrature, transform
 from lgasym.transform import (
     AmbiguousSignError,
     CoefficientSplit,
     HypothesisFailed,
     PhaseMap,
+    PhaseTable,
     Regime,
     classify_regime,
     compute_psi,
@@ -193,10 +194,15 @@ def test_phase_map_affine():
     assert pm.y_span == pytest.approx(10.0)
 
 
-def test_phase_map_marching_against_closed_form():
+def _square_map(y_span, h):
     # f = x^2 from a = 1: Phi(x) = (x^2 - 1)/2, x(y) = sqrt(1 + 2y)
-    pm = PhaseMap.build(lambda x: 1.0 / x, lambda x: np.asarray(x, float),
-                        1.0, 6.0, 0.01)
+    table = PhaseTable(lambda x: np.asarray(x, float), 1.0,
+                       math.sqrt(1.0 + 2.0 * y_span))
+    return PhaseMap.build(table, lambda x: 1.0 / x, y_span, h)
+
+
+def test_phase_map_marching_against_closed_form():
+    pm = _square_map(6.0, 0.01)
     ys = np.linspace(0.0, 6.0, 31)
     want = np.sqrt(1.0 + 2.0 * ys)
     got = pm.x_of_y(ys)
@@ -204,15 +210,15 @@ def test_phase_map_marching_against_closed_form():
 
 
 def test_phase_map_quarter_power_phase():
-    # f = x^4 from a = 1: Phi(2) = int_1^2 t^2 dt = 7/3
-    pm = PhaseMap.build(lambda x: x ** -2.0, lambda x: np.asarray(x, float) ** 2,
-                        1.0, 3.0, 0.005)
+    # f = x^4 from a = 1: Phi(x) = (x^3 - 1)/3, so Phi(2) = 7/3
+    table = PhaseTable(lambda x: np.asarray(x, float) ** 2, 1.0,
+                       10.0 ** (1.0 / 3.0))
+    pm = PhaseMap.build(table, lambda x: x ** -2.0, 3.0, 0.005)
     assert pm.y_of_x(2.0) == pytest.approx(7.0 / 3.0, rel=1e-10)
 
 
 def test_phase_map_round_trip():
-    pm = PhaseMap.build(lambda x: 1.0 / x, lambda x: np.asarray(x, float),
-                        1.0, 6.0, 0.01)
+    pm = _square_map(6.0, 0.01)
     for y in (0.0, 0.37, 2.2, 5.99):
         assert pm.y_of_x(pm.x_of_y(y)) == pytest.approx(y, abs=1e-10)
     x = pm.x_of_y(3.3)
@@ -220,12 +226,93 @@ def test_phase_map_round_trip():
 
 
 def test_phase_map_range_guard():
-    pm = PhaseMap.build(lambda x: 1.0 / x, lambda x: np.asarray(x, float),
-                        1.0, 2.0, 0.01)
+    pm = _square_map(2.0, 0.01)
     with pytest.raises(ValueError):
         pm.x_of_y(2.5)
     with pytest.raises(ValueError):
         pm.x_of_y(-0.1)
+
+
+@pytest.mark.parametrize("sqrt_f, inv_sqrt_f, a, x_of_y", [
+    # f = x^2: Phi = (x^2 - 1)/2
+    (lambda x: 1.0 * x, lambda x: 1.0 / x, 1.0,
+     lambda y: np.sqrt(1.0 + 2.0 * y)),
+    # f = x: Phi = 2/3 (x^(3/2) - 1)
+    (np.sqrt, lambda x: 1.0 / np.sqrt(x), 1.0,
+     lambda y: (1.0 + 1.5 * y) ** (2.0 / 3.0)),
+    # |f|^(1/2) = 1/s: Phi = log(s/a)
+    (lambda x: 1.0 / x, lambda x: 1.0 * x, 2.0,
+     lambda y: 2.0 * np.exp(y)),
+    # |f|^(1/2) = (x - c)^(-1/2) with c just below a = 1: Phi =
+    # 2 (sqrt(x - c) - sqrt(a - c)), steep at the origin
+    (lambda x: (x - 0.999) ** -0.5, lambda x: (x - 0.999) ** 0.5, 1.0,
+     lambda y: 0.999 + (math.sqrt(1e-3) + 0.5 * y) ** 2),
+])
+def test_phase_map_nodes_against_closed_forms(sqrt_f, inv_sqrt_f, a, x_of_y):
+    y_span, h = 12.0, 0.004
+    table = PhaseTable(sqrt_f, a, float(x_of_y(y_span)))
+    assert table.span == pytest.approx(y_span, rel=1e-13)
+    pm = PhaseMap.build(table, inv_sqrt_f, y_span, h)
+    want = x_of_y(pm.y_nodes)
+    assert np.max(np.abs(pm.x_nodes / want - 1.0)) < 1e-13
+    assert np.array_equal(pm.slopes, inv_sqrt_f(pm.x_nodes))
+    # samples: 15 per cell evaluated, every accepted cell included
+    assert table.samples >= 15 * (len(table.edges) - 1)
+    assert table.samples % 15 == 0
+
+
+def test_phase_map_non_finite_sqrt_f_raises():
+    def sqrt_f(x):
+        x = np.asarray(x, float)
+        return np.where(x < 3.0, x, np.nan)
+
+    # the table meets the NaN on [1, 5]
+    with pytest.raises(HypothesisFailed, match="left the domain"):
+        PhaseTable(sqrt_f, 1.0, 5.0)
+    # the table stops short of it, but |f|^(-1/2) goes NaN past 2
+    table = PhaseTable(sqrt_f, 1.0, 2.9)
+    with pytest.raises(HypothesisFailed, match="left the domain"):
+        PhaseMap.build(table, lambda x: np.where(x < 2.0, 1.0 / x, np.nan),
+                       table.span, 0.01)
+
+
+def test_phase_map_newton_cap(monkeypatch):
+    # one Newton step from the linear start leaves nodes unsettled: a
+    # typed error, not a half-converged map
+    monkeypatch.setattr(transform, "_NEWTON_STEPS", 1)
+    with pytest.raises(HypothesisFailed, match="unsettled"):
+        _square_map(6.0, 0.01)
+
+
+def test_phase_table_budget(monkeypatch):
+    # 64 first cells take 960 samples; the bisection of x^0.5 near 0
+    # needs more than the budget allows
+    monkeypatch.setattr(quadrature, "EVAL_BUDGET", 1500)
+    with pytest.raises(quadrature.BudgetExceededError):
+        PhaseTable(np.sqrt, 0.0, 10.0)
+
+
+def test_y_of_x_matches_adaptive_quadrature():
+    # f = x * (1 + sin(x)^2 / 2): no closed-form phase
+    def sqrt_f(x):
+        x = np.asarray(x, float)
+        return np.sqrt(x * (1.0 + 0.5 * np.sin(x) ** 2))
+
+    table = PhaseTable(sqrt_f, 1.0, 20.0)
+    pm = PhaseMap.build(table, lambda x: 1.0 / sqrt_f(x), table.span, 0.01)
+    xs = np.linspace(1.0, 20.0, 57).reshape(3, 19)
+    got = pm.y_of_x(xs)
+    assert got.shape == xs.shape
+    # the oracle integrates adaptively from the origin, so it also checks
+    # the nodes y_of_x starts from
+    want = [quadrature.integrate_finite(sqrt_f, 1.0, x, tol=1e-11).value
+            for x in xs.ravel()]
+    assert np.max(np.abs(got.ravel() - want)) < 1e-13
+    assert pm.y_of_x(pm.x_nodes[7]) == pm.y_nodes[7]
+    # one cell from the nearest node is a check, not a first guess: far
+    # past the last node it misses 1e-13 and raises
+    with pytest.raises(quadrature.QuadratureError):
+        pm.y_of_x(np.array([2.0, 40.0]))
 
 
 def test_regime_predicates():

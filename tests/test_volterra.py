@@ -142,13 +142,51 @@ def test_deriv_slopes_cached_per_solution():
     t = h * np.arange(301)
     sol = solve_kernel(np.exp(-t) * np.sin(3.0 * t), h, 1j)
     ys = np.array([0.13, 2.71, 5.99])
-    want = hermite_uniform(0.0, h, sol.z_deriv, np.gradient(sol.z_deriv, h),
-                           ys)
+    want = hermite_uniform(0.0, h, sol.z_deriv,
+                           sol.w * sol.z - sol.mu * sol.z_deriv, ys)
     assert np.array_equal(sol.deriv_at(ys), want)
     assert np.array_equal(sol.deriv_at(ys), want)
     # a replaced solution must not inherit the slopes of the original
-    conj = dataclasses.replace(sol, z_deriv=np.conj(sol.z_deriv))
+    conj = dataclasses.replace(sol, mu=sol.mu.conjugate(), z=np.conj(sol.z),
+                               z_deriv=np.conj(sol.z_deriv))
     assert np.array_equal(conj.deriv_at(ys), np.conj(want))
+
+
+def test_deriv_at_is_fourth_order_between_nodes():
+    # exact node data of z'' + mu z' = c z (kernel) and of x z = sinh(k x)
+    # / k (algebraic, g = k^2 from a cutoff at 0): the slopes of z' come
+    # from the equation, so z' between nodes is as good as z itself
+    h, c = 0.02, 0.3
+    t = h * np.arange(301)
+    mid = t[:-1] + 0.5 * h
+    for mu in (2.0, 2j):
+        rp, rm = (-mu + cmath.sqrt(mu * mu + 4 * c)) / 2, \
+            (-mu - cmath.sqrt(mu * mu + 4 * c)) / 2
+
+        def zd(y):
+            return rp * rm * (np.exp(rm * y) - np.exp(rp * y)) / (rp - rm)
+
+        sol = dataclasses.replace(
+            solve_kernel(np.full(301, c), h, mu / 2),
+            z=(rp * np.exp(rm * t) - rm * np.exp(rp * t)) / (rp - rm),
+            z_deriv=zd(t))
+        # a second difference for the slopes missed by 4e-5 here
+        want = zd(mid)
+        assert np.max(np.abs(sol.deriv_at(mid) - want)) \
+            < 1e-8 * np.max(np.abs(want))
+    k = math.sqrt(c)
+    x = h * np.arange(301)
+    with np.errstate(invalid="ignore", divide="ignore"):
+        z = np.where(x == 0, 1.0, np.sinh(k * x) / (k * x))
+
+        def zd(x):
+            return (k * x * np.cosh(k * x) - np.sinh(k * x)) / (k * x * x)
+
+        sol = dataclasses.replace(solve_algebraic(np.full(301, c), 0.0, h),
+                                  z=z, z_deriv=np.where(x == 0, 0.0, zd(x)))
+    want = zd(mid)
+    assert np.max(np.abs(sol.deriv_at(mid) - want)) \
+        < 1e-8 * np.max(np.abs(want))
 
 
 def test_kernel_step_guards():
