@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -426,17 +427,22 @@ class _Oscillatory(_Phased):
 
     zeta = 1j
 
-    def complete(self, qtol):
-        # the e^{+-2iy} tail moments via two integrations by parts in x,
-        # with everything differentiated symbolically
+    @functools.cached_property
+    def tail_moments(self):
+        """(a1, a2) = ((psi |f|^{-1/2})', (a1 |f|^{-1/2})'), differentiated
+        symbolically and compiled once, for all tail rounds."""
         psi = self.psi
-        G0, G0a = self.tail_integrals(qtol)
         a1_ast = expr.differentiate(
             expr.binary("mul", psi.psi_ast, psi.inv_sqrt_f_ast))
         a2_ast = expr.differentiate(
             expr.binary("mul", a1_ast, psi.inv_sqrt_f_ast))
-        a1 = expr.compile_fn(a1_ast)
-        a2 = expr.compile_fn(a2_ast)
+        return expr.compile_fn(a1_ast), expr.compile_fn(a2_ast)
+
+    def complete(self, qtol):
+        # the e^{+-2iy} tail moments via two integrations by parts in x
+        psi = self.psi
+        G0, G0a = self.tail_integrals(qtol)
+        a1, a2 = self.tail_moments
         X = self.end
         R2 = self.work.quad(quadrature.l1_tail_norm(_abs_fn(a2), X, tol=qtol))
         Y = self.phase_map.y_span
@@ -626,20 +632,22 @@ class AnalysisReport:
 
     def sample_rows(self, count=9):
         """Rows (x, value, approximant, ratio, envelope bound) along the
-        certified branch; the envelope bound column is the remaining
+        certified branch.  The envelope bound column is the remaining
         correction radius exp(tail |w| past x) - 1, non-increasing toward
-        the endpoint."""
+        the endpoint.  All its tails come from one adaptive run over the
+        pieces between the rows (quadrature.l1_tail_norm with an array of
+        limits), so every entry is within the run's shared tolerance."""
         reg = self._regime
         s_hi = reg.table_end()
         s_lo = reg.cutoff + (s_hi - reg.cutoff) * 0.05
         ss = np.linspace(s_lo, s_hi, count)
+        tails = quadrature.l1_tail_norm(reg.weight, ss, tol=1e-8).value
         rows = []
-        for s, val, m in zip(ss.tolist(), reg.value(ss).tolist(),
-                             reg.model(ss).tolist()):
+        for s, val, m, tail in zip(ss.tolist(), reg.value(ss).tolist(),
+                                   reg.model(ss).tolist(), tails.tolist()):
             # u(x) = x v(1/x) at the zero endpoint
             x, k = (1.0 / s, 1.0 / s) if self.endpoint == "zero" else (s, 1.0)
             val, m = k * val, k * m
-            tail = quadrature.l1_tail_norm(reg.weight, s, tol=1e-8).value
             rows.append({
                 "x": x,
                 "value": val,

@@ -1,16 +1,27 @@
 """Adaptive quadrature on finite and semi-infinite intervals.
 
 A 7-point Gauss / 15-point Kronrod embedded pair drives worst-interval
-bisection.  Semi-infinite integrals go through the rational substitution
-x = a + t/(1-t), which maps [a, inf) onto [0, 1); the Kronrod nodes are
-interior, so the endpoint itself is never sampled.
+bisection (QUADPACK's global strategy, Piessens et al. 1983).  The engine
+starts from a partition: one cell per piece, every cell tagged with its
+piece, all of them refined worst-first against one shared error budget,
+and the per-piece sums returned.  A single interval is the one-piece case.
 
-Divergence is detected structurally rather than by timeout: when the last
-five refinements each grow the running value by more than 10*tol the
-integral is declared divergent.  That rule catches harmonic-type tails
-(int 1/x) quickly while leaving slowly convergent integrals to the normal
-tolerance loop.  A global evaluation budget of 2**20 samples bounds the
-work on adversarial integrands.
+Semi-infinite integrals go through the rational substitution
+x = a + t/(1-t), which maps [a, inf) onto [0, 1); the Kronrod nodes are
+interior, so the endpoint itself is never sampled.  The lower limit may
+also be an increasing array a[0] < a[1] < ...: every limit is mapped
+through one substitution of the same form, the pieces between the mapped
+limits and the tail past the last one are integrated in one adaptive run,
+and the tails come back as a reverse cumulative sum.  The run's shared
+error estimate bounds the error of every entry.
+
+Divergence is detected structurally rather than by timeout: when each of
+the last _DIVERGENCE_RUN (40) refinements grows the running value by more
+than 10*tol, and by at least 0.9 of the previous such gain, the integral
+is declared divergent.  That rule catches harmonic-type tails (int 1/x)
+quickly while leaving slowly convergent integrals to the normal tolerance
+loop.  A global evaluation budget of 2**20 samples bounds the work on
+adversarial integrands.
 """
 
 from __future__ import annotations
@@ -116,17 +127,29 @@ def _gk_block(fn, lo, hi):
     return k, np.abs(k - half * (ys[:, 1::2] @ _WG))
 
 
-def _adapt(fn, lo, hi, tol, budget):
-    """Worst-first adaptive bisection.  The per-cell error estimate is the
+def _adapt(fn, edges, tol, budget):
+    """Worst-first adaptive bisection of the partition edges[0] < edges[1]
+    < ... under one shared error budget -> (per-piece values, total error
+    estimate, evaluations).  The per-cell error estimate is the
     conservative |K - G|; it overestimates the true Kronrod error on smooth
     integrands, which is what makes it usable as a certified bound."""
-    evals = 0
-    k, err = _gk_cell(fn, lo, hi)
-    evals += 15
-    # heap entries: (-err, lo, hi, value, err)
-    heap = [(-err, lo, hi, k, err)]
-    total = k
-    total_err = err
+    pieces = len(edges) - 1
+    if CELL_SAMPLES * pieces > budget:
+        raise BudgetExceededError(
+            "quadrature budget of %d evaluations is below one cell per piece"
+            % budget)
+    # heap entries: (-err, lo, hi, piece, value, err)
+    heap = []
+    totals = []
+    total_err = 0.0
+    for piece in range(pieces):
+        lo, hi = edges[piece], edges[piece + 1]
+        k, err = _gk_cell(fn, lo, hi)
+        heap.append((-err, lo, hi, piece, k, err))
+        totals.append(k)
+        total_err += err
+    heapq.heapify(heap)
+    evals = CELL_SAMPLES * pieces
     growth_run = 0
     last_delta = math.inf
     while total_err > tol:
@@ -134,16 +157,16 @@ def _adapt(fn, lo, hi, tol, budget):
             raise BudgetExceededError(
                 "quadrature budget exhausted (%d evaluations, error %.3g)"
                 % (evals, total_err))
-        _, clo, chi, cval, cerr = heapq.heappop(heap)
+        _, clo, chi, piece, cval, cerr = heapq.heappop(heap)
         mid = 0.5 * (clo + chi)
         k1, e1 = _gk_cell(fn, clo, mid)
         k2, e2 = _gk_cell(fn, mid, chi)
         evals += 30
         delta = (k1 + k2) - cval
-        total += delta
+        totals[piece] += delta
         total_err += (e1 + e2) - cerr
-        heapq.heappush(heap, (-e1, clo, mid, k1, e1))
-        heapq.heappush(heap, (-e2, mid, chi, k2, e2))
+        heapq.heappush(heap, (-e1, clo, mid, piece, k1, e1))
+        heapq.heappush(heap, (-e2, mid, chi, piece, k2, e2))
         # Divergence heuristic: a true divergence (1/x and friends) keeps
         # adding a roughly constant amount per refinement of the worst cell,
         # while a convergent integrand adds amounts that decay geometrically
@@ -160,7 +183,7 @@ def _adapt(fn, lo, hi, tol, budget):
             growth_run = 0
         if delta > 10.0 * tol:
             last_delta = delta
-    return QuadResult(total, total_err, evals)
+    return totals, total_err, evals
 
 
 def integrate_finite(fn, a, b, tol=1e-10, singular=None, budget=EVAL_BUDGET):
@@ -179,27 +202,47 @@ def integrate_finite(fn, a, b, tol=1e-10, singular=None, budget=EVAL_BUDGET):
         r = integrate_finite(fn, b, a, tol, singular, budget)
         return QuadResult(-r.value, r.error_estimate, r.evaluations)
     if singular == "left":
-        span = math.sqrt(b - a)
-        return _adapt(lambda u: 2.0 * u * fn(a + u * u), 0.0, span, tol, budget)
-    if singular == "right":
-        span = math.sqrt(b - a)
-        return _adapt(lambda u: 2.0 * u * fn(b - u * u), 0.0, span, tol, budget)
-    if singular is not None:
+        g, hi = (lambda u: 2.0 * u * fn(a + u * u)), math.sqrt(b - a)
+        lo = 0.0
+    elif singular == "right":
+        g, hi = (lambda u: 2.0 * u * fn(b - u * u)), math.sqrt(b - a)
+        lo = 0.0
+    elif singular is None:
+        g, lo, hi = fn, a, b
+    else:
         raise ValueError("singular must be None, 'left' or 'right'")
-    return _adapt(fn, a, b, tol, budget)
+    (value,), err, evals = _adapt(g, (lo, hi), tol, budget)
+    return QuadResult(value, err, evals)
 
 
 def integrate_to_infinity(fn, a, tol=1e-10, budget=EVAL_BUDGET):
     """Integrate fn over [a, inf) via the substitution x = a + t/(1-t).
 
-    Divergent tails surface as DivergenceError; more than 2**20 samples
+    a may also be a strictly increasing 1-D array of lower limits.  The
+    value is then the array of tails int_{a[i]}^inf fn from one adaptive
+    run over the pieces between the mapped limits.  The substitution is
+    x = a[0] + (D + t)/(1 - t) with D = a[-1] - a[0]: it puts a[-1] at
+    t = 0, so the tail past the last limit is the whole cell [0, 1), split
+    (and tested for divergence) as a single tail would be, and the other
+    limits fall at t_i = (a[i] - a[0] - D)/(1 + a[i] - a[0]) < 0.  The
+    error estimate is the run's shared total, so it bounds the error of
+    every entry.
+
+    Divergent tails surface as DivergenceError; more than budget samples
     surface as BudgetExceededError.
     """
-    if not math.isfinite(a):
+    lows = np.asarray(a, dtype=float)
+    limits = lows.ravel().tolist()
+    if not all(map(math.isfinite, limits)):
         raise ValueError("lower endpoint must be finite")
+    if lows.ndim > 1 or any(lo >= hi for lo, hi in zip(limits, limits[1:])):
+        raise ValueError("lower limits must be a strictly increasing 1-D "
+                         "array")
+    if not limits:
+        return QuadResult(lows, 0.0, 0)
+    a0, span = limits[0], limits[-1] - limits[0]
 
     def transformed(t):
-        t = np.asarray(t, dtype=float)
         w = 1.0 - t
         # Deep refinement can round a quadrature node onto t=1 exactly,
         # which would put x at infinity.  The mapped integrand of any
@@ -207,18 +250,31 @@ def integrate_to_infinity(fn, a, tol=1e-10, budget=EVAL_BUDGET):
         # a divergent tail still blows up at the interior nodes.
         safe = w > 0.0
         ws = np.where(safe, w, 1.0)
-        x = a + t / ws
-        with np.errstate(invalid="ignore"):
-            vals = np.asarray(fn(x), dtype=float) / (ws * ws)
+        x = a0 + (span + t) / ws
+        vals = np.asarray(fn(x), dtype=float) / (ws * ws)
         return np.where(safe, vals, 0.0)
 
-    return _adapt(transformed, 0.0, 1.0, tol, budget)
+    # dx/dt = scale/(1-t)^2: the constant scale multiplies the run's sums
+    # and error instead of every sample, so the run asks tol/scale
+    scale = 1.0 + span
+    edges = [(x - a0 - span) / (1.0 + (x - a0)) for x in limits] + [1.0]
+    # one errstate for the run, not one per cell: an invalid sample is
+    # still caught, as a non-finite one, by _gk_cell
+    with np.errstate(invalid="ignore"):
+        values, err, evals = _adapt(transformed, edges, tol / scale, budget)
+    if lows.ndim == 0:
+        return QuadResult(values[0] * scale, err * scale, evals)
+    # the tail from a[i] is the sum of the pieces from t_i on
+    return QuadResult(scale * np.cumsum(values[::-1])[::-1], err * scale,
+                      evals)
 
 
 def l1_tail_norm(fn, a, tol=1e-10, budget=EVAL_BUDGET):
     """L1 norm of fn on [a, inf): returns the QuadResult for int |fn|.
 
-    Propagates DivergenceError when the tail is not integrable.
+    An increasing array a gives every tail norm from one adaptive run, as
+    in integrate_to_infinity.  Propagates DivergenceError when the tail is
+    not integrable.
     """
     def absfn(x):
         return np.abs(fn(x))

@@ -275,6 +275,83 @@ def test_sample_rows():
                             "envelope_bound"}
 
 
+# One report per regime the evaluate tables cover: constant-exp,
+# exp-at-inf, osc-at-inf, algebraic and zero-endpoint.
+TABLE_CASES = [
+    ("1.1", "0.75/x^2", {}),
+    ("1.15*x", "0", {}),
+    ("-(1.15+1/x)", "0", {}),
+    ("0", "1.5*x^-4", {}),
+    ("1/x^2", "1.75 - 1/(4*x^2)", {"endpoint": "zero", "interval": (0.0, 1.0)}),
+]
+
+
+@pytest.fixture(scope="module")
+def table_reports():
+    return [analyze(f, g, **kw) for f, g, kw in TABLE_CASES]
+
+
+def _table_limits(report, count=9):
+    reg = report._regime
+    s_hi = reg.table_end()
+    s_lo = reg.cutoff + (s_hi - reg.cutoff) * 0.05
+    return np.linspace(s_lo, s_hi, count)
+
+
+def _rows_one_tail_each(report, count=9):
+    """The table built row by row, one tail quadrature per row."""
+    reg = report._regime
+    ss = _table_limits(report, count)
+    rows = []
+    for s, val, m in zip(ss.tolist(), reg.value(ss).tolist(),
+                         reg.model(ss).tolist()):
+        x, k = (1.0 / s, 1.0 / s) if report.endpoint == "zero" else (s, 1.0)
+        val, m = k * val, k * m
+        tail = quadrature.l1_tail_norm(reg.weight, s, tol=1e-8).value
+        rows.append({"x": x, "value": val, "approximant": m,
+                     "ratio": val / m if m != 0 else math.inf,
+                     "envelope_bound": math.expm1(tail)})
+    return rows
+
+
+def test_table_envelope_matches_per_row_oracles(table_reports):
+    for r in table_reports:
+        reg = r._regime
+        rows = r.sample_rows(9)
+        for row, s in zip(rows, _table_limits(r)):
+            tail = quadrature.l1_tail_norm(reg.weight, s, tol=1e-10).value
+            assert abs(row["envelope_bound"] - math.expm1(tail)) <= 1e-8
+        # non-increasing toward the endpoint (rows run toward it in s)
+        env = [row["envelope_bound"] for row in rows]
+        assert all(b <= a for a, b in zip(env, env[1:]))
+
+
+def test_table_columns_match_the_row_by_row_table(table_reports):
+    for r in table_reports:
+        joint, apart = r.sample_rows(9), _rows_one_tail_each(r)
+        for row, ref in zip(joint, apart):
+            for col in ("x", "value", "approximant", "ratio"):
+                assert row[col] == ref[col]
+            assert abs(row["envelope_bound"] - ref["envelope_bound"]) <= 1e-8
+
+
+def test_table_tails_share_one_quadrature(table_reports, monkeypatch):
+    for r in table_reports:
+        reg = r._regime
+        weight, samples = reg.weight, [0]
+
+        def counting(x, weight=weight):
+            samples[0] += np.size(x)
+            return weight(x)
+
+        monkeypatch.setattr(reg, "weight", counting)
+        r.sample_rows(9)
+        joint, samples[0] = samples[0], 0
+        for s in _table_limits(r):
+            quadrature.l1_tail_norm(reg.weight, s, tol=1e-8)
+        assert 0 < 3 * joint <= samples[0]
+
+
 # -------------------------------------------------------- determinism
 
 def test_reports_are_deterministic():

@@ -118,3 +118,86 @@ def test_l1_tail_norm_divergence_propagates():
 def test_zero_width_interval():
     res = integrate_finite(np.exp, 2.0, 2.0)
     assert res.value == 0.0 and res.evaluations == 0
+
+
+# ------------------------------------------- an array of lower limits
+
+def _damped_sine(x):
+    return np.exp(-x) * np.sin(x)
+
+
+def _inverse_quartic(x):
+    return x ** -4.0
+
+
+@pytest.mark.parametrize("fn, limits", [
+    (_damped_sine, [0.0, 1e-12, 0.7, 3.0, 9.5, 1e6]),
+    (_inverse_quartic, [1.0, 1.0 + 1e-12, 2.5, 40.0, 1e6]),
+])
+def test_array_tails_match_scalar_calls(fn, limits):
+    tol = 1e-10
+    res = l1_tail_norm(fn, limits, tol=tol)
+    assert res.value.shape == (len(limits),)
+    assert res.error_estimate <= tol
+    for a, tail in zip(limits, res.value):
+        # each scalar oracle is itself within 1e-13 of the true tail
+        want = l1_tail_norm(fn, a, tol=1e-13).value
+        assert abs(tail - want) <= tol + 1e-13
+    # the tails are nested, so the column cannot increase
+    assert np.all(np.diff(res.value) <= 0.0)
+
+
+def test_array_tails_cost_less_than_scalar_calls():
+    limits = np.linspace(1.0, 5.0, 9)
+    joint = l1_tail_norm(_damped_sine, limits, tol=1e-8).evaluations
+    apart = sum(l1_tail_norm(_damped_sine, a, tol=1e-8).evaluations
+                for a in limits)
+    assert 3 * joint <= apart
+
+
+def test_one_limit_array_is_the_scalar_call():
+    for fn, a in ((_damped_sine, 0.3), (_inverse_quartic, 2.0)):
+        one = l1_tail_norm(fn, [a], tol=1e-11)
+        ref = l1_tail_norm(fn, a, tol=1e-11)
+        assert one.value[0] == ref.value
+        assert one.error_estimate == ref.error_estimate
+        assert one.evaluations == ref.evaluations
+
+
+def test_limits_must_increase():
+    for limits in ([2.0, 1.0], [1.0, 1.0], [1.0, 3.0, 2.0], [[1.0, 2.0]]):
+        with pytest.raises(ValueError):
+            l1_tail_norm(_inverse_quartic, limits)
+    with pytest.raises(ValueError):
+        l1_tail_norm(_inverse_quartic, [1.0, math.inf])
+    empty = l1_tail_norm(_inverse_quartic, [])
+    assert empty.value.shape == (0,) and empty.evaluations == 0
+
+
+def test_array_limits_share_one_budget():
+    def fn(x):
+        return np.exp(-x) * np.sin(30.0 * x)
+
+    limits = np.linspace(0.0, 2.0, 6)
+    need = l1_tail_norm(fn, limits, tol=1e-10).evaluations
+    assert l1_tail_norm(fn, limits, tol=1e-10, budget=need).evaluations == need
+    # the budget bounds the run as a whole, not each piece
+    with pytest.raises(BudgetExceededError):
+        l1_tail_norm(fn, limits, tol=1e-10, budget=need - 30)
+    # and a table with more pieces than the budget has cells takes no sample
+    calls = []
+    with pytest.raises(BudgetExceededError):
+        l1_tail_norm(lambda x: calls.append(x) or fn(x),
+                     np.linspace(0.0, 2.0, 50), budget=50 * 15 - 1)
+    assert calls == []
+
+
+def test_array_divergence_propagates():
+    # the tail past the last limit is split as a lone tail would be, so a
+    # wide spread of limits leaves the divergence run its full depth
+    for limits in ([1.0, 2.0, 5.0], [1.0, 1e6]):
+        with pytest.raises(DivergenceError):
+            l1_tail_norm(lambda x: 1.0 / x, limits, tol=1e-8)
+    with pytest.raises(DivergenceError):
+        integrate_to_infinity(lambda x: x * (2.0 / x ** 2), [1.0, 3.0],
+                              tol=1e-10)
