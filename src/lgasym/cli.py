@@ -126,7 +126,8 @@ def _add_problem_args(p):
     p.add_argument("--xmax", type=float, default=None,
                    help="resolve at least this far (this small, for zero)")
     p.add_argument("--step", type=float, default=None,
-                   help="override the coarse marching step")
+                   help="set the level-0 coarse marching step (the graded "
+                        "grid doubles it where the perturbation is small)")
 
 
 def build_parser():
@@ -316,8 +317,8 @@ def _suite_gronwall(rng):
 def _suite_convergence(rng):
     checks = []
     # marching order: halving h must cut the error close to fourfold, for
-    # the real and the oscillatory kernel march (w = e^-t on [0, 6]) and
-    # the algebraic march (g = s^-4 on [1, 7])
+    # the real and the oscillatory kernel march (w = e^-t from 0) and the
+    # algebraic march (g = s^-4 from 1), on uniform and graded grids
     import numpy as np
     marches = (
         ("kernel march, zeta = 1", 0.0,
@@ -338,6 +339,23 @@ def _suite_convergence(rng):
         e3 = abs(results[0.02] - ref)
         r12, r23 = e1 / e2, e2 / e3
         checks.append(("%s: error drops fourfold per halving" % label,
+                       3.5 <= r12 <= 4.5 and 3.5 <= r23 <= 4.5,
+                       "ratios %.2f, %.2f" % (r12, r23)))
+    # the same order on a dyadic graded grid of levels 0-3 (cells of 0.08,
+    # 0.16, 0.32 and 0.64, each starting at a multiple of its width, over a
+    # span of 6.4; the reference is a uniform march at 0.0025): bisecting
+    # every cell must cut the error fourfold too
+    units = np.repeat([1, 2, 4, 8], [8, 4, 2, 7])
+    for label, a, march in marches:
+        ref = complex(march(a + 0.0025 * np.arange(2561), 0.0025).z[-1])
+        errs = []
+        for k in range(3):
+            steps = np.repeat(0.08 * units / 2 ** k, 2 ** k)
+            s = a + np.concatenate(([0.0], np.cumsum(steps)))
+            errs.append(abs(complex(march(s, steps).z[-1]) - ref))
+        r12, r23 = errs[0] / errs[1], errs[1] / errs[2]
+        checks.append(("%s: error drops fourfold per bisection of a graded "
+                       "grid" % label,
                        3.5 <= r12 <= 4.5 and 3.5 <= r23 <= 4.5,
                        "ratios %.2f, %.2f" % (r12, r23)))
     # integrator order: a tenfold tolerance drop must buy >= ~8x accuracy

@@ -3,11 +3,17 @@ leading-order solution behavior.
 
 analyze() parses the split, classifies the regime, chooses a cutoff whose
 perturbation tail is certifiably small, marches the correction equation
-on a uniform grid at two resolutions (the raw fine run carries the hard
+on a graded grid at two resolutions (the raw fine run carries the hard
 envelope guarantees; Richardson extrapolation of the pair feeds the
 reported constants and solution callables), completes the connection
 constants across the un-marched tail with a computable residual bound,
 and packages everything into an AnalysisReport.
+
+The graded grid (_graded_pair) keeps the level-0 step h_c where the
+perturbation weight is large and doubles it, up to _STEP_CAP, where the
+weight at and beyond a cell is small: a level-j cell is h_c 2^j long and
+starts at a multiple of its own length, so every node is a node of the
+uniform grid of step h_c and the fine run bisects every coarse cell.
 
 One object per regime (_Algebraic, _Exponential, _Oscillatory) gives the
 certificate weight, one march attempt, the tail completion, the solution
@@ -124,15 +130,100 @@ def _abs_fn(fn):
 _H_COARSE_MIN = 0.004
 _H_COARSE_MAX = 0.02
 _TARGET_CELLS = 20000
+# The largest coarse step, in y (in x for the algebraic march): up to this
+# width the interpolants of z between nodes (on the oscillatory runs, of
+# its slowly varying parts; see VolterraSolution.z_at) and the 8-point
+# Gauss-Legendre sums of the recessive branch keep their accuracy.
+_STEP_CAP = 0.25
 
 
 def _choose_h(y_span, override=None):
+    """The level-0 coarse step and the span in such steps."""
     if override is not None:
         h = float(override)
     else:
         h = min(_H_COARSE_MAX, max(_H_COARSE_MIN, y_span / _TARGET_CELLS))
     n = max(int(math.ceil(y_span / h)), 8)
     return y_span / n, n
+
+
+def _levels(w_hat, W0, top):
+    """The largest level j <= top with 24^j w_hat <= W0, elementwise; a nan
+    w_hat or W0 gets level 0.
+
+    A cell of h = h_c 2^j then has h^4 w_hat <= (2/3)^j h_c^4 W0.  The
+    extrapolated march is fourth order, so the error a region of cells adds
+    goes like its length times h^4 times the weight's scale.  Where the
+    weight decays exponentially the regions of the levels are about equally
+    long, so each level adds at most 2/3 of the error of the level below it
+    and the total stays within three times the uniform grid's.  (Under
+    h^4 w_hat <= h_c^4 W0 each level would add about as much error as the
+    whole uniform grid.)"""
+    grow = 24.0 ** np.arange(1, top + 1)
+    return np.sum(grow[:, None] * w_hat <= W0, axis=0)
+
+
+def _cell_units(levels, top, n_c):
+    """Cell lengths, in level-0 steps, of the graded grid on [0, n_c]: the
+    pilot intervals of 2^top steps are cut into cells of their levels; the
+    last, shorter one ends in cells of falling powers of two, so that
+    every cell starts at a multiple of its own length."""
+    size = 2 ** levels
+    last = n_c - 2 ** top * (len(levels) - 1)
+    counts = 2 ** top // size
+    counts[-1] = last // size[-1]
+    rest = last % size[-1]
+    return np.concatenate([np.repeat(size, counts),
+                           [1 << b for b in range(int(levels[-1]) - 1, -1, -1)
+                            if rest >> b & 1]]).astype(int)
+
+
+def _graded_pair(pilot, sample, solve, h_c, n_c):
+    """March the coarse/fine pair on the graded grid of level-0 step h_c
+    over n_c such steps.  Returns (coarse, fine).
+
+    sample(idx) gives (march samples, grading weight |w|, nodes) at the
+    positions idx * h_c / 2; solve(samples, steps, nodes) marches them;
+    pilot(idx) gives the grading weight alone, at points that need only be
+    near those positions.  The pilot samples the weight at the nodes of the
+    largest cells, which are nodes of every graded grid.  Each pilot
+    interval gets the level (_levels) of the largest weight sampled at or
+    beyond its start (a suffix max, so a step never grows into a later
+    bump), with W0 the largest weight seen.  Every sample of the fine run
+    (the nodes and midpoints of the coarse cells) is then checked against
+    its cell by the same rule: a sample that breaks it joins the samples
+    and forces a re-grade, which lowers that cell's level.  Levels only
+    fall from one grading to the next, so this ends.
+    """
+    top = 0
+    while h_c * 2 ** (top + 1) <= _STEP_CAP:
+        top += 1
+    full = 2 ** top
+    starts = 2 * full * np.arange(-(-n_c // full))      # in fine steps
+    seen_at = np.append(starts, 2 * n_c)
+    seen = pilot(seen_at)
+    W0 = np.max(seen)
+    levels = np.full(len(starts), top)
+    while True:
+        order = np.argsort(seen_at, kind="stable")
+        suffix = np.maximum.accumulate(seen[order][::-1])[::-1]
+        w_hat = suffix[np.searchsorted(seen_at[order], starts)]
+        levels = np.minimum(levels, _levels(w_hat, W0, top))
+        units = _cell_units(levels, top, n_c)
+        idx = np.empty(2 * len(units) + 1, dtype=int)
+        idx[::2] = 2 * np.concatenate(([0], np.cumsum(units)))
+        idx[1::2] = idx[:-1:2] + units
+        vals, weight, nodes = sample(idx)
+        W0 = max(W0, np.max(weight))
+        cell = np.maximum(np.maximum(weight[:-1:2], weight[1::2]),
+                          weight[2::2])
+        if np.all(_levels(cell, W0, top) >= np.log2(units)):
+            break
+        seen_at = np.concatenate([seen_at, idx])
+        seen = np.concatenate([seen, weight])
+    coarse = solve(vals[::2], h_c * units, nodes[::2])
+    fine = solve(vals, 0.5 * h_c * np.repeat(units, 2), nodes)
+    return coarse, fine
 
 
 # --------------------------------------------------------------------------
@@ -143,7 +234,7 @@ class _Shape:
 
     span() builds one PhaseTable of Phi on [a, x_end] per tail round and
     charges its samples to the quadrature work; the span is its total and
-    phase_map() places the uniform-y nodes by Newton inside it."""
+    phase_map() places the march's y nodes by Newton inside it."""
 
     template = "|f(x)|^(-1/4) * %s(%sPhi(x))"   # % (function, sign)
     decay_text = ""
@@ -164,9 +255,13 @@ class _Shape:
         work.quadrature_evaluations += self.table.samples
         return self.table.span
 
-    def phase_map(self, a, y_span, h):
-        return transform.PhaseMap.build(self.table, self.psi.inv_sqrt_f,
-                                        y_span, h)
+    def phase_map(self, a, ys):
+        return transform.PhaseMap.build(self.table, self.psi.inv_sqrt_f, ys)
+
+    def rough_x(self, a, ys):
+        """x at the phase values ys, interpolated linearly in the table:
+        where the march's pilot samples the weight."""
+        return np.interp(ys, self.table.phi, self.table.edges)
 
 
 class _ConstantShape(_Shape):
@@ -189,8 +284,11 @@ class _ConstantShape(_Shape):
     def span(self, a, x_end, work):
         return self.rate * (x_end - a)
 
-    def phase_map(self, a, y_span, h):
-        return transform.PhaseMap.affine(a, self.rate, y_span, h)
+    def phase_map(self, a, ys):
+        return transform.PhaseMap.affine(a, self.rate, ys)
+
+    def rough_x(self, a, ys):
+        return a + ys / self.rate
 
 
 # --------------------------------------------------------------------------
@@ -231,12 +329,17 @@ class _Algebraic:
         return float(x_end - a)
 
     def march(self, a, span, h_c, n_c):
-        h_f = h_c / 2.0
-        s_f = a + h_f * np.arange(2 * n_c + 1)
-        with np.errstate(all="ignore"):
-            g_f = np.asarray(self.g(s_f), dtype=float)
-        coarse = volterra.solve_algebraic(g_f[::2], a, h_c)
-        fine = volterra.solve_algebraic(g_f, a, h_f)
+        def sample(idx):
+            s = a + 0.5 * h_c * idx
+            with np.errstate(all="ignore"):
+                g = np.asarray(self.g(s), dtype=float)
+                return g, np.abs(s * g), s
+
+        def solve(g, steps, s):
+            return volterra.solve_algebraic(g, a, steps, grid=s)
+
+        coarse, fine = _graded_pair(lambda idx: sample(idx)[1], sample, solve,
+                                    h_c, n_c)
         self.work.march_steps += coarse.steps + fine.steps
         self.fine, self.sol = fine, _extrapolate(coarse, fine)
 
@@ -266,16 +369,25 @@ class _Algebraic:
             x = _clip_to_range(x, a, X)
             return (sol.z_at(x) + x * sol.deriv_at(x)) / zhat
 
+        # rest = J + 1/x with J = rest.regular finite down to x = 0, so u2 =
+        # zhat z (x J + 1) and u2' = zhat ((z + x z') J + z' + (z - 1/z) / x)
+        # have finite limits at a cutoff 0: there z = 1 and (z - 1/z) / x
+        # tends to 2 z'.  z - 1 is interpolated itself, so that (z - 1/z) / x
+        # keeps its relative accuracy as x -> 0.
+        dz_nodes = sol.z - 1.0
+
         def u2(x):
             x = _clip_to_range(x, a, X)
-            return zhat * x * sol.z_at(x) * rest(x)
+            return zhat * sol.z_at(x) * (x * rest.regular(x) + 1.0)
 
         def u2d(x):
-            # (u1'/u1) u2 - 1/u1
             x = _clip_to_range(x, a, X)
-            z = sol.z_at(x)
-            return zhat * ((z + x * sol.deriv_at(x)) * rest(x)
-                           - 1.0 / (x * z))
+            dz = volterra.hermite(sol.grid, dz_nodes, sol.z_deriv, x)
+            z, zd = 1.0 + dz, sol.deriv_at(x)
+            with np.errstate(divide="ignore", invalid="ignore"):
+                pole = np.where(x == 0.0, 2.0 * zd,
+                                dz * (2.0 + dz) / (z * x))
+            return zhat * ((z + x * zd) * rest.regular(x) + zd + pole)
 
         self.pair = [NormalizedSolution("dominant", "x", u1, u1d),
                      NormalizedSolution("recessive", "1", u2, u2d)]
@@ -307,18 +419,31 @@ class _Phased:
     def span(self, a, x_end):
         return self.shape.span(a, x_end, self.work)
 
-    def march(self, a, y_span, h_c, n_c):
-        h_f = h_c / 2.0
-        pmap = self.shape.phase_map(a, y_span, h_f)
-        self.work.map_nodes += len(pmap.x_nodes)
-        x_f = pmap.x_nodes
+    def w(self, x):
+        """The march's weight psi |f|^(-1/2) at x."""
         with np.errstate(all="ignore"):
-            w_f = (np.asarray(self.psi.psi(x_f), dtype=float)
-                   * np.asarray(self.psi.inv_sqrt_f(x_f), dtype=float))
-        coarse = volterra.solve_kernel(w_f[::2], h_c, self.zeta)
-        fine = volterra.solve_kernel(w_f, h_f, self.zeta)
+            return (np.asarray(self.psi.psi(x), dtype=float)
+                    * np.asarray(self.psi.inv_sqrt_f(x), dtype=float))
+
+    def march(self, a, y_span, h_c, n_c):
+        maps = []
+
+        def pilot(idx):
+            return np.abs(self.w(self.shape.rough_x(a, 0.5 * h_c * idx)))
+
+        def sample(idx):
+            pmap = self.shape.phase_map(a, 0.5 * h_c * idx)
+            self.work.map_nodes += len(idx)
+            maps.append(pmap)
+            w = self.w(pmap.x_nodes)
+            return w, np.abs(w), pmap.y_nodes
+
+        def solve(w, steps, y):
+            return volterra.solve_kernel(w, steps, self.zeta, grid=y)
+
+        coarse, fine = _graded_pair(pilot, sample, solve, h_c, n_c)
         self.work.march_steps += coarse.steps + fine.steps
-        self.phase_map, self.fine = pmap, fine
+        self.phase_map, self.fine = maps[-1], fine
         self.sol = _extrapolate(coarse, fine)
 
     def tail_integrals(self, qtol):
@@ -468,20 +593,23 @@ class _Oscillatory(_Phased):
         turn = cmath.exp(1j * shape.origin_rate * self.phase_map.a)
         alpha, beta = alpha * turn, beta * turn
         self.constants["basis_combination"] = (complex(alpha), complex(beta))
-        fwd, bwd = self.sol, self.sol_bwd
+        # the zeta = -i run is the conjugate of the +i run, so its z and z'
+        # are the conjugates of the interpolated z1 and z1'
+        fwd = self.sol
         amp, amp_d, sqrt_f = shape.amp, shape.amp_deriv(), self.psi.sqrt_f
 
         def U(x):
             x, y = phase(x)
-            return amp(x) * (alpha * np.exp(1j * y) * fwd.z_at(y)
-                             + beta * np.exp(-1j * y) * bwd.z_at(y))
+            z1 = fwd.z_at(y)
+            return amp(x) * (alpha * np.exp(1j * y) * z1
+                             + beta * np.exp(-1j * y) * np.conj(z1))
 
         def Ud(x):
             x, y = phase(x)
             p, m = alpha * np.exp(1j * y), beta * np.exp(-1j * y)
-            z1, z2 = fwd.z_at(y), bwd.z_at(y)
-            core = (p * (1j * z1 + fwd.deriv_at(y))
-                    + m * (-1j * z2 + bwd.deriv_at(y)))
+            z1, d1 = fwd.z_at(y), fwd.deriv_at(y)
+            z2 = np.conj(z1)
+            core = p * (1j * z1 + d1) + m * (-1j * z2 + np.conj(d1))
             return (amp(x) * sqrt_f(x) * core
                     + amp_d(x) * (p * z1 + m * z2))
 
@@ -537,7 +665,7 @@ def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, work,
                 n_c *= 2
                 refinements += 1
         residual = reg.complete(qtol)
-        history.append((x_end, residual))
+        history.append([float(x_end), float(residual), reg.fine.steps // 2])
         if residual <= tail_tol:
             break
         # Predict the cutoff that meets the target from the observed decay
@@ -545,7 +673,7 @@ def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, work,
         # completions guarantee for 1/x-type masses until two rounds exist.
         p = 2.0
         if len(history) >= 2:
-            (x_prev, r_prev), (x_cur, r_cur) = history[-2], history[-1]
+            (x_prev, r_prev, _), (x_cur, r_cur, _) = history[-2:]
             if r_prev > r_cur > 0.0 and x_cur > x_prev:
                 p = min(6.0, max(0.5, math.log(r_prev / r_cur)
                                  / math.log(x_cur / x_prev)))
@@ -569,7 +697,10 @@ def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, work,
                  "cutoff_x": 1.0 / a, "s_max": end, "x_min": 1.0 / end}
     else:
         march = {"frame": "direct", "cutoff": a, "x_max": end}
-    march.update(phase_span=span, coarse_step=h_c, refinements=refinements)
+    # rounds: [x_end, residual bound, coarse cells] per tail round, x_end
+    # in the frame of the march (s at the zero endpoint)
+    march.update(phase_span=span, coarse_step=h_c, refinements=refinements,
+                 rounds=history)
     return reg, march, cert, verification, constants
 
 
@@ -677,8 +808,10 @@ def analyze(f_text, g_text, endpoint="infinity", interval=None, tol=1e-10,
     interest; its left edge seeds the cutoff search (for the zero
     endpoint the roles are mirrored through s = 1/x).  x_max forces the
     resolved range to reach at least that far (for 'zero', down to at
-    least that small an x).  step overrides the coarse marching step in
-    the phase variable; the default resolves the span with second-order
+    least that small an x).  step sets the level-0 coarse marching step in
+    the phase variable (in x for f == 0): the graded grid keeps it where
+    the perturbation weight is large and doubles it, up to 0.25, where the
+    weight is small.  The default resolves the span with second-order
     error well under the reported tolerances.
 
     Returns an AnalysisReport whose .solutions hold normalized value and

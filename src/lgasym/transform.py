@@ -14,8 +14,9 @@ under which v'' = (zeta^2 + psi/|f|^(1/2) ...) v with the perturbation
 psi is built symbolically from the coefficient ASTs so its derivatives
 and L1 norms are available to the rest of the pipeline.  Phi is tabulated
 once per resolved range (PhaseTable, Gauss-Kronrod cells evaluated on
-whole arrays), and the uniform-y nodes of the map are found from that
-table by vectorized Newton steps (PhaseMap.build).  Problems posed
+whole arrays), and the nodes of the map, at whatever phase values the
+march grid asks for, are found from that table by vectorized Newton
+steps (PhaseMap.build).  Problems posed
 at the endpoint 0 are inverted through s = 1/x, v(s) = s * u(1/s), which
 multiplies both coefficients by s^(-4) after substitution; the inverted
 split is classified at infinity.
@@ -398,26 +399,25 @@ class PhaseTable:
 class PhaseMap:
     """The monotone change of variables y = Phi(x) = int_a^x |f|^(1/2).
 
-    Forward values x(y) are tabulated on the uniform marching grid by
-    Newton's method on Phi(x) = y, started inside the cell of a PhaseTable
-    (Phi' = |f|^(1/2) is known exactly), with cubic Hermite interpolation
-    between nodes.  The inverse y(x) is evaluated directly as one
-    Gauss-Kronrod cell of |f|^(1/2) from the nearest node, so it carries
-    no interpolation error.
+    Forward values x(y) are tabulated at the march's nodes y_nodes (any
+    increasing phase values from 0, graded or not) by Newton's method on
+    Phi(x) = y, started inside the cell of a PhaseTable (Phi' = |f|^(1/2)
+    is known exactly), with cubic Hermite interpolation between nodes.
+    The inverse y(x) is evaluated directly as one Gauss-Kronrod cell of
+    |f|^(1/2) from the nearest node, so it carries no interpolation error.
     """
 
-    def __init__(self, a, h, x_nodes, slopes, sqrt_f, affine_rate=None):
+    def __init__(self, a, y_nodes, x_nodes, slopes, sqrt_f, affine_rate=None):
         self.a = float(a)
-        self.h = float(h)
+        self.y_nodes = y_nodes
         self.x_nodes = x_nodes
         self.slopes = slopes
         self.sqrt_f = sqrt_f
         self.affine_rate = affine_rate
-        self.y_nodes = h * np.arange(len(x_nodes))
 
     @classmethod
-    def build(cls, table, inv_sqrt_f, y_span, h):
-        """Tabulate x(y) for y in [0, y_span] with uniform step h.
+    def build(cls, table, inv_sqrt_f, ys):
+        """Tabulate x(y) at the increasing phase values ys, from ys[0] = 0.
 
         table is the PhaseTable of |f|^(1/2) from the map's origin;
         inv_sqrt_f(x) must return |f(x)|^(-1/2).  Each node starts from the
@@ -425,16 +425,16 @@ class PhaseMap:
         Newton steps x <- x - (Phi_j + GK15(x_j, x) - y) |f(x)|^(-1/2)
         until every step is within 1e-14 |x|.
         """
-        n = int(round(y_span / h))
-        ys = h * np.arange(n + 1)
+        ys = np.asarray(ys, dtype=float)
+        n = len(ys)
         edges, phi = table.edges, table.phi
         j = np.clip(np.searchsorted(phi, ys, side="right") - 1,
                     0, len(phi) - 2)
         left = edges[j]
         behind = phi[j] - ys    # Phi(x_j) - y, at most 0
         xs = left - behind / (phi[j + 1] - phi[j]) * (edges[j + 1] - left)
-        for s in range(0, n + 1, quadrature.CHUNK_CELLS):
-            todo = np.arange(s, min(s + quadrature.CHUNK_CELLS, n + 1))
+        for s in range(0, n, quadrature.CHUNK_CELLS):
+            todo = np.arange(s, min(s + quadrature.CHUNK_CELLS, n))
             for _step in range(_NEWTON_STEPS):
                 k, _ = quadrature.gk_cells(table.sqrt_f, left[todo], xs[todo])
                 with np.errstate(all="ignore"):
@@ -455,27 +455,26 @@ class PhaseMap:
         if not np.all(np.isfinite(xs) & np.isfinite(slopes)):
             raise HypothesisFailed(
                 "phase map left the domain of |f|^(-1/2)")
-        return cls(table.a, h, xs, slopes, table.sqrt_f)
+        return cls(table.a, ys, xs, slopes, table.sqrt_f)
 
     @classmethod
-    def affine(cls, a, rate, y_span, h):
-        """Exact map for constant f: y = rate * (x - a), rate = |f|^(1/2)."""
-        n = int(round(y_span / h))
-        ys = h * np.arange(n + 1)
+    def affine(cls, a, rate, ys):
+        """Exact map for constant f: y = rate * (x - a), rate = |f|^(1/2),
+        at the phase values ys."""
+        ys = np.asarray(ys, dtype=float)
         xs = a + ys / rate
-        slopes = np.full(n + 1, 1.0 / rate)
-        return cls(a, h, xs, slopes, lambda x: np.full_like(
+        slopes = np.full(len(ys), 1.0 / rate)
+        return cls(a, ys, xs, slopes, lambda x: np.full_like(
             np.asarray(x, dtype=float), rate), affine_rate=rate)
 
     @property
     def y_span(self):
-        return self.h * (len(self.x_nodes) - 1)
+        return float(self.y_nodes[-1])
 
     def x_of_y(self, y):
         if self.affine_rate is not None:
             return self.a + np.asarray(y, dtype=float) / self.affine_rate
-        return volterra.hermite_uniform(0.0, self.h, self.x_nodes,
-                                        self.slopes, y)
+        return volterra.hermite(self.y_nodes, self.x_nodes, self.slopes, y)
 
     def y_of_x(self, x):
         """Phi(x), elementwise: one Gauss-Kronrod cell from the nearest

@@ -12,21 +12,25 @@ original variable has the kernel (s - s^2/x):
     z(x) = 1 + int_a^x (s - s^2/x) g(s) z(s) ds.
 
 Both are solved by second-order product integration: z is interpolated
-linearly between uniform nodes and every kernel moment over a cell is
-integrated exactly, giving an implicit scalar update per step.  The
-derivative comes for free (z' equals the memory integral E in the kernel
-case, S2/x^2 in the algebraic case).  That update is affine in the state
-(z, Q, E), resp. (z, S1, S2), with coefficients fixed by the samples
-alone, so the march is evaluated as a blocked affine scan
-(_affine_scan): block maps on four lanes, a short chain of block start
-states, and one more vectorized pass from those starts.
+linearly between nodes and every kernel moment over a cell is integrated
+exactly, giving an implicit scalar update per step.  The steps may differ
+from cell to cell: the pipeline marches on a dyadic graded grid, whose
+cells are the level-0 step times a power of two, so the exact moments are
+computed once per distinct step.  The derivative comes for free (z'
+equals the memory integral E in the kernel case, S2/x^2 in the algebraic
+case).  That update is affine in the state (z, Q, E), resp. (z, S1, S2),
+with coefficients fixed by the samples and steps alone, so the march is
+evaluated as a blocked affine scan (_affine_scan): block maps on four
+lanes, a short chain of block start states, and one more vectorized pass
+from those starts.
 
 The continuous solutions obey |z| <= exp(T) with T the running L1 norm of
 the perturbation weight; the discrete march asserts this envelope at
-every node, allowing only its own O(h^2) discretization slack (which
-vanishes identically when w == 0).  A violation raises EnvelopeError at
-the first node that breaks it, and is the caller's cue to halve the
-step.
+every node, allowing only its own discretization slack, the sum of
+h_k^2 times the growth of T over the cells up to that node (h^2 T on a
+uniform grid; it vanishes identically when w == 0).  A violation raises
+EnvelopeError at the first node that breaks it, and is the caller's cue
+to halve the step.
 
 Connection constants at infinity are completed past the end of the grid
 by a small linear solve against tail integrals supplied by the caller,
@@ -59,18 +63,31 @@ class EnvelopeError(VolterraError):
     scheme's own discretization slack; halve h."""
 
 
-def hermite_uniform(origin, h, vals, derivs, t):
-    """Cubic Hermite interpolation on a uniform grid (vectorized in t).
-
-    Works for real or complex node values; error O(h^4) for smooth data.
-    """
-    pos = (np.asarray(t, dtype=float) - origin) / h
-    n = len(vals)
-    if not np.all((pos >= -1e-9) & (pos <= (n - 1) * (1 + 1e-12) + 1e-9)):
+def _locate(nodes, t):
+    """(cell, local coordinate in [0, 1], cell width) of each point t on
+    increasing nodes, spaced evenly or not: the cell comes from a binary
+    search.  Points may leave [nodes[0], nodes[-1]] by roundoff only."""
+    t = np.asarray(t, dtype=float)
+    inside = ((t >= nodes[0] - 1e-9 * (nodes[1] - nodes[0]))
+              & (t <= nodes[-1] + 1e-12 * (nodes[-1] - nodes[0])
+                 + 1e-9 * (nodes[-1] - nodes[-2])))
+    if not inside.all():
         raise ValueError("interpolation point outside the grid")
-    idx = np.minimum(np.maximum(pos, 0), n - 2).astype(int)
-    return _hermite(pos - idx, vals[idx], derivs[idx] * h, vals[idx + 1],
-                    derivs[idx + 1] * h)
+    k = np.minimum(np.maximum(nodes.searchsorted(t, side="right") - 1, 0),
+                   len(nodes) - 2)
+    width = nodes[k + 1] - nodes[k]
+    return k, (t - nodes[k]) / width, width
+
+
+def hermite(nodes, vals, derivs, t):
+    """Cubic Hermite interpolation on increasing nodes (vectorized in t).
+
+    Works for real or complex node values; the error is O(h^4) in the
+    width h of the point's cell for smooth data.
+    """
+    k, u, width = _locate(nodes, t)
+    return _hermite(u, vals[k], derivs[k] * width, vals[k + 1],
+                    derivs[k + 1] * width)
 
 
 def _hermite(u, v0, m0, v1, m1):
@@ -86,8 +103,9 @@ def _hermite(u, v0, m0, v1, m1):
 class VolterraSolution:
     kind: str                 # 'exponential' | 'oscillatory' | 'algebraic'
     mu: complex
-    h: float
-    grid: np.ndarray          # uniform nodes (phase variable, or s itself)
+    h: float                  # the smallest step: level 0 of a graded grid
+    cell_h: np.ndarray        # the step of every cell
+    grid: np.ndarray          # the nodes (phase variable, or s itself)
     w: np.ndarray             # perturbation samples on the grid
     z: np.ndarray
     z_deriv: np.ndarray
@@ -100,8 +118,48 @@ class VolterraSolution:
     z_max: float = 0.0
     steps: int = 0
 
+    # Between nodes.  z_at and deriv_at are cubic Hermite interpolants of z
+    # and z', with the slopes of z' from the correction equation itself
+    # (_deriv_slopes), except on the oscillatory runs.  There z keeps the
+    # oscillation e^{-mu t} at full size once the march has stirred it up
+    # (on the exponential runs it decays like e^{-2t}), and a cubic through
+    # nodes 0.25 apart misses it by about 1e-6.  So their z is split as
+    # 1 + (Q - E) / mu, with Q = int w z and the memory E = z', and only
+    # the slowly varying Q and e^{mu (t - t_k)} E (in cell k) are
+    # interpolated: their slopes w z and e^{mu (t - t_k)} w z are small
+    # where the weight, and so the march's step, is.
+
     def z_at(self, t):
-        return hermite_uniform(self.grid[0], self.h, self.z, self.z_deriv, t)
+        if self.kind != "oscillatory":
+            return hermite(self.grid, self.z, self.z_deriv, t)
+        k, u, width = _locate(self.grid, t)
+        q, wz, _ = self._memory
+        Q = _hermite(u, q[k], wz[k] * width, q[k + 1], wz[k + 1] * width)
+        return 1.0 + (Q - self._memory_at(k, u, width)) / self.mu
+
+    def deriv_at(self, t):
+        if self.kind != "oscillatory":
+            return hermite(self.grid, self.z_deriv, self._deriv_slopes, t)
+        return self._memory_at(*_locate(self.grid, t))
+
+    @functools.cached_property
+    def _memory(self):
+        # (Q, w z, e^{mu h_k}) at the nodes and cells of an oscillatory
+        # run.  Cached in the instance dict, so dataclasses.replace starts
+        # a copy without it.
+        wz = self.w * self.z
+        return (self.mu * (self.z - 1.0) + self.z_deriv, wz,
+                np.exp(self.mu * self.cell_h))
+
+    def _memory_at(self, k, u, width):
+        """E = z' in cell k: e^{-mu (t - t_k)} times the Hermite
+        interpolant of e^{mu (t - t_k)} E, whose slope is
+        e^{mu (t - t_k)} w z."""
+        _, wz, grow = self._memory
+        E = self.z_deriv
+        return np.exp(-self.mu * u * width) * _hermite(
+            u, E[k], wz[k] * width, grow[k] * E[k + 1],
+            grow[k] * wz[k + 1] * width)
 
     @functools.cached_property
     def _deriv_slopes(self):
@@ -109,8 +167,7 @@ class VolterraSolution:
         # w z - mu z' for the kernel march, z'' = g z - 2 z' / x for the
         # algebraic one, so the Hermite interpolant of z' keeps the
         # O(h^4) of z_at (a second difference of z' was O(h^2), about
-        # 1e-7 of u' on the Airy inputs).  Cached in the instance dict,
-        # so dataclasses.replace starts a copy without it.
+        # 1e-7 of u' on the Airy inputs).  Cached like _memory.
         wz = self.w * self.z
         if self.kind != "algebraic":
             return wz - self.mu * self.z_deriv
@@ -118,10 +175,6 @@ class VolterraSolution:
         x = self.grid
         return np.where(x == 0.0, wz / 3.0,
                         wz - 2.0 * self.z_deriv / np.where(x == 0.0, 1.0, x))
-
-    def deriv_at(self, t):
-        return hermite_uniform(self.grid[0], self.h, self.z_deriv,
-                               self._deriv_slopes, t)
 
     def envelope_report(self):
         env = np.exp(self.envelope_log)
@@ -205,10 +258,11 @@ def _reflected_weights(mu, h):
     return E, J0 - JR, JR
 
 
-def _envelope_bound(T, h):
+def _envelope_bound(T, slack):
     """Admissible |z| at envelope log T: the Gronwall bound exp(T) plus
-    the scheme's own O(h^2) slack (exactly exp(0) = 1 when T == 0)."""
-    return np.exp(T) * (1.0 + _ROUNDOFF + h * h * T)
+    the scheme's own slack, sum h_k^2 dT_k over the cells marched so far
+    (exactly exp(0) = 1 when T == 0)."""
+    return np.exp(T) * (1.0 + _ROUNDOFF + slack)
 
 
 def _contracting_steps(denom):
@@ -289,14 +343,38 @@ def _running(increments):
     return np.concatenate(([0.0], np.cumsum(increments)))
 
 
-def _check_march(z, T, h, lost):
+def _cell_steps(h, n):
+    """The steps of the n - 1 cells of an n-node march: n - 1 copies of a
+    scalar h, or h itself when it is an array of n - 1 positive steps."""
+    steps = np.asarray(h, dtype=float)
+    if steps.ndim == 0:
+        steps = np.full(n - 1, float(steps))
+    if steps.shape != (n - 1,) or not np.all(steps > 0.0):
+        raise VolterraError("need one positive step per cell")
+    return steps
+
+
+def _per_step(weights, mu, steps):
+    """weights(mu, h), computed once per distinct step, as one array per
+    component with one entry per cell."""
+    # (not np.unique: its first call imports numpy.ma, which takes longer
+    # than a whole march)
+    ordered = np.sort(steps)
+    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
+    which = np.searchsorted(distinct, steps)
+    return [c[which] for c in np.array([weights(mu, h) for h in distinct]).T]
+
+
+def _check_march(z, T, dT, steps, lost):
     """The march's checks in node order: the first node whose |z| breaks
     its envelope (a non-finite |z| breaks it too) wins over a lost
     contraction, which the caller has already cut the march short at.
-    Returns max |z|."""
+    dT are the cells' increments of T.  Returns max |z|."""
     az = np.abs(z)
+    slack = _running(steps[:len(dT)] ** 2 * dT)
     with np.errstate(over="ignore", invalid="ignore"):
-        broken = np.flatnonzero(~(az[1:] <= _envelope_bound(T[1:], h)))
+        broken = np.flatnonzero(~(az[1:] <= _envelope_bound(T[1:],
+                                                             slack[1:])))
     if broken.size:
         k = int(broken[0]) + 1
         raise EnvelopeError(
@@ -308,16 +386,20 @@ def _check_march(z, T, h, lost):
 
 
 def solve_kernel(w_vals, h, zeta, grid=None):
-    """March the kernel equation for mu = 2 zeta over uniform nodes.
+    """March the kernel equation for mu = 2 zeta over the given samples.
 
-    w_vals are the perturbation samples on the grid; zeta is 1 (growing
-    exponential branch) or +-1j (oscillatory branches).  Oscillatory runs
-    also accumulate the reflected moment int e^{mu t} w z dt needed for
-    the second connection constant.
+    w_vals are the perturbation samples at the nodes; h is the step of
+    every cell (an array of len(w_vals) - 1 steps, or one scalar for a
+    uniform grid) and grid the nodes themselves (by default the running
+    sum of the steps from 0).  zeta is 1 (growing exponential branch) or
+    +-1j (oscillatory branches).  Oscillatory runs also accumulate the
+    reflected moment int e^{mu t} w z dt needed for the second connection
+    constant.
 
     The step is affine in (z, Q, E), with Q = int w z and E the memory
-    integral, and its coefficients depend on the samples alone, so the
-    march is one blocked scan (_affine_scan).
+    integral, and its coefficients depend on the samples and the cell's
+    step alone, so the march is one blocked scan (_affine_scan).  The
+    exact kernel moments are computed once per distinct step.
     """
     w_arr = np.asarray(w_vals, dtype=float)
     if not np.all(np.isfinite(w_arr)):
@@ -325,58 +407,64 @@ def solve_kernel(w_vals, h, zeta, grid=None):
     n = len(w_arr)
     if n < 2:
         raise VolterraError("need at least two grid nodes")
+    h = _cell_steps(h, n)
     oscillatory = (complex(zeta).real == 0.0)
     mu = complex(2.0 * zeta) if oscillatory else float(2.0 * zeta)
-    if float(np.max(np.abs(w_arr))) * h > 0.5:
+    aw = np.abs(w_arr)
+    margin = float(np.max(np.maximum(aw[:-1], aw[1:]) * h))
+    if margin > 0.5:
         raise StepTooLargeError(
-            "h * max|w| = %.3g exceeds the contraction margin"
-            % (float(np.max(np.abs(w_arr))) * h))
-    D, A, B, cL, cR = _kernel_weights(mu, h)
+            "h * max|w| = %.3g exceeds the contraction margin" % margin)
+    D, A, B, cL, cR = _per_step(_kernel_weights, mu, h)
     denom = 1.0 - w_arr[1:] * cR
     m = _contracting_steps(denom)
+    half = 0.5 * h
 
-    def step(z, Q, E, one, wk, wk1, den):
+    def step(z, Q, E, one, wk, wk1, den, D, A, B, cL, hk):
         qk = wk * z
         z1 = (one + (Q - D * E) / mu + qk * cL) / den
         qk1 = wk1 * z1
-        return z1, Q + 0.5 * h * (qk + qk1), D * E + qk * A + qk1 * B
+        return z1, Q + hk * (qk + qk1), D * E + qk * A + qk1 * B
 
     dtype = complex if oscillatory else float
-    z, E = _affine_scan(step, (w_arr[:m], w_arr[1:m + 1], denom[:m]), dtype)
-    aw = np.abs(w_arr[:m + 1])
-    T = _running(0.5 * h * (aw[:-1] + aw[1:]))
-    zmax = _check_march(z, T, h, m < n - 1)
+    z, E = _affine_scan(step, tuple(c[:m] for c in (
+        w_arr[:-1], w_arr[1:], denom, D, A, B, cL, half)), dtype)
+    dT = half[:m] * (aw[:m] + aw[1:m + 1])
+    T = _running(dT)
+    zmax = _check_march(z, T, dT, h, m < n - 1)
     q = w_arr * z
     aq = np.abs(q)
-    P0 = np.sum(0.5 * h * (q[:-1] + q[1:]))
+    P0 = np.sum(half * (q[:-1] + q[1:]))
     if oscillatory:
-        Em, JL, JR = _reflected_weights(mu, h)
+        Em, JL, JR = _per_step(_reflected_weights, mu, h)
         # e^{mu t_k} as the running product of Em, as a loop would form it
-        phase = np.cumprod(np.concatenate(([1.0 + 0j], np.full(n - 2, Em))))
+        phase = np.cumprod(np.concatenate(([1.0 + 0j], Em[:-1])))
         P = complex(np.sum(phase * (q[:-1] * JL + q[1:] * JR)))
     else:
         P = None
     if grid is None:
-        grid = h * np.arange(n)
+        grid = _running(h)
     return VolterraSolution(
         kind="oscillatory" if oscillatory else "exponential",
-        mu=mu, h=h, grid=np.asarray(grid, dtype=float),
+        mu=mu, h=float(np.min(h)), cell_h=h, grid=np.asarray(grid, float),
         w=w_arr, z=z, z_deriv=E, envelope_log=T,
-        l1_q=_running(0.5 * h * (aq[:-1] + aq[1:])),
+        l1_q=_running(half * (aq[:-1] + aq[1:])),
         P0=complex(P0) if oscillatory else float(P0), P_refl=P,
         z_max=zmax, steps=n - 1)
 
 
-def solve_algebraic(g_vals, a, h):
-    """March z(x) = 1 + int_a^x (s - s^2/x) g z ds on nodes a + k h.
+def solve_algebraic(g_vals, a, h, grid=None):
+    """March z(x) = 1 + int_a^x (s - s^2/x) g z ds over the given samples.
 
-    The running moments S1 = int s g z and S2 = int s^2 g z are updated
-    with exact polynomial moments of the hat interpolant of g z, so the
-    kernel weight at the diagonal vanishes to the same order as the
-    kernel itself.  The envelope uses the same exact first moments of
-    |g|, making T the product-integration value of int s |g| ds.  The
-    step is affine in (z, S1, S2), so the march is one blocked scan
-    (_affine_scan).
+    h is the step of every cell (an array, or one scalar for the uniform
+    nodes a + k h) and grid the nodes (by default a plus the running sum
+    of the steps).  The running moments S1 = int s g z and S2 = int s^2 g z
+    are updated with exact polynomial moments of the hat interpolant of
+    g z over each cell, so the kernel weight at the diagonal vanishes to
+    the same order as the kernel itself.  The envelope uses the same exact
+    first moments of |g|, making T the product-integration value of
+    int s |g| ds.  The step is affine in (z, S1, S2), so the march is one
+    blocked scan (_affine_scan).
     """
     g_arr = np.asarray(g_vals, dtype=float)
     if not np.all(np.isfinite(g_arr)):
@@ -387,16 +475,19 @@ def solve_algebraic(g_vals, a, h):
     a = float(a)
     if a < 0:
         raise VolterraError("algebraic march needs a >= 0")
-    peak = float(np.max(np.abs(g_arr) * (a + h * np.arange(n))))
-    if peak * h > 0.5:
+    h = _cell_steps(h, n)
+    grid = a + _running(h) if grid is None else np.asarray(grid, float)
+    sg = np.abs(g_arr) * grid
+    margin = float(np.max(np.maximum(sg[:-1], sg[1:]) * h))
+    if margin > 0.5:
         raise StepTooLargeError(
-            "h * max|s g| = %.3g exceeds the contraction margin" % (peak * h))
+            "h * max|s g| = %.3g exceeds the contraction margin" % margin)
+    sk = grid[:-1]
+    sk1 = sk + h
     h2_6 = h * h / 6.0
     h2_3 = h * h / 3.0
     h3_12 = h ** 3 / 12.0
     h3_4 = h ** 3 / 4.0
-    sk = a + h * np.arange(n - 1)
-    sk1 = sk + h
     # exact cell moments of s and s^2 against the two hat halves
     m1L = 0.5 * h * sk + h2_6
     m1R = 0.5 * h * sk + h2_3
@@ -417,16 +508,17 @@ def solve_algebraic(g_vals, a, h):
         step, tuple(c[:m] for c in (g_arr[:-1], g_arr[1:], m1L, m1R, m2L,
                                     m2R, sk1, denom)), float)
     ag = np.abs(g_arr[:m + 1])
-    T = _running(m1L[:m] * ag[:-1] + m1R[:m] * ag[1:])
-    zmax = _check_march(z, T, h, m < n - 1)
+    dT = m1L[:m] * ag[:-1] + m1R[:m] * ag[1:]
+    T = _running(dT)
+    zmax = _check_march(z, T, dT, h, m < n - 1)
     p = g_arr * z
     ap = np.abs(p)
     S1 = float(np.sum(m1L * p[:-1] + m1R * p[1:]))
     S2 = float(np.sum(m2L * p[:-1] + m2R * p[1:]))
     z_deriv[1:] /= sk1 * sk1        # z' = S2 / x^2
     return VolterraSolution(
-        kind="algebraic", mu=0.0, h=h, grid=a + h * np.arange(n), w=g_arr,
-        z=z, z_deriv=z_deriv, envelope_log=T,
+        kind="algebraic", mu=0.0, h=float(np.min(h)), cell_h=h, grid=grid,
+        w=g_arr, z=z, z_deriv=z_deriv, envelope_log=T,
         l1_q=_running(m1L * ap[:-1] + m1R * ap[1:]),
         P0=S1, P_refl=None, S1=S1, S2=S2, z_max=zmax, steps=n - 1)
 
@@ -447,20 +539,27 @@ class InverseSquareIntegral:
     tail, with z the real Hermite correction of a march, T its grid end and
     tail the closed integral past T: up to a constant, int_t^inf u1^{-2} of
     the marched solution.  dv = ds, or ds / s^2 when reciprocal (decay 0):
-    then int ds / s^2 is exact and only (z^{-2} - 1) / s^2, bounded near
-    s = 0, is summed.  The nodes hold I_k = c_k + e^{-decay h} I_{k+1} from
-    I_N = tail, with c_k a Gauss-Legendre sum per cell, tabulated on the
-    first call; a point adds one partial-cell sum."""
+    then int ds / s^2 = 1/t - 1/T is exact and only (z^{-2} - 1) / s^2,
+    bounded near s = 0, is summed.
+
+    The table holds J_k = c_k + e^{-decay h_k} J_{k+1} at the nodes, with
+    h_k the width of cell k, c_k a Gauss-Legendre sum over it and J_N the
+    tail (less 1/T when reciprocal); it is built on the first call.  A
+    point finds its cell by binary search and adds one partial-cell sum.
+    regular(t) is J(t): I(t) itself, or I(t) - 1/t when reciprocal, which
+    stays finite at t = 0."""
 
     def __init__(self, sol, decay, tail, reciprocal=False):
-        self.grid, self.h = sol.grid, sol.h
+        self.grid, self.cell_h, self.unit = sol.grid, sol.cell_h, sol.h
         self.z, self.zd = np.real(sol.z), np.real(sol.z_deriv)
-        self.decay, self.tail, self.reciprocal = decay, tail, reciprocal
+        self.decay, self.reciprocal = decay, reciprocal
+        self.tail = tail - 1.0 / self.grid[-1] if reciprocal else tail
 
     def _cell_sums(self, lo, width, k):
-        """The integral from lo, in cell k, to t_{k+1} = lo + width; whole
-        cells pass width = h, free of the rounding of the node positions."""
-        h, hi = self.h, self.grid[k + 1]
+        """The summed integral from lo, in cell k, to t_{k+1} = lo + width;
+        whole cells pass their step as width, free of the rounding of the
+        node positions."""
+        h, hi = self.cell_h[k], self.grid[k + 1]
         ends = self.z[k], self.zd[k] * h, self.z[k + 1], self.zd[k + 1] * h
         total = 0.0
         for node, weight in zip(_GL_NODES, _GL_WEIGHTS):
@@ -470,33 +569,45 @@ class InverseSquareIntegral:
             if self.reciprocal:
                 f = (f - 1.0) / (hi - back) ** 2
             total = total + weight * np.exp(-self.decay * (width - back)) * f
-        with np.errstate(divide="ignore"):      # +inf when lo == 0
-            exact = width / (lo * hi) if self.reciprocal else 0.0
-        return width * total + exact
+        return width * total
 
     @functools.cached_property
     def _nodes(self):
-        c = np.append(self._cell_sums(self.grid[:-1], self.h,
+        c = np.append(self._cell_sums(self.grid[:-1], self.cell_h,
                                       np.arange(len(self.z) - 1)), self.tail)
-        # reversed cumulative sums of e^{-rate j} c_j within each block, plus
-        # the decayed value at the next block's start.  A block spans a decay
-        # of 60: rounding the exponents costs about 60 eps, and the carry of
-        # the block after next (e^{-60} smaller) is far below rounding.
-        rate = self.decay * self.h
-        size = len(c) if rate == 0 else max(1, int(60.0 / rate))
-        r = rate * np.arange(size)
-        blocks = np.pad(c, (0, -len(c) % size)).reshape(-1, size) * np.exp(-r)
-        local = np.cumsum(blocks[:, ::-1], axis=1)[:, ::-1] * np.exp(r)
-        after = np.append(local[1:, 0], 0.0)[:, None]
-        return (local + np.exp(r - rate * size) * after).ravel()[:len(c)]
+        # J_k = sum_{j >= k} e^{-decay (t_j - t_k)} c_j.  In units of the
+        # smallest step the nodes of a graded grid sit at integer offsets,
+        # so the exponents rate * (offset difference) are rounded once.
+        # Blocks span a decay of at most 60: within one, reversed
+        # cumulative sums of e^{-r} c_j times e^{r} cost about 60 eps, and
+        # each block adds the decayed value at the next block's start.
+        off = _running(self.cell_h / self.unit)
+        rate = self.decay * self.unit
+        cuts = np.flatnonzero(np.diff(np.floor(off * rate / 60.0))) + 1
+        bounds = np.concatenate(([0], cuts, [len(c)]))
+        out = np.empty_like(c)
+        for lo, hi in zip(bounds[-2::-1], bounds[:0:-1]):
+            r = rate * (off[lo:hi] - off[lo])
+            local = np.cumsum((c[lo:hi] * np.exp(-r))[::-1])[::-1] * np.exp(r)
+            if hi < len(c):
+                local += np.exp(-rate * (off[hi] - off[lo:hi])) * out[hi]
+            out[lo:hi] = local
+        return out
 
-    def __call__(self, t):
+    def regular(self, t):
         t = np.asarray(t, dtype=float)
-        k = np.minimum(((t - self.grid[0]) / self.h).astype(int),
-                       len(self.z) - 2)
+        k = np.minimum(np.maximum(
+            np.searchsorted(self.grid, t, side="right") - 1, 0),
+            len(self.z) - 2)
         width = self.grid[k + 1] - t
         return self._cell_sums(t, width, k) \
             + np.exp(-self.decay * width) * self._nodes[k + 1]
+
+    def __call__(self, t):
+        if not self.reciprocal:
+            return self.regular(t)
+        with np.errstate(divide="ignore"):      # +inf at t = 0
+            return self.regular(t) + 1.0 / np.asarray(t, dtype=float)
 
 
 # --------------------------------------------------------------------------

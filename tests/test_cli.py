@@ -141,8 +141,11 @@ def test_validate_convergence_suite():
     assert "FAIL" not in p.stdout
     for line in p.stdout.strip().splitlines()[:-1]:
         assert line.startswith("PASS")
-    # every march: the real and oscillatory kernel and the algebraic one
+    # every march: the real and oscillatory kernel and the algebraic one,
+    # on a uniform and on a graded grid
     assert p.stdout.count("error drops fourfold per halving") == 3
+    assert p.stdout.count(
+        "error drops fourfold per bisection of a graded grid") == 3
 
 
 def test_validate_bessel_half_suite():

@@ -1,9 +1,11 @@
 import math
+import warnings
 
 import numpy as np
 import pytest
 
-from lgasym import expr, oracle, pipeline, quadrature, transform
+from lgasym import (cli, expr, oracle, pipeline, quadrature, transform,
+                    volterra)
 from lgasym.oracle import BesselFixture, small_argument_series
 from lgasym.pipeline import AnalysisError, RangeError, analyze
 from lgasym.transform import HypothesisFailed, Regime
@@ -88,6 +90,25 @@ def test_algebraic_forced_range():
     # u1(x)/x -> 1 with O(1/x) drift from the a + b/x correction
     assert u1.value(59.0) / 59.0 == pytest.approx(1.0, abs=5e-3)
     assert u1.value(59.0) / 59.0 == pytest.approx(0.997349449, rel=1e-7)
+
+
+def test_algebraic_recessive_limits_at_a_cutoff_zero():
+    # at a cutoff 0 the recessive u2 = zhat x z int_x^inf u1^{-2} tends to
+    # zhat, and u2' to zhat (int_0^X (z^-2 - 1) / t^2 dt - 1/X + tail): both
+    # finite, returned without a floating-point warning
+    r = analyze("0", "exp(-2*x)", interval=(0, math.inf))
+    assert r.march["cutoff"] == 0.0
+    rec = r.solution("recessive")
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        v0, d0 = rec.value(0.0), rec.derivative(0.0)
+        v, d = rec.value(1e-9), rec.derivative(1e-9)
+        both = rec.value(np.array([0.0, 1e-9]))
+    assert np.isfinite(v0) and np.isfinite(d0)
+    assert v0 == pytest.approx(r.constants["z_infinity"], rel=1e-14)
+    assert v0 == pytest.approx(v, rel=1e-7)
+    assert d0 == pytest.approx(d, rel=1e-7)
+    assert np.array_equal(both, [v0, v])
 
 
 # ------------------------------------------------------ zero endpoint
@@ -375,6 +396,69 @@ def test_json_dict_shape():
         assert set(sol) == {"label", "asymptotic"}
     assert set(d["work"]) == {"quadrature_evaluations", "march_steps",
                               "map_nodes"}
+
+
+def test_march_rounds_record_the_tail_search():
+    r = analyze("1", "3/(4*x^2)")
+    rounds = r.march["rounds"]
+    assert len(rounds) >= 2
+    ends = [x_end for x_end, _, _ in rounds]
+    assert all(a < b for a, b in zip(ends, ends[1:]))
+    assert rounds[-1][1] == r.constants["tail_residual_bound"]
+    assert all(isinstance(cells, int) and cells > 0 for _, _, cells in rounds)
+    assert 2 * rounds[-1][2] == r.fine_run.steps
+    # the rounds are part of the deterministic --json document
+    again = analyze("1", "3/(4*x^2)")
+    assert cli.json_dumps(r.to_json_dict()) == \
+        cli.json_dumps(again.to_json_dict())
+    assert '"rounds"' in cli.json_dumps(r.to_json_dict())
+
+
+def test_graded_grid_does_not_step_over_a_late_bump():
+    # a bump of |w| at x = 60, as large as the weight at the cutoff: the
+    # suffix rule keeps every cell up to its peak at the level-0 step, and
+    # the constants agree with a run at a quarter of that step
+    f, g = "1", "3/(4*x^2) + 0.5*exp(-(x-60)^2)"
+    r = analyze(f, g)
+    fine = r.fine_run
+    y_bump = 60.0 - r.march["cutoff"]
+    assert np.all(fine.cell_h[fine.grid[:-1] < y_bump] == fine.h)
+    assert np.max(fine.cell_h) >= 8 * fine.h
+    small = analyze(f, g, step=r.march["coarse_step"] / 4)
+    assert abs(small.constants["z_infinity"] - r.constants["z_infinity"]) \
+        <= r.constants["tail_residual_bound"]
+
+
+def test_graded_pair_regrades_on_a_bump_the_pilot_missed():
+    # w = e^-y plus a spike of width 0.03 midway between two pilot nodes
+    # (0.16 apart), which the pilot sees at 4e-4: the first grading puts
+    # level-1 cells there, the fine run's samples see the spike, and the
+    # re-grade takes every cell up to it back to level 0
+    h_c, n_c = 0.01, 1000
+
+    def w(y):
+        return np.exp(-y) + 0.5 * np.exp(-((y - 5.04) / 0.03) ** 2)
+
+    calls = []
+
+    def sample(idx):
+        calls.append(len(idx))
+        y = 0.5 * h_c * idx
+        return w(y), w(y), y
+
+    def solve(vals, steps, nodes):
+        return volterra.solve_kernel(vals, steps, 1.0, grid=nodes)
+
+    coarse, fine = pipeline._graded_pair(
+        lambda idx: w(0.5 * h_c * idx), sample, solve, h_c, n_c)
+    assert len(calls) == 2
+    assert coarse.grid[-1] == pytest.approx(h_c * n_c)
+    assert np.all(coarse.cell_h[coarse.grid[:-1] < 5.04] == h_c)
+    # e^-10 is 2.2e4 times below the peak: level 3 (24^3 = 13824)
+    assert np.max(coarse.cell_h) == 8 * h_c
+    # the fine run bisects every coarse cell
+    assert np.array_equal(fine.grid[::2], coarse.grid)
+    assert np.array_equal(fine.cell_h, np.repeat(coarse.cell_h / 2, 2))
 
 
 # ------------------------------------------------------------ controls

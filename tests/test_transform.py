@@ -187,8 +187,13 @@ def test_invert_split_scaling_law():
 
 # ----------------------------------------------------------- phase map
 
+def _ys(y_span, h):
+    """Uniform phase nodes h apart on [0, y_span]."""
+    return h * np.arange(int(round(y_span / h)) + 1)
+
+
 def test_phase_map_affine():
-    pm = PhaseMap.affine(1.0, 2.0, 10.0, 0.01)
+    pm = PhaseMap.affine(1.0, 2.0, _ys(10.0, 0.01))
     assert pm.x_of_y(4.0) == pytest.approx(3.0, rel=1e-14)
     assert pm.y_of_x(3.0) == pytest.approx(4.0, rel=1e-14)
     assert pm.y_span == pytest.approx(10.0)
@@ -198,7 +203,7 @@ def _square_map(y_span, h):
     # f = x^2 from a = 1: Phi(x) = (x^2 - 1)/2, x(y) = sqrt(1 + 2y)
     table = PhaseTable(lambda x: np.asarray(x, float), 1.0,
                        math.sqrt(1.0 + 2.0 * y_span))
-    return PhaseMap.build(table, lambda x: 1.0 / x, y_span, h)
+    return PhaseMap.build(table, lambda x: 1.0 / x, _ys(y_span, h))
 
 
 def test_phase_map_marching_against_closed_form():
@@ -213,7 +218,7 @@ def test_phase_map_quarter_power_phase():
     # f = x^4 from a = 1: Phi(x) = (x^3 - 1)/3, so Phi(2) = 7/3
     table = PhaseTable(lambda x: np.asarray(x, float) ** 2, 1.0,
                        10.0 ** (1.0 / 3.0))
-    pm = PhaseMap.build(table, lambda x: x ** -2.0, 3.0, 0.005)
+    pm = PhaseMap.build(table, lambda x: x ** -2.0, _ys(3.0, 0.005))
     assert pm.y_of_x(2.0) == pytest.approx(7.0 / 3.0, rel=1e-10)
 
 
@@ -252,7 +257,7 @@ def test_phase_map_nodes_against_closed_forms(sqrt_f, inv_sqrt_f, a, x_of_y):
     y_span, h = 12.0, 0.004
     table = PhaseTable(sqrt_f, a, float(x_of_y(y_span)))
     assert table.span == pytest.approx(y_span, rel=1e-13)
-    pm = PhaseMap.build(table, inv_sqrt_f, y_span, h)
+    pm = PhaseMap.build(table, inv_sqrt_f, _ys(y_span, h))
     want = x_of_y(pm.y_nodes)
     assert np.max(np.abs(pm.x_nodes / want - 1.0)) < 1e-13
     assert np.array_equal(pm.slopes, inv_sqrt_f(pm.x_nodes))
@@ -273,7 +278,7 @@ def test_phase_map_non_finite_sqrt_f_raises():
     table = PhaseTable(sqrt_f, 1.0, 2.9)
     with pytest.raises(HypothesisFailed, match="left the domain"):
         PhaseMap.build(table, lambda x: np.where(x < 2.0, 1.0 / x, np.nan),
-                       table.span, 0.01)
+                       _ys(table.span, 0.01))
 
 
 def test_phase_map_newton_cap(monkeypatch):
@@ -299,7 +304,8 @@ def test_y_of_x_matches_adaptive_quadrature():
         return np.sqrt(x * (1.0 + 0.5 * np.sin(x) ** 2))
 
     table = PhaseTable(sqrt_f, 1.0, 20.0)
-    pm = PhaseMap.build(table, lambda x: 1.0 / sqrt_f(x), table.span, 0.01)
+    pm = PhaseMap.build(table, lambda x: 1.0 / sqrt_f(x),
+                        _ys(table.span, 0.01))
     xs = np.linspace(1.0, 20.0, 57).reshape(3, 19)
     got = pm.y_of_x(xs)
     assert got.shape == xs.shape
@@ -313,6 +319,24 @@ def test_y_of_x_matches_adaptive_quadrature():
     # past the last node it misses 1e-13 and raises
     with pytest.raises(quadrature.QuadratureError):
         pm.y_of_x(np.array([2.0, 40.0]))
+
+
+def test_y_of_x_at_graded_nodes():
+    # y nodes of a dyadic graded grid (steps 0.002 to 0.128, as the march
+    # grades them): the nearest-node cell of y_of_x stays within its
+    # 1e-13 check at the widest spacing, and the nodes map back to
+    # themselves
+    def sqrt_f(x):
+        x = np.asarray(x, float)
+        return np.sqrt(x * (1.0 + 0.5 * np.sin(x) ** 2))
+
+    table = PhaseTable(sqrt_f, 1.0, 60.0)
+    units = np.repeat([1, 2, 4, 8, 16, 32, 64], [64, 32, 16, 8, 4, 2, 1])
+    units = np.resize(units, int(table.span / (0.002 * units.mean())))
+    ys = 0.002 * np.concatenate(([0], np.cumsum(units)))
+    assert ys[-1] <= table.span
+    pm = PhaseMap.build(table, lambda x: 1.0 / sqrt_f(x), ys)
+    assert np.max(np.abs(pm.y_of_x(pm.x_nodes) - ys)) < 1e-12
 
 
 def test_regime_predicates():

@@ -1,5 +1,6 @@
 import cmath
 import dataclasses
+import functools
 import math
 import re
 import types
@@ -16,7 +17,7 @@ from lgasym.volterra import (
     complete_algebraic,
     complete_exponential,
     complete_oscillatory,
-    hermite_uniform,
+    hermite,
     solve_algebraic,
     solve_kernel,
 )
@@ -30,7 +31,7 @@ def test_hermite_exact_on_cubics():
     vals = xs ** 3 - 2.0 * xs
     derivs = 3.0 * xs ** 2 - 2.0
     ts = np.linspace(0.0, 3.0, 50)
-    got = hermite_uniform(0.0, h, vals, derivs, ts)
+    got = hermite(xs, vals, derivs, ts)
     assert np.max(np.abs(got - (ts ** 3 - 2.0 * ts))) < 1e-12
 
 
@@ -39,7 +40,7 @@ def test_hermite_complex_and_scalar():
     xs = h * np.arange(6)
     vals = np.exp(1j * xs)
     derivs = 1j * vals
-    v = hermite_uniform(0.0, h, vals, derivs, 1.3)
+    v = hermite(xs, vals, derivs, 1.3)
     assert isinstance(v, complex)
     assert v == pytest.approx(cmath.exp(1.3j), abs=2e-4)
 
@@ -47,7 +48,7 @@ def test_hermite_complex_and_scalar():
 def test_hermite_range_guard():
     xs = np.arange(4.0)
     with pytest.raises(ValueError):
-        hermite_uniform(0.0, 1.0, xs, np.ones(4), 3.5)
+        hermite(xs, xs, np.ones(4), 3.5)
 
 
 # ------------------------------------------------------- kernel march
@@ -142,8 +143,15 @@ def test_deriv_slopes_cached_per_solution():
     t = h * np.arange(301)
     sol = solve_kernel(np.exp(-t) * np.sin(3.0 * t), h, 1j)
     ys = np.array([0.13, 2.71, 5.99])
-    want = hermite_uniform(0.0, h, sol.z_deriv,
-                           sol.w * sol.z - sol.mu * sol.z_deriv, ys)
+    # z' in cell k: e^{-mu (t - t_k)} times the Hermite interpolant of
+    # e^{mu (t - t_k)} z', whose slopes are e^{mu (t - t_k)} w z
+    g, E, wz = sol.grid, sol.z_deriv, sol.w * sol.z
+    k = np.searchsorted(g, ys) - 1
+    width = g[k + 1] - g[k]
+    u = (ys - g[k]) / width
+    grow = np.exp(sol.mu * sol.cell_h[k])
+    want = np.exp(-sol.mu * u * width) * volterra._hermite(
+        u, E[k], wz[k] * width, grow * E[k + 1], grow * wz[k + 1] * width)
     assert np.array_equal(sol.deriv_at(ys), want)
     assert np.array_equal(sol.deriv_at(ys), want)
     # a replaced solution must not inherit the slopes of the original
@@ -347,15 +355,19 @@ def test_complete_algebraic_refuses_fat_tail():
 def _reference_kernel(w, h, zeta):
     oscillatory = complex(zeta).real == 0.0
     mu = complex(2.0 * zeta) if oscillatory else float(2.0 * zeta)
-    D, A, B, cL, cR = volterra._kernel_weights(mu, h)
+    steps = np.broadcast_to(np.asarray(h, dtype=float), (len(w) - 1,))
+    weights = functools.lru_cache(None)(
+        lambda hk: (volterra._kernel_weights(mu, hk)
+                    + volterra._reflected_weights(mu, hk)))
     zero = 0j if oscillatory else 0.0
-    Em, JL, JR = volterra._reflected_weights(mu, h)
     phase, P = 1.0 + 0j, 0.0 + 0j
     E = Q = zero
-    T = L1 = 0.0
+    T = L1 = slack = 0.0
     zk = 1.0 + zero
     z, derivs, Ts, L1s, zmax = [zk], [zero], [0.0], [0.0], 1.0
     for k in range(len(w) - 1):
+        hk = float(steps[k])
+        D, A, B, cL, cR, Em, JL, JR = weights(hk)
         wk, wk1 = float(w[k]), float(w[k + 1])
         qk = wk * zk
         num = 1.0 + (Q - D * E) / mu + qk * cL
@@ -366,11 +378,13 @@ def _reference_kernel(w, h, zeta):
         qk1 = wk1 * zk
         P += phase * (qk * JL + qk1 * JR)
         phase *= Em
-        Q += 0.5 * h * (qk + qk1)
+        Q += 0.5 * hk * (qk + qk1)
         E = D * E + qk * A + qk1 * B
-        T += 0.5 * h * (abs(wk) + abs(wk1))
-        L1 += 0.5 * h * (abs(qk) + abs(qk1))
-        _reference_envelope(zk, T, h, k + 1)
+        dT = 0.5 * hk * (abs(wk) + abs(wk1))
+        T += dT
+        slack += hk * hk * dT
+        L1 += 0.5 * hk * (abs(qk) + abs(qk1))
+        _reference_envelope(zk, T, slack, k + 1)
         zmax = max(zmax, abs(zk))
         z.append(zk)
         derivs.append(E)
@@ -382,12 +396,15 @@ def _reference_kernel(w, h, zeta):
 
 
 def _reference_algebraic(g, a, h):
-    S1 = S2 = T = L1 = 0.0
+    steps = np.broadcast_to(np.asarray(h, dtype=float), (len(g) - 1,))
+    S1 = S2 = T = L1 = slack = offset = 0.0
     zk = 1.0
     z, derivs, Ts, L1s, zmax = [zk], [0.0], [0.0], [0.0], 1.0
     for k in range(len(g) - 1):
-        sk = a + k * h
+        h = float(steps[k])
+        sk = a + offset
         sk1 = sk + h
+        offset += h
         m1L = 0.5 * h * sk + h * h / 6.0
         m1R = 0.5 * h * sk + h * h / 3.0
         m2L = 0.5 * h * sk * sk + h * h / 3.0 * sk + h ** 3 / 12.0
@@ -402,9 +419,11 @@ def _reference_algebraic(g, a, h):
         pk1 = gk1 * zk
         S1 += m1L * pk + m1R * pk1
         S2 += m2L * pk + m2R * pk1
-        T += m1L * abs(gk) + m1R * abs(gk1)
+        dT = m1L * abs(gk) + m1R * abs(gk1)
+        T += dT
+        slack += h * h * dT
         L1 += m1L * abs(pk) + m1R * abs(pk1)
-        _reference_envelope(zk, T, h, k + 1)
+        _reference_envelope(zk, T, slack, k + 1)
         zmax = max(zmax, abs(zk))
         z.append(zk)
         derivs.append(S2 / (sk1 * sk1))
@@ -414,26 +433,33 @@ def _reference_algebraic(g, a, h):
                 P_refl=None, S1=S1, S2=S2, z_max=zmax, steps=len(g) - 1)
 
 
-def _reference_envelope(zk, T, h, node):
-    if not abs(zk) <= volterra._envelope_bound(T, h):
+def _reference_envelope(zk, T, slack, node):
+    if not abs(zk) <= volterra._envelope_bound(T, slack):
         raise EnvelopeError(
             "|z| = %.6g exceeded its envelope %.6g at node %d"
             % (abs(zk), math.exp(T), node))
 
 
-def _march_pair(kind, n, seed=7):
-    """(scan, reference) callables for one march on seeded random data."""
+def _march_pair(kind, n, seed=7, h=1e-4):
+    """(scan, reference) callables for one march on seeded random data;
+    h is one step or the steps of all n - 1 cells."""
     rng = np.random.default_rng(seed)
-    h = 1e-4
     if kind == "algebraic":
         a = 1.0
-        s = a + h * np.arange(n)
+        s = a + np.concatenate(([0.0], np.cumsum(np.broadcast_to(h, n - 1))))
         g = rng.uniform(-0.5, 1.0, n) / s ** 3
         return (lambda: solve_algebraic(g, a, h),
                 lambda: _reference_algebraic(g, a, h))
     w = rng.uniform(-0.5, 1.0, n)
     return (lambda: solve_kernel(w, h, kind),
             lambda: _reference_kernel(w, h, kind))
+
+
+def _graded_steps(cells, h=1e-4):
+    """Steps h 2^j of a dyadic graded grid whose levels jump up and down:
+    runs of levels 0, 1, 3, 0, 4, 2, repeated to the given cell count."""
+    units = np.repeat([1, 2, 8, 1, 16, 4], [40, 20, 5, 30, 3, 10])
+    return h * np.resize(units, cells).astype(float)
 
 
 _MARCHES = (1.0, 1j, -1j, "algebraic")
@@ -455,11 +481,7 @@ def test_scan_node_counts_cover_the_block_layouts():
     assert layout(1004)[0] not in (0, 1, layout(1004)[1] - 1)
 
 
-@pytest.mark.parametrize("n", _SCAN_NODES)
-@pytest.mark.parametrize("kind", _MARCHES)
-def test_scan_matches_sequential_march(kind, n):
-    scan, reference = _march_pair(kind, n)
-    sol, ref = scan(), reference()
+def _assert_scan_matches(sol, ref):
     assert sol.steps == ref["steps"]
     for name in ("z", "z_deriv", "envelope_log", "l1_q"):
         got = getattr(sol, name)
@@ -473,6 +495,125 @@ def test_scan_matches_sequential_march(kind, n):
             assert got is None, name
         else:
             assert abs(got - want) <= 1e-13 * abs(want), name
+
+
+@pytest.mark.parametrize("n", _SCAN_NODES)
+@pytest.mark.parametrize("kind", _MARCHES)
+def test_scan_matches_sequential_march(kind, n):
+    scan, reference = _march_pair(kind, n)
+    _assert_scan_matches(scan(), reference())
+
+
+@pytest.mark.parametrize("n", (2, 801, 20001))
+@pytest.mark.parametrize("kind", (1.0, 1j, "algebraic"))
+def test_scan_matches_sequential_march_on_graded_grid(kind, n):
+    scan, reference = _march_pair(kind, n, h=_graded_steps(n - 1))
+    sol = scan()
+    _assert_scan_matches(sol, reference())
+    assert sol.h == 1e-4 and np.array_equal(sol.cell_h, _graded_steps(n - 1))
+
+
+@pytest.mark.parametrize("kind", _MARCHES)
+def test_uniform_step_array_is_bitwise_the_scalar_step(kind):
+    n = 1004
+    scalar, _ = _march_pair(kind, n)
+    array, _ = _march_pair(kind, n, h=np.full(n - 1, 1e-4))
+    one, other = scalar(), array()
+    for field in dataclasses.fields(one):
+        a, b = getattr(one, field.name), getattr(other, field.name)
+        assert np.array_equal(a, b), field.name
+
+
+def test_contraction_margin_is_per_cell():
+    # |w| h (|s g| h for the algebraic march) passes 0.5 on the last cell
+    # only: the margin is taken cell by cell
+    w = np.ones(11)
+    steps = np.full(10, 0.01)
+    steps[-1] = 0.6
+    with pytest.raises(StepTooLargeError):
+        solve_kernel(w, steps, 1.0)
+    with pytest.raises(StepTooLargeError):
+        solve_algebraic(w, 1.0, steps * 0.8)
+    steps[-1] = 0.4
+    solve_kernel(w, steps, 1.0)
+
+
+@pytest.mark.parametrize("kind", (1.0, 1j, "algebraic"))
+def test_envelope_slack_sums_each_cells_share(kind, monkeypatch):
+    # the slack at node k is sum over the cells before it of h^2 dT: the
+    # steps of the cells where T grows, not the largest step on the grid
+    scan, _ = _march_pair(kind, 801, h=_graded_steps(800))
+    bound, seen = volterra._envelope_bound, []
+
+    def spy(T, slack):
+        seen.append(slack)
+        return bound(T, slack)
+
+    monkeypatch.setattr(volterra, "_envelope_bound", spy)
+    sol = scan()
+    steps = sol.cell_h
+    want = np.cumsum(steps ** 2 * np.diff(sol.envelope_log))
+    assert np.max(np.abs(seen[0] - want)) <= 1e-13 * want[-1]
+    assert want[-1] < 0.5 * np.max(steps) ** 2 * sol.envelope_log[-1]
+
+
+def test_march_rejects_bad_steps():
+    for h in (np.full(5, 0.1), np.array([0.1, 0.0, 0.1]), -0.1):
+        with pytest.raises(VolterraError, match="one positive step"):
+            solve_kernel(np.zeros(4), h, 1.0)
+        with pytest.raises(VolterraError, match="one positive step"):
+            solve_algebraic(np.zeros(4), 1.0, h)
+
+
+def test_hermite_exact_on_cubics_over_graded_grid():
+    # z = c(x), a cubic, with z' = c' on the nodes 1 + sum of graded steps:
+    # hermite itself, and the algebraic z_at and deriv_at, whose slopes of
+    # z' come from its equation g z - 2 z' / x (g is chosen to make them
+    # c''), are exact across every level jump
+    steps = _graded_steps(400, h=2e-3)
+    x = 1.0 + np.concatenate(([0.0], np.cumsum(steps)))
+
+    def c(x):
+        return 2.0 + 0.3 * x - 0.05 * x ** 3
+
+    def dc(x):
+        return 0.3 - 0.15 * x ** 2
+
+    xs = np.random.default_rng(3).uniform(1.0, x[-1], 500)
+    assert np.max(np.abs(hermite(x, c(x), dc(x), xs) - c(xs))) < 1e-12
+    sol = dataclasses.replace(
+        solve_algebraic(np.zeros(len(x)), 1.0, steps),
+        z=c(x), z_deriv=dc(x), w=(-0.3 * x + 2.0 * dc(x) / x) / c(x))
+    assert np.max(np.abs(sol.z_at(xs) - c(xs))) < 1e-12
+    assert np.max(np.abs(sol.deriv_at(xs) - dc(xs))) < 1e-12
+
+
+def test_oscillatory_interpolants_follow_the_oscillation():
+    # exact node data of z'' + mu z' = c z, mu = 2i, with a full-size
+    # e^{-mu t}-like mode, on a graded grid whose cells reach 0.25: the
+    # oscillatory runs interpolate only the slowly varying parts of z,
+    # whose fourth derivatives are about c |mu|^3 / 2 = 4e-4, so they stay
+    # within 0.25^4 / 384 of twice that (4e-9 here, seen 6e-9), where a
+    # cubic through z misses by about 1e-4
+    c, mu = 1e-4, 2j
+    steps = _graded_steps(600, h=0.25 / 16)
+    t = np.concatenate(([0.0], np.cumsum(steps)))
+    rp, rm = (-mu + cmath.sqrt(mu * mu + 4 * c)) / 2, \
+        (-mu - cmath.sqrt(mu * mu + 4 * c)) / 2
+
+    def z(t):
+        return np.exp(rp * t) + 0.5 * np.exp(rm * t)
+
+    def zd(t):
+        return rp * np.exp(rp * t) + 0.5 * rm * np.exp(rm * t)
+
+    sol = dataclasses.replace(solve_kernel(np.full(len(t), c), steps, mu / 2),
+                              z=z(t), z_deriv=zd(t))
+    mid = t[:-1] + 0.5 * steps
+    assert np.max(np.abs(sol.z_at(mid) - z(mid))) < 2e-8
+    assert np.max(np.abs(sol.deriv_at(mid) - zd(mid))) < 2e-8
+    assert np.max(np.abs(sol.z_at(t) - z(t))) < 1e-14
+    assert np.max(np.abs(hermite(t, z(t), zd(t), mid) - z(mid))) > 1e-5
 
 
 def _node(message):
@@ -540,10 +681,16 @@ def test_scan_lost_contraction_like_the_loop(zeta, monkeypatch):
 
 # ------------------------------------------ reduction-of-order integral
 
-def _grid_run(h, n, z_fn, zd_fn, origin=0.0):
-    """The fields of a march that InverseSquareIntegral reads."""
-    grid = origin + h * np.arange(n)
-    return types.SimpleNamespace(grid=grid, h=h, z=z_fn(grid),
+def _grid_run(h, n, z_fn, zd_fn, origin=0.0, steps=None):
+    """The fields of a march that InverseSquareIntegral reads: n uniform
+    nodes h apart, or the nodes of the given steps."""
+    if steps is None:
+        steps = np.full(n - 1, h)
+        grid = origin + h * np.arange(n)
+    else:
+        grid = origin + np.concatenate(([0.0], np.cumsum(steps)))
+    return types.SimpleNamespace(grid=grid, h=float(np.min(steps)),
+                                 cell_h=steps, z=z_fn(grid),
                                  z_deriv=zd_fn(grid))
 
 
@@ -558,29 +705,32 @@ def test_inverse_square_integral_of_unit_z_is_its_tail():
 
 
 def test_inverse_square_integral_against_recurrence_and_quadrature():
-    run = _grid_run(0.05, 30001, lambda t: 1.0 + 0.1 * np.sin(t),
-                    lambda t: 0.1 * np.cos(t))
-    integral = volterra.InverseSquareIntegral(run, 2.0, 0.25)
-    n = len(run.z) - 1
-    # the blocked node table against the sequential recurrence
-    c = integral._cell_sums(run.grid[:-1], run.h, np.arange(n))
-    want = [0.25]
-    q = math.exp(-2.0 * run.h)
-    for ck in c[::-1]:
-        want.append(ck + q * want[-1])
-    want = np.array(want[::-1])
-    assert np.max(np.abs(integral._nodes / want - 1.0)) < 1e-13
+    # a uniform grid, and a graded one whose levels jump (steps 0.0125 2^j)
+    z_fn, zd_fn = (lambda t: 1.0 + 0.1 * np.sin(t), lambda t: 0.1 * np.cos(t))
+    for run in (_grid_run(0.05, 30001, z_fn, zd_fn),
+                _grid_run(None, None, z_fn, zd_fn,
+                          steps=_graded_steps(9000, h=0.0125))):
+        integral = volterra.InverseSquareIntegral(run, 2.0, 0.25)
+        n = len(run.z) - 1
+        # the blocked node table against the sequential recurrence
+        c = integral._cell_sums(run.grid[:-1], run.cell_h, np.arange(n))
+        want = [0.25]
+        for ck, hk in zip(c[::-1], run.cell_h[::-1]):
+            want.append(ck + math.exp(-2.0 * hk) * want[-1])
+        want = np.array(want[::-1])
+        assert np.max(np.abs(integral._nodes / want - 1.0)) < 1e-13
 
-    # interior points against adaptive quadrature of the Hermite z: past
-    # t + 20 the integrand is below e^{-40} of its value at t
-    def z(s):
-        return hermite_uniform(0.0, run.h, run.z, run.z_deriv, s)
+        # interior points against adaptive quadrature of the Hermite z:
+        # past t + 20 the integrand is below e^{-40} of its value at t
+        def z(s):
+            return hermite(run.grid, run.z, run.z_deriv, s)
 
-    for t in run.grid[-1] * np.random.default_rng(2).uniform(0.0, 0.98, 6):
-        ref = quadrature.integrate_finite(
-            lambda s: np.exp(-2.0 * (s - t)) / z(s) ** 2, t, t + 20.0,
-            tol=1e-14).value
-        assert integral(t) == pytest.approx(ref, rel=1e-13)
+        for t in run.grid[-1] * np.random.default_rng(2).uniform(0.0, 0.98,
+                                                                 6):
+            ref = quadrature.integrate_finite(
+                lambda s: np.exp(-2.0 * (s - t)) / z(s) ** 2, t, t + 20.0,
+                tol=1e-14).value
+            assert integral(t) == pytest.approx(ref, rel=1e-13)
 
 
 def test_inverse_square_integral_reciprocal_closed_form():
