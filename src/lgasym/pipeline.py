@@ -91,33 +91,16 @@ def _extrapolate(coarse, fine):
     """Richardson-combine two marches of the same span, h and h/2.
 
     Both schemes are second order, so (4 * fine - coarse) / 3 on the
-    coarse nodes is fourth order; scalar functionals of the solution
-    (P0, reflected moments, partial moments) extrapolate the same way.
+    coarse nodes is fourth order.
     """
     if len(fine.z) != 2 * len(coarse.z) - 1:
         raise AnalysisError("resolution pair does not nest")
 
-    def comb(a, b):
-        if a is None or b is None:
-            return None
-        return (4.0 * b - a) / 3.0
-
-    z = comb(coarse.z, fine.z[::2])
+    z = (4.0 * fine.z[::2] - coarse.z) / 3.0
     return dataclasses.replace(
-        coarse, z=z, z_deriv=comb(coarse.z_deriv, fine.z_deriv[::2]),
+        coarse, z=z, z_deriv=(4.0 * fine.z_deriv[::2] - coarse.z_deriv) / 3.0,
         envelope_log=fine.envelope_log[::2], l1_q=fine.l1_q[::2],
-        P0=comb(coarse.P0, fine.P0),
-        P_refl=comb(coarse.P_refl, fine.P_refl),
-        S1=comb(coarse.S1, fine.S1), S2=comb(coarse.S2, fine.S2),
         z_max=float(np.max(np.abs(z))), steps=coarse.steps + fine.steps)
-
-
-def _conjugate(run):
-    """The zeta = -i run of real samples: the conjugate of the +i run."""
-    return dataclasses.replace(
-        run, mu=run.mu.conjugate(), z=np.conj(run.z),
-        z_deriv=np.conj(run.z_deriv), P0=run.P0.conjugate(),
-        P_refl=run.P_refl.conjugate())
 
 
 def _abs_fn(fn):
@@ -577,12 +560,10 @@ class _Oscillatory(_Phased):
         Gp, Gm = (cmath.exp(2j * sign * Y) * invX
                   * (-psiX / (2j * sign) - a1X / 4.0) for sign in (1, -1))
         g_err = R2 / 4.0
-        self.sol_bwd = _conjugate(self.sol)
         c = self.completion = volterra.complete_oscillatory(
-            self.sol, self.sol_bwd, G0, Gp, Gm, G0a)
+            self.sol, G0, Gp, Gm, G0a)
         self.constants = {"xi1": c.xi1, "xi2": c.xi2, "eta1": c.eta1,
-                          "eta2": c.eta2,
-                          "conjugation_defect": c.conjugation_defect}
+                          "eta2": c.eta2}
         size = (abs(c.xi1) + abs(c.xi2) + abs(c.eta1) + abs(c.eta2))
         return c.residual_bound + g_err * (1.0 + size) / (1.0 - min(G0a, 0.9))
 

@@ -33,9 +33,10 @@ EnvelopeError at the first node that breaks it, and is the caller's cue
 to halve the step.
 
 Connection constants at infinity are completed past the end of the grid
-by a small linear solve against tail integrals supplied by the caller,
-with a computable residual bound, so the march never needs to continue
-until the perturbation underflows.
+by matching (z, z') at the grid end, which fixes every moment of w z the
+tail model needs, through a small linear solve against tail integrals
+supplied by the caller, with a computable residual bound, so the march
+never needs to continue until the perturbation underflows.
 """
 
 from __future__ import annotations
@@ -111,10 +112,6 @@ class VolterraSolution:
     z_deriv: np.ndarray
     envelope_log: np.ndarray  # running T_k
     l1_q: np.ndarray          # running int |w z|
-    P0: complex               # int_0^Y w z dt (signed)
-    P_refl: complex | None    # int_0^Y e^{mu t} w z dt (oscillatory runs)
-    S1: float | None = None   # algebraic: int s g z up to the grid end
-    S2: float | None = None   # algebraic: int s^2 g z up to the grid end
     z_max: float = 0.0
     steps: int = 0
 
@@ -232,30 +229,6 @@ def _kernel_weights(mu, h):
         half_minus_A = 0.5 * h - A
         half_minus_B = 0.5 * h - B
     return D, A, B, half_minus_A / mu, half_minus_B / mu
-
-
-def _reflected_weights(mu, h):
-    """Exact hat moments of e^{mu t} over one cell (relative to the left
-    node): JL weights q_k, JR weights q_{k+1}."""
-    cd = mu * h
-    E = cmath.exp(cd) if isinstance(mu, complex) else math.exp(cd)
-    if abs(cd) < 0.5:
-        j0 = 0.0
-        j1 = 0.0
-        term = 1.0 + 0j if isinstance(mu, complex) else 1.0
-        fact2 = 1.0
-        for m in range(0, 18):
-            fact2 = fact2 * (m + 1)
-            fact3 = fact2 * (m + 2)
-            j0 += term / fact2
-            j1 += term * (m + 1) / fact3
-            term *= cd
-        J0 = h * j0
-        JR = h * j1
-    else:
-        J0 = (E - 1.0) / mu
-        JR = (E * (cd - 1.0) + 1.0) / (mu * mu) / h
-    return E, J0 - JR, JR
 
 
 def _envelope_bound(T, slack):
@@ -392,9 +365,7 @@ def solve_kernel(w_vals, h, zeta, grid=None):
     every cell (an array of len(w_vals) - 1 steps, or one scalar for a
     uniform grid) and grid the nodes themselves (by default the running
     sum of the steps from 0).  zeta is 1 (growing exponential branch) or
-    +-1j (oscillatory branches).  Oscillatory runs also accumulate the
-    reflected moment int e^{mu t} w z dt needed for the second connection
-    constant.
+    +-1j (oscillatory branches).
 
     The step is affine in (z, Q, E), with Q = int w z and E the memory
     integral, and its coefficients depend on the samples and the cell's
@@ -432,25 +403,14 @@ def solve_kernel(w_vals, h, zeta, grid=None):
     dT = half[:m] * (aw[:m] + aw[1:m + 1])
     T = _running(dT)
     zmax = _check_march(z, T, dT, h, m < n - 1)
-    q = w_arr * z
-    aq = np.abs(q)
-    P0 = np.sum(half * (q[:-1] + q[1:]))
-    if oscillatory:
-        Em, JL, JR = _per_step(_reflected_weights, mu, h)
-        # e^{mu t_k} as the running product of Em, as a loop would form it
-        phase = np.cumprod(np.concatenate(([1.0 + 0j], Em[:-1])))
-        P = complex(np.sum(phase * (q[:-1] * JL + q[1:] * JR)))
-    else:
-        P = None
+    aq = np.abs(w_arr * z)
     if grid is None:
         grid = _running(h)
     return VolterraSolution(
         kind="oscillatory" if oscillatory else "exponential",
         mu=mu, h=float(np.min(h)), cell_h=h, grid=np.asarray(grid, float),
         w=w_arr, z=z, z_deriv=E, envelope_log=T,
-        l1_q=_running(half * (aq[:-1] + aq[1:])),
-        P0=complex(P0) if oscillatory else float(P0), P_refl=P,
-        z_max=zmax, steps=n - 1)
+        l1_q=_running(half * (aq[:-1] + aq[1:])), z_max=zmax, steps=n - 1)
 
 
 def solve_algebraic(g_vals, a, h, grid=None):
@@ -511,16 +471,13 @@ def solve_algebraic(g_vals, a, h, grid=None):
     dT = m1L[:m] * ag[:-1] + m1R[:m] * ag[1:]
     T = _running(dT)
     zmax = _check_march(z, T, dT, h, m < n - 1)
-    p = g_arr * z
-    ap = np.abs(p)
-    S1 = float(np.sum(m1L * p[:-1] + m1R * p[1:]))
-    S2 = float(np.sum(m2L * p[:-1] + m2R * p[1:]))
+    ap = np.abs(g_arr * z)
     z_deriv[1:] /= sk1 * sk1        # z' = S2 / x^2
     return VolterraSolution(
         kind="algebraic", mu=0.0, h=float(np.min(h)), cell_h=h, grid=grid,
         w=g_arr, z=z, z_deriv=z_deriv, envelope_log=T,
-        l1_q=_running(m1L * ap[:-1] + m1R * ap[1:]),
-        P0=S1, P_refl=None, S1=S1, S2=S2, z_max=zmax, steps=n - 1)
+        l1_q=_running(m1L * ap[:-1] + m1R * ap[1:]), z_max=zmax,
+        steps=n - 1)
 
 
 # --------------------------------------------------------------------------
@@ -620,18 +577,18 @@ class Completion:
 
 
 def complete_exponential(sol, G0, G0_abs):
-    """Limit of z for the growing exponential branch.
+    """Limit of z for the growing exponential branch, from the end state
+    (z, z') of the march at its grid end Y.
 
     G0 = int_Y^inf w dt (signed) and G0_abs its absolute version, both
-    supplied by the caller from quadrature of the perturbation beyond
-    the grid end Y.
+    supplied by the caller from quadrature of the perturbation beyond Y.
 
     Writing Q(y) = int_0^y w z and E(y) = int_0^y e^{-2(y-t)} w z (the
     memory term, equal to z'), the marched value satisfies
     z(Y) = 1 + (Q(Y) - E(Y))/2 exactly, while the limit satisfies
     z_inf = 1 + Q(inf)/2.  Splitting the tail of Q around z_inf gives
 
-        z_inf = (1 + Q(Y)/2 - err) / (1 - G0/2),
+        z_inf = (z(Y) + E(Y)/2 - err) / (1 - G0/2),
         err   = (1/2) int_Y^inf w (z_inf - z),
 
     so the computable quotient is exact up to err, which is second order
@@ -640,11 +597,10 @@ def complete_exponential(sol, G0, G0_abs):
     if G0_abs >= 0.5:
         raise VolterraError(
             "tail mass %.3g too large to complete; march further" % G0_abs)
-    P0 = sol.P0.real if isinstance(sol.P0, complex) else sol.P0
-    zhat = (1.0 + 0.5 * P0) / (1.0 - 0.5 * G0)
-    E_end = abs(sol.z_deriv[-1])
+    z, E = float(sol.z[-1]), float(sol.z_deriv[-1])
+    zhat = (z + 0.5 * E) / (1.0 - 0.5 * G0)
     z_tail_sup = max(sol.z_max * math.exp(G0_abs), abs(zhat))
-    sup_dev = G0_abs * z_tail_sup + 0.5 * E_end
+    sup_dev = G0_abs * z_tail_sup + 0.5 * abs(E)
     residual = 0.5 * G0_abs * sup_dev / (1.0 - 0.5 * G0_abs)
     return Completion(zhat, residual)
 
@@ -656,62 +612,57 @@ class OscillatoryCoeffs:
     eta1: complex
     eta2: complex
     residual_bound: float
-    conjugation_defect: float
 
 
-def complete_oscillatory(sol_fwd, sol_bwd, G0, Gp, Gm, tail_l1):
-    """Connection constants for the two oscillatory runs.
+def complete_oscillatory(sol, G0, Gp, Gm, tail_l1):
+    """Connection constants of the oscillatory pair, from the end state
+    (z, z') of the zeta = +i march at its grid end Y.
 
-    sol_fwd is the zeta = +i run, sol_bwd the zeta = -i run.  G0, Gp, Gm
-    are int_Y^inf w e^{0, +2it, -2it} dt and tail_l1 = int_Y^inf |w| dt.
-    Models z past the grid end by its two-term asymptotic form, solves
-    the resulting 2x2 systems, and reports a residual bound plus the
-    conjugation defect (exactly zero in exact arithmetic for real w).
+    G0, Gp, Gm are int_Y^inf w e^{0, +2it, -2it} dt and tail_l1 =
+    int_Y^inf |w| dt.  Models z past Y by xi1 + xi2 e^{-2it}, solves the
+    resulting 2x2 system and reports a residual bound.  The zeta = -i run
+    of real w is the conjugate, z ~ eta2 + eta1 e^{+2it} with eta1 =
+    conj(xi2) and eta2 = conj(xi1).
     """
     if tail_l1 >= 0.5:
         raise VolterraError(
             "tail mass %.3g too large to complete; march further" % tail_l1)
-    tw = 2.0j
-    # forward run: z ~ xi1 + xi2 e^{-2 i t} past the grid end.  The 2x2
-    # system below is exact when z is replaced by that model inside the
-    # tail integrals; the replacement error per row is at most
-    # (L/2) sup_{t>=Y} |z - model| <= (L/2) L z_sup, and the matrix is
+    mu = sol.mu
+    z, E, Y = sol.z[-1], sol.z_deriv[-1], float(sol.grid[-1])
+    # With Q = int_0^Y w z = mu (z - 1) + E and int_0^Y e^{mu t} w z =
+    # e^{mu Y} E, the 2x2 system below is exact when z is replaced by the
+    # model inside the tail integrals; the replacement error per row is at
+    # most (L/2) sup_{t>=Y} |z - model| <= (L/2) L z_sup, and the matrix is
     # I + B with row sums of |B| at most L, so the solved coefficients
     # carry a second-order residual L^2 z_sup / (2 (1 - L)).
-    Afwd = np.array([[1.0 - G0 / tw, -Gm / tw],
-                     [Gp / tw, 1.0 + G0 / tw]])
-    bfwd = np.array([1.0 + sol_fwd.P0 / tw, -sol_fwd.P_refl / tw])
-    xi1, xi2 = np.linalg.solve(Afwd, bfwd)
-    # backward run: z ~ eta2 + eta1 e^{+2 i t}
-    Abwd = np.array([[1.0 + G0 / tw, Gp / tw],
-                     [-Gm / tw, 1.0 - G0 / tw]])
-    bbwd = np.array([1.0 - sol_bwd.P0 / tw, sol_bwd.P_refl / tw])
-    eta2, eta1 = np.linalg.solve(Abwd, bbwd)
-    size = max(abs(xi1) + abs(xi2), abs(eta1) + abs(eta2))
-    z_tail_sup = max(max(sol_fwd.z_max, sol_bwd.z_max) * math.exp(tail_l1),
-                     size)
+    A = np.array([[1.0 - G0 / mu, -Gm / mu],
+                  [Gp / mu, 1.0 + G0 / mu]])
+    b = np.array([z + E / mu, -cmath.exp(mu * Y) * E / mu])
+    xi1, xi2 = (complex(v) for v in np.linalg.solve(A, b))
+    z_tail_sup = max(sol.z_max * math.exp(tail_l1), abs(xi1) + abs(xi2))
     residual = tail_l1 * tail_l1 * z_tail_sup / (2.0 * (1.0 - tail_l1))
-    defect = max(abs(xi1 - eta2.conjugate()), abs(xi2 - eta1.conjugate()))
-    return OscillatoryCoeffs(complex(xi1), complex(xi2), complex(eta1),
-                             complex(eta2), residual, defect)
+    return OscillatoryCoeffs(xi1, xi2, xi2.conjugate(), xi1.conjugate(),
+                             residual)
 
 
 def complete_algebraic(sol, W0, W0_abs):
-    """Limit of z for the algebraic march; W0 = int_X^inf s g ds.
+    """Limit of z for the algebraic march, from the end state (z, z') at
+    its grid end X; W0 = int_X^inf s g ds.
 
-    With S1(x) = int_a^x s g z and S2(x) = int_a^x s^2 g z, the limit
-    satisfies z_inf = (1 + S1(X) - err) / (1 - W0) where
-    err = int_X^inf s g (z_inf - z).  The deviation on the tail obeys
-    |z_inf - z(x)| <= 2 W0_abs z_sup + |S2(X)|/X exactly, so err is a
+    With S1(x) = int_a^x s g z and S2(x) = int_a^x s^2 g z, the march
+    satisfies z = 1 + S1 - S2/x and z' = S2/x^2 exactly, and the limit
+    z_inf = (1 + S1(X) - err) / (1 - W0) = (z + X z' - err) / (1 - W0),
+    where err = int_X^inf s g (z_inf - z).  The deviation on the tail obeys
+    |z_inf - z(x)| <= 2 W0_abs z_sup + X |z'(X)| exactly, so err is a
     product of small quantities.
     """
     if W0_abs >= 0.5:
         raise VolterraError(
             "tail mass %.3g too large to complete; march further" % W0_abs)
     X = float(sol.grid[-1])
-    zhat = (1.0 + sol.S1) / (1.0 - W0)
-    drift = abs(sol.S2) / X if X > 0 else 0.0
+    z, zd = float(sol.z[-1]), float(sol.z_deriv[-1])
+    zhat = (z + X * zd) / (1.0 - W0)
     z_tail_sup = max(sol.z_max * math.exp(W0_abs), abs(zhat))
-    sup_dev = 2.0 * W0_abs * z_tail_sup + drift
+    sup_dev = 2.0 * W0_abs * z_tail_sup + X * abs(zd)
     residual = W0_abs * sup_dev / (1.0 - W0_abs)
     return Completion(zhat, residual)

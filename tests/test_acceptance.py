@@ -12,16 +12,7 @@ import numpy as np
 import pytest
 
 from lgasym import expr
-from lgasym.oracle import (
-    BesselFixture,
-    bessel_y0,
-    closed_form_half,
-    fit_oscillatory,
-    fit_ratio,
-    integrate_ivp,
-    resolvent_value,
-    small_argument_series,
-)
+from lgasym.oracle import closed_form_half, integrate_ivp, resolvent_value
 from lgasym.pipeline import analyze
 from lgasym.transform import (
     CoefficientSplit,
@@ -30,6 +21,13 @@ from lgasym.transform import (
     invert_split,
 )
 from lgasym.volterra import solve_kernel
+from reference_oracles import (
+    BesselFixture,
+    bessel_y0,
+    fit_oscillatory,
+    fit_ratio,
+    small_argument_series,
+)
 
 
 def _criterion(name, ok, detail):

@@ -3,6 +3,7 @@ import math
 import numpy as np
 import pytest
 
+from lgasym import quadrature
 from lgasym.certificate import (
     DEFAULT_TARGET,
     LOG2,
@@ -112,6 +113,28 @@ def test_verify_certificate_detects_corruption():
     out = verify_certificate(cert, inverse_square)
     assert not out["tail_consistent"]
     assert out["relative_difference"] == pytest.approx(0.01, rel=0.05)
+
+
+def test_verify_certificate_does_not_repeat_the_search_quadrature(
+        monkeypatch):
+    # bias every single-limit tail, the kind find_cutoff takes, by 1e-5:
+    # a verification that repeated the search's quadrature would agree
+    # with the biased tail exactly
+    l1_tail_norm = quadrature.l1_tail_norm
+
+    def biased(fn, a, **kw):
+        r = l1_tail_norm(fn, a, **kw)
+        if np.ndim(a) == 0:
+            r = quadrature.QuadResult(r.value * (1 + 1e-5), r.error_estimate,
+                                      r.evaluations)
+        return r
+
+    monkeypatch.setattr(quadrature, "l1_tail_norm", biased)
+    a, tail = find_cutoff(inverse_square, 0.5, target=DEFAULT_TARGET)
+    out = verify_certificate(gronwall_certificate(a, tail, _march_report(0.2)),
+                             inverse_square)
+    assert not out["tail_consistent"]
+    assert out["relative_difference"] == pytest.approx(1e-5, rel=1e-3)
 
 
 def test_verify_certificate_divergent_weight():

@@ -5,18 +5,20 @@ import numpy as np
 import pytest
 
 from lgasym.oracle import (
+    OracleError,
+    closed_form_half,
+    integrate_ivp,
+    resolvent_value,
+)
+from reference_oracles import (
+    FIXTURES,
     AsymptoticFit,
     BesselFixture,
-    FIXTURES,
-    OracleError,
     WindowError,
     bessel_y0,
-    closed_form_half,
     fit_asymptotic_constants,
     fit_oscillatory,
     fit_ratio,
-    integrate_ivp,
-    resolvent_value,
     series_leading_coefficient,
     small_argument_series,
 )

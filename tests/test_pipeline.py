@@ -4,11 +4,11 @@ import warnings
 import numpy as np
 import pytest
 
-from lgasym import (cli, expr, oracle, pipeline, quadrature, transform,
-                    volterra)
-from lgasym.oracle import BesselFixture, small_argument_series
+from lgasym import cli, expr, pipeline, quadrature, transform, volterra
 from lgasym.pipeline import AnalysisError, RangeError, analyze
 from lgasym.transform import HypothesisFailed, Regime
+from reference_oracles import (BesselFixture, _series_eval,
+                               small_argument_series)
 
 
 def wronskian(r, lbl1, lbl2, x):
@@ -57,8 +57,8 @@ def test_oscillatory_connection_constants():
                                 rel=1e-9)
     assert xi2 == pytest.approx(0.03271385701835617 - 0.02688777142245019j,
                                 rel=1e-8)
-    # complex-conjugate structure of the real equation is exact
-    assert r.constants["conjugation_defect"] == 0.0
+    # the zeta = -i constants are the conjugates of the +i ones
+    assert "conjugation_defect" not in r.constants
     assert r.constants["eta2"] == xi1.conjugate()
     # |xi1|^2 - |xi2|^2 = 1 for the unimodular transfer of a real potential
     assert abs(xi1) ** 2 - abs(xi2) ** 2 == pytest.approx(1.0, abs=1e-6)
@@ -169,7 +169,7 @@ def _airy(x):
     zeta = 2.0 / 3.0 * x ** 1.5
 
     def series(kind, nu):
-        return oracle._series_eval(kind, nu, zeta, 1e-16)[0]
+        return _series_eval(kind, nu, zeta, 1e-16)[0]
 
     i_m, i_p = series("+", -1.0 / 3.0), series("+", 1.0 / 3.0)
     j_m, j_p = series("-", -1.0 / 3.0), series("-", 1.0 / 3.0)

@@ -58,7 +58,6 @@ def test_kernel_zero_perturbation_is_identity():
     assert np.all(sol.z == 1.0)
     assert np.all(sol.z_deriv == 0.0)
     assert np.all(sol.envelope_log == 0.0)
-    assert sol.P0 == 0.0
 
 
 def _constant_w_reference(c, mu, y):
@@ -112,7 +111,7 @@ def test_kernel_conjugation_symmetry():
     fwd = solve_kernel(w, h, 1j)
     bwd = solve_kernel(w, h, -1j)
     assert np.max(np.abs(fwd.z - np.conj(bwd.z))) == 0.0
-    assert abs(fwd.P0 - bwd.P0.conjugate()) == 0.0
+    assert np.max(np.abs(fwd.z_deriv - np.conj(bwd.z_deriv))) == 0.0
 
 
 def test_kernel_envelope_report():
@@ -211,8 +210,7 @@ def test_kernel_step_guards():
 def test_algebraic_zero_perturbation_is_identity():
     sol = solve_algebraic(np.zeros(101), 1.0, 0.05)
     assert np.all(sol.z == 1.0)
-    assert sol.S1 == 0.0
-    assert sol.S2 == 0.0
+    assert np.all(sol.z_deriv == 0.0)
     assert np.all(sol.envelope_log == 0.0)
 
 
@@ -291,20 +289,17 @@ def _osc_tails(Y):
 def test_complete_oscillatory_against_far_march():
     h = 0.004
 
-    def run(Y, zeta):
+    def run(Y):
         n = int(round(Y / h)) + 1
         t = h * np.arange(n)
-        return solve_kernel(np.exp(-t), h, zeta)
+        return solve_kernel(np.exp(-t), h, 1j)
 
-    nf, nb = run(15.0, 1j), run(15.0, -1j)
-    ff, fb = run(40.0, 1j), run(40.0, -1j)
     G0, Gp, Gm = _osc_tails(15.0)
-    near = complete_oscillatory(nf, nb, G0, Gp, Gm, G0)
+    near = complete_oscillatory(run(15.0), G0, Gp, Gm, G0)
     G0f, Gpf, Gmf = _osc_tails(40.0)
-    far = complete_oscillatory(ff, fb, G0f, Gpf, Gmf, G0f)
+    far = complete_oscillatory(run(40.0), G0f, Gpf, Gmf, G0f)
     assert abs(near.xi1 - far.xi1) < 1e-8
     assert abs(near.xi2 - far.xi2) < 1e-8
-    assert near.conjugation_defect == 0.0
     assert near.residual_bound < 1e-12
     # unimodular invariant of the real equation: the Wronskian-type
     # combination |xi1|^2 - |xi2|^2 = 1 up to scheme error
@@ -315,7 +310,7 @@ def test_complete_oscillatory_against_far_march():
 def test_complete_oscillatory_refuses_fat_tail():
     sol = solve_kernel(np.full(11, 0.1), 0.01, 1j)
     with pytest.raises(VolterraError):
-        complete_oscillatory(sol, sol, 0.5, 0.0, 0.0, 0.5)
+        complete_oscillatory(sol, 0.5, 0.0, 0.0, 0.5)
 
 
 def test_complete_algebraic_against_far_march():
@@ -332,7 +327,7 @@ def test_complete_algebraic_against_far_march():
     comp = complete_algebraic(near, W0, W0)
     W0f = 0.5 * 300.0 ** -2
     comp_far = complete_algebraic(far, W0f, W0f)
-    # z approaches its limit only like S2/x, so the two completions agree
+    # z approaches its limit only like x z', so the two completions agree
     # within their certified residuals, not to machine precision
     assert abs(comp.value - comp_far.value) <= \
         comp.residual_bound + comp_far.residual_bound + 1e-9
@@ -346,11 +341,59 @@ def test_complete_algebraic_refuses_fat_tail():
         complete_algebraic(sol, 0.7, 0.7)
 
 
+def test_completions_without_tail_match_the_end_state():
+    # with no perturbation past the grid end, every completion is the tail
+    # model fitted to (z, z') at the grid end
+    h = 0.004
+    t = h * np.arange(2001)
+    w = 0.3 * np.exp(-t) * np.cos(3.0 * t)
+    sol = solve_kernel(w, h, 1.0)
+    z, E = sol.z[-1], sol.z_deriv[-1]
+    assert complete_exponential(sol, 0.0, 0.0).value == pytest.approx(
+        z + 0.5 * E, rel=1e-15, abs=0.0)
+    sol = solve_kernel(w, h, 1j)
+    c = complete_oscillatory(sol, 0.0, 0.0, 0.0, 0.0)
+    z, E, back = sol.z[-1], sol.z_deriv[-1], cmath.exp(-sol.mu * sol.grid[-1])
+    assert abs(c.xi1 + c.xi2 * back - z) <= 1e-15 * abs(z)
+    assert abs(-sol.mu * c.xi2 * back - E) <= 1e-15 * abs(z)
+    assert c.eta1 == c.xi2.conjugate() and c.eta2 == c.xi1.conjugate()
+    s = 1.0 + t
+    sol = solve_algebraic(w / s ** 2, 1.0, h)
+    z, zd = sol.z[-1], sol.z_deriv[-1]
+    assert complete_algebraic(sol, 0.0, 0.0).value == pytest.approx(
+        z + sol.grid[-1] * zd, rel=1e-15, abs=0.0)
+
+
 # ------------------------------------------- scan against the loop march
 #
 # The marches run as a blocked affine scan.  The plain sequential march
 # below, one interpreted step per node, is the oracle: both must agree on
-# every field and fail the same way at the same node.
+# every field and fail the same way at the same node.  The loop also sums
+# the moments of w z that the completions read off the end state.
+
+def _reflected_weights(mu, h):
+    """Exact hat moments of e^{mu t} over one cell (relative to the left
+    node): JL weights q_k, JR weights q_{k+1}."""
+    cd = mu * h
+    E = cmath.exp(cd)
+    if abs(cd) < 0.5:
+        j0 = 0.0
+        j1 = 0.0
+        term = 1.0 + 0j
+        fact2 = 1.0
+        for m in range(0, 18):
+            fact2 = fact2 * (m + 1)
+            fact3 = fact2 * (m + 2)
+            j0 += term / fact2
+            j1 += term * (m + 1) / fact3
+            term *= cd
+        J0 = h * j0
+        JR = h * j1
+    else:
+        J0 = (E - 1.0) / mu
+        JR = (E * (cd - 1.0) + 1.0) / (mu * mu) / h
+    return E, J0 - JR, JR
+
 
 def _reference_kernel(w, h, zeta):
     oscillatory = complex(zeta).real == 0.0
@@ -358,7 +401,7 @@ def _reference_kernel(w, h, zeta):
     steps = np.broadcast_to(np.asarray(h, dtype=float), (len(w) - 1,))
     weights = functools.lru_cache(None)(
         lambda hk: (volterra._kernel_weights(mu, hk)
-                    + volterra._reflected_weights(mu, hk)))
+                    + _reflected_weights(mu, hk)))
     zero = 0j if oscillatory else 0.0
     phase, P = 1.0 + 0j, 0.0 + 0j
     E = Q = zero
@@ -390,9 +433,8 @@ def _reference_kernel(w, h, zeta):
         derivs.append(E)
         Ts.append(T)
         L1s.append(L1)
-    return dict(z=z, z_deriv=derivs, envelope_log=Ts, l1_q=L1s, P0=Q,
-                P_refl=P if oscillatory else None, S1=None, S2=None,
-                z_max=zmax, steps=len(w) - 1)
+    return dict(z=z, z_deriv=derivs, envelope_log=Ts, l1_q=L1s, z_max=zmax,
+                steps=len(w) - 1, Q=Q, P=P)
 
 
 def _reference_algebraic(g, a, h):
@@ -429,8 +471,8 @@ def _reference_algebraic(g, a, h):
         derivs.append(S2 / (sk1 * sk1))
         Ts.append(T)
         L1s.append(L1)
-    return dict(z=z, z_deriv=derivs, envelope_log=Ts, l1_q=L1s, P0=S1,
-                P_refl=None, S1=S1, S2=S2, z_max=zmax, steps=len(g) - 1)
+    return dict(z=z, z_deriv=derivs, envelope_log=Ts, l1_q=L1s, z_max=zmax,
+                steps=len(g) - 1, S1=S1, S2=S2)
 
 
 def _reference_envelope(zk, T, slack, node):
@@ -489,12 +531,19 @@ def _assert_scan_matches(sol, ref):
         assert got.shape == want.shape and got.dtype == want.dtype, name
         scale = np.max(np.abs(want))
         assert np.max(np.abs(got - want)) <= 1e-13 * scale, name
-    for name in ("P0", "P_refl", "S1", "S2", "z_max"):
-        got, want = getattr(sol, name), ref[name]
-        if want is None:
-            assert got is None, name
-        else:
-            assert abs(got - want) <= 1e-13 * abs(want), name
+    assert abs(sol.z_max - ref["z_max"]) <= 1e-13 * ref["z_max"]
+    # the end-state identities the completions rely on, against the loop's
+    # running moments of w z: their rounding grows with the node count
+    z, zd, Y = sol.z[-1], sol.z_deriv[-1], sol.grid[-1]
+    if sol.kind == "algebraic":
+        pairs = {"S1": z - 1.0 + Y * zd, "S2": Y * Y * zd}
+    else:
+        pairs = {"Q": sol.mu * (z - 1.0) + zd}
+        if sol.kind == "oscillatory":
+            pairs["P"] = cmath.exp(sol.mu * Y) * zd
+    tol = 4 * len(sol.z) * np.finfo(float).eps * max(1.0, abs(z))
+    for name, got in pairs.items():
+        assert abs(got - ref[name]) <= tol, name
 
 
 @pytest.mark.parametrize("n", _SCAN_NODES)
