@@ -190,7 +190,7 @@ def _cmd_analyze(args):
     for key, val in report.march.items():
         print("march %s = %s" % (key, val))
     print("work: %(quadrature_evaluations)d quadrature evaluations, "
-          "%(march_steps)d march steps" % report.work)
+          "%(march_steps)d march steps, %(map_nodes)d map nodes" % report.work)
     return 0 if cert.passed() else 1
 
 

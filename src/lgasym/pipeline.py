@@ -63,19 +63,6 @@ class NormalizedSolution:
     derivative: object = field(repr=False)
 
 
-@dataclass
-class _Work:
-    """Deterministic effort counters (never wall-clock)."""
-
-    quadrature_evaluations: int = 0
-    march_steps: int = 0
-    map_nodes: int = 0
-
-    def quad(self, result):
-        self.quadrature_evaluations += result.evaluations
-        return result.value
-
-
 def _clip_to_range(x, a, X):
     """x clipped to [a, X], which no element may leave beyond roundoff."""
     xv = np.asarray(x, dtype=float)
@@ -163,7 +150,7 @@ def _cell_units(levels, top, n_c):
 
 def _graded_pair(pilot, sample, solve, h_c, n_c):
     """March the coarse/fine pair on the graded grid of level-0 step h_c
-    over n_c such steps.  Returns (coarse, fine).
+    over n_c such steps.  Returns (coarse, fine), their steps charged.
 
     sample(idx) gives (march samples, grading weight |w|, nodes) at the
     positions idx * h_c / 2; solve(samples, steps, nodes) marches them;
@@ -206,6 +193,7 @@ def _graded_pair(pilot, sample, solve, h_c, n_c):
         seen = np.concatenate([seen, weight])
     coarse = solve(vals[::2], h_c * units, nodes[::2])
     fine = solve(vals, 0.5 * h_c * np.repeat(units, 2), nodes)
+    quadrature.charge("march_steps", coarse.steps + fine.steps)
     return coarse, fine
 
 
@@ -215,9 +203,9 @@ def _graded_pair(pilot, sample, solve, h_c, n_c):
 class _Shape:
     """Variable f: amplitude |f|^(-1/4) and phase Phi = int_a^x |f|^(1/2).
 
-    span() builds one PhaseTable of Phi on [a, x_end] per tail round and
-    charges its samples to the quadrature work; the span is its total and
-    phase_map() places the march's y nodes by Newton inside it."""
+    span() builds one PhaseTable of Phi on [a, x_end] per tail round; the
+    span is its total and phase_map() places the march's y nodes by Newton
+    inside it."""
 
     template = "|f(x)|^(-1/4) * %s(%sPhi(x))"   # % (function, sign)
     decay_text = ""
@@ -233,9 +221,8 @@ class _Shape:
     def amp_deriv(self):
         return expr.compile_fn(expr.differentiate(self.psi.amplitude_ast))
 
-    def span(self, a, x_end, work):
+    def span(self, a, x_end):
         self.table = transform.PhaseTable(self.psi.sqrt_f, a, x_end)
-        work.quadrature_evaluations += self.table.samples
         return self.table.span
 
     def phase_map(self, a, ys):
@@ -264,7 +251,7 @@ class _ConstantShape(_Shape):
     def amp_deriv(self):
         return np.zeros_like
 
-    def span(self, a, x_end, work):
+    def span(self, a, x_end):
         return self.rate * (x_end - a)
 
     def phase_map(self, a, ys):
@@ -277,25 +264,25 @@ class _ConstantShape(_Shape):
 # --------------------------------------------------------------------------
 # one object per regime
 
-def _regime_for(split, cls, work):
+def _regime_for(split, cls):
     """The regime object for a classified split: the one place the
     regime is consulted."""
     if cls.regime.algebraic:
-        return _Algebraic(split.g, work)
+        return _Algebraic(split.g)
     if cls.constant_f is not None:
         shape = _ConstantShape(math.sqrt(abs(cls.constant_f)))
     else:
         shape = _Shape(cls.psi)
     kind = _Oscillatory if cls.regime.oscillatory else _Exponential
-    return kind(cls.psi, shape, work)
+    return kind(cls.psi, shape)
 
 
 class _Algebraic:
     """f == 0: solutions like x and 1; z is marched in x itself and the
     table follows the dominant branch against x."""
 
-    def __init__(self, g, work):
-        self.g, self.work = g, work
+    def __init__(self, g):
+        self.g = g
 
     def sg(self, x):
         with np.errstate(all="ignore"):
@@ -323,14 +310,12 @@ class _Algebraic:
 
         coarse, fine = _graded_pair(lambda idx: sample(idx)[1], sample, solve,
                                     h_c, n_c)
-        self.work.march_steps += coarse.steps + fine.steps
         self.fine, self.sol = fine, _extrapolate(coarse, fine)
 
     def complete(self, qtol):
         X = self.end
-        W0 = self.work.quad(quadrature.integrate_to_infinity(
-            self.sg, X, tol=qtol))
-        W0a = self.work.quad(quadrature.l1_tail_norm(self.sg, X, tol=qtol))
+        W0 = quadrature.integrate_to_infinity(self.sg, X, tol=qtol).value
+        W0a = quadrature.l1_tail_norm(self.sg, X, tol=qtol).value
         self.completion = volterra.complete_algebraic(self.sol, W0, W0a)
         self.constants = {"z_infinity": self.completion.value}
         return self.completion.residual_bound
@@ -391,16 +376,13 @@ class _Phased:
     |psi|, the march of the branch e^{zeta y} in the phase variable y and
     the tail integrals of psi."""
 
-    def __init__(self, psi, shape, work):
-        self.psi, self.shape, self.work = psi, shape, work
+    def __init__(self, psi, shape):
+        self.psi, self.shape, self.span = psi, shape, shape.span
         self.weight = _abs_fn(psi.psi)
 
     @property
     def end(self):
         return float(self.phase_map.x_nodes[-1])
-
-    def span(self, a, x_end):
-        return self.shape.span(a, x_end, self.work)
 
     def w(self, x):
         """The march's weight psi |f|^(-1/2) at x."""
@@ -416,7 +398,7 @@ class _Phased:
 
         def sample(idx):
             pmap = self.shape.phase_map(a, 0.5 * h_c * idx)
-            self.work.map_nodes += len(idx)
+            quadrature.charge("map_nodes", len(idx))
             maps.append(pmap)
             w = self.w(pmap.x_nodes)
             return w, np.abs(w), pmap.y_nodes
@@ -425,16 +407,14 @@ class _Phased:
             return volterra.solve_kernel(w, steps, self.zeta, grid=y)
 
         coarse, fine = _graded_pair(pilot, sample, solve, h_c, n_c)
-        self.work.march_steps += coarse.steps + fine.steps
         self.phase_map, self.fine = maps[-1], fine
         self.sol = _extrapolate(coarse, fine)
 
     def tail_integrals(self, qtol):
         """int psi and int |psi| past the grid end."""
         X, psi = self.end, self.psi.psi
-        return (
-            self.work.quad(quadrature.integrate_to_infinity(psi, X, tol=qtol)),
-            self.work.quad(quadrature.l1_tail_norm(psi, X, tol=qtol)))
+        return (quadrature.integrate_to_infinity(psi, X, tol=qtol).value,
+                quadrature.l1_tail_norm(psi, X, tol=qtol).value)
 
     def phase_fn(self):
         # (x, y(x)) on the resolved range, which x may not leave; a plain
@@ -552,7 +532,7 @@ class _Oscillatory(_Phased):
         G0, G0a = self.tail_integrals(qtol)
         a1, a2 = self.tail_moments
         X = self.end
-        R2 = self.work.quad(quadrature.l1_tail_norm(_abs_fn(a2), X, tol=qtol))
+        R2 = quadrature.l1_tail_norm(_abs_fn(a2), X, tol=qtol).value
         Y = self.phase_map.y_span
         invX = float(psi.inv_sqrt_f(X))
         psiX = float(psi.psi(X))
@@ -610,12 +590,11 @@ class _Oscillatory(_Phased):
         return self.shape.amp(s)
 
 
-def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, work,
-                      inverted):
+def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, inverted):
     """The infinity-side machinery for a classified split: the regime
     object marched and completed, the march summary in the caller's
     frame, the certificate, its verification and the constants."""
-    reg = _regime_for(split, cls, work)
+    reg = _regime_for(split, cls)
     a, tail0 = certificate_mod.find_cutoff(reg.weight, lo, tol=tol)
     reg.cutoff = a
 
@@ -796,24 +775,24 @@ def analyze(f_text, g_text, endpoint="infinity", interval=None, tol=1e-10,
     error well under the reported tolerances.
 
     Returns an AnalysisReport whose .solutions hold normalized value and
-    derivative callables, valid on the resolved range.
+    derivative callables, valid on the resolved range, and whose .work
+    holds the counters of the quadrature.Work ledger the run charged.
     """
     split = transform.CoefficientSplit.from_expressions(f_text, g_text)
     if endpoint not in ("infinity", "zero"):
         raise ValueError("endpoint must be 'infinity' or 'zero'")
     if interval is None:
         interval = (1.0, math.inf) if endpoint == "infinity" else (0.0, 1.0)
-    work = _Work()
-    cls = transform.classify_regime(split, endpoint, interval)
-
     inverted = endpoint == "zero"
-    if inverted:    # run everything on the inverted split
-        frame = (cls.inverted, cls.inner, 1.0 / float(interval[1]),
-                 (1.0 / x_max) if x_max else None)
-    else:
-        frame = (split, cls, float(interval[0]), x_max)
-    reg, march, cert, verification, constants = _analyze_infinity(
-        *frame, tol, tail_tol, step, work, inverted)
+    with quadrature.Work() as work:
+        cls = transform.classify_regime(split, endpoint, interval)
+        if inverted:    # run everything on the inverted split
+            frame = (cls.inverted, cls.inner, 1.0 / float(interval[1]),
+                     (1.0 / x_max) if x_max else None)
+        else:
+            frame = (split, cls, float(interval[0]), x_max)
+        reg, march, cert, verification, constants = _analyze_infinity(
+            *frame, tol, tail_tol, step, inverted)
     solutions = [_pull_back(s) for s in reg.pair] if inverted else reg.pair
     return AnalysisReport(
         f_text=f_text, g_text=g_text, endpoint=endpoint,

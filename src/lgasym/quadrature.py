@@ -1,10 +1,13 @@
-"""Adaptive quadrature on finite and semi-infinite intervals.
+"""Adaptive quadrature on finite and semi-infinite intervals, and the work
+ledger of an analysis.
 
-A 7-point Gauss / 15-point Kronrod embedded pair drives worst-interval
-bisection (QUADPACK's global strategy, Piessens et al. 1983).  The engine
-starts from a partition: one cell per piece, every cell tagged with its
-piece, all of them refined worst-first against one shared error budget,
-and the per-piece sums returned.  A single interval is the one-piece case.
+One kernel, _gk_cell, applies a 7-point Gauss / 15-point Kronrod embedded
+pair to an array of cells in one call of the integrand, and every sample
+the package takes passes through it.  The adaptive engine bisects the
+worst cell first (QUADPACK's global strategy, Piessens et al. 1983).  It
+starts from a partition: one cell per piece, all of them refined against
+one shared error budget, and the per-piece sums returned; a single
+interval is the one-piece case.
 
 Semi-infinite integrals go through the rational substitution
 x = a + t/(1-t), which maps [a, inf) onto [0, 1); the Kronrod nodes are
@@ -20,12 +23,16 @@ the last _DIVERGENCE_RUN (40) refinements grows the running value by more
 than 10*tol, and by at least 0.9 of the previous such gain, the integral
 is declared divergent.  That rule catches harmonic-type tails (int 1/x)
 quickly while leaving slowly convergent integrals to the normal tolerance
-loop.  A global evaluation budget of 2**20 samples bounds the work on
+loop.  EVAL_BUDGET (2**20) samples per adaptive run bound the work on
 adversarial integrands.
+
+While a Work ledger is active (pipeline.analyze holds one for its run),
+_gk_cell charges every sample to it; outside one nothing is charged.
 """
 
 from __future__ import annotations
 
+import contextvars
 import heapq
 import math
 from dataclasses import dataclass
@@ -83,19 +90,45 @@ class QuadResult:
     evaluations: int
 
 
+# the ledger of the running analysis; None outside one
+_LEDGER = contextvars.ContextVar("lgasym_ledger", default=None)
+
+
+@dataclass
+class Work:
+    """Deterministic effort counters (never wall-clock): a `with` block over
+    a Work makes it the ledger every charge goes to until the block exits."""
+
+    quadrature_evaluations: int = 0
+    march_steps: int = 0
+    map_nodes: int = 0
+
+    def __enter__(self):
+        self._token = _LEDGER.set(self)
+        return self
+
+    def __exit__(self, *exc):
+        _LEDGER.reset(self._token)
+
+
+def charge(counter, n):
+    """Add n to the named counter of the running analysis's ledger."""
+    work = _LEDGER.get()
+    if work is not None:
+        setattr(work, counter, getattr(work, counter) + n)
+
+
 def _gk_cell(fn, lo, hi):
-    """One Gauss-Kronrod evaluation on [lo, hi] -> (kronrod, |K-G|)."""
+    """Gauss-Kronrod on the cells [lo[i], hi[i]] -> (kronrod, |K-G|)
+    arrays, from one call of fn on all their samples, charged to the
+    ledger.  A non-finite sample makes its cell's values non-finite, which
+    the caller tests."""
+    charge("quadrature_evaluations", CELL_SAMPLES * len(lo))
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
-    xs = mid + half * _XK
-    ys = fn(xs)
-    ys = np.asarray(ys, dtype=float)
-    if not np.all(np.isfinite(ys)):
-        bad = xs[~np.isfinite(ys)][0]
-        raise QuadratureError("non-finite integrand sample at x=%r" % bad)
-    k = half * float(np.dot(_WK, ys))
-    g = half * float(np.dot(_WG, ys[1::2]))
-    return k, abs(k - g)
+    ys = np.asarray(fn(mid[:, None] + half[:, None] * _XK), dtype=float)
+    k = half * (ys @ _WK)
+    return k, np.abs(k - half * (ys[:, 1::2] @ _WG))
 
 
 # cells per integrand call of gk_cells: bounds its sample block at 61440
@@ -104,64 +137,60 @@ CHUNK_CELLS = 4096
 
 
 def gk_cells(fn, lo, hi):
-    """Gauss-Kronrod on the cells [lo[i], hi[i]] at once -> (kronrod,
-    |K-G|) arrays, one call of fn per block of CHUNK_CELLS cells.
-
-    Non-finite samples are not checked here: they make that cell's
-    values non-finite, which the caller tests.
-    """
+    """_gk_cell on the cells [lo[i], hi[i]], one call per block of
+    CHUNK_CELLS cells."""
     lo = np.asarray(lo, dtype=float)
     hi = np.asarray(hi, dtype=float)
-    blocks = [_gk_block(fn, lo[s:s + CHUNK_CELLS], hi[s:s + CHUNK_CELLS])
+    blocks = [_gk_cell(fn, lo[s:s + CHUNK_CELLS], hi[s:s + CHUNK_CELLS])
               for s in range(0, len(lo), CHUNK_CELLS)]
     if len(blocks) == 1:
         return blocks[0]
     return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
-def _gk_block(fn, lo, hi):
-    mid = 0.5 * (lo + hi)
-    half = 0.5 * (hi - lo)
-    ys = np.asarray(fn(mid[:, None] + half[:, None] * _XK), dtype=float)
-    k = half * (ys @ _WK)
-    return k, np.abs(k - half * (ys[:, 1::2] @ _WG))
+def _cells(fn, lo, hi):
+    """_gk_cell on the cells, as float lists; a non-finite sample raises."""
+    k, err = _gk_cell(fn, np.asarray(lo, dtype=float),
+                      np.asarray(hi, dtype=float))
+    k, err = k.tolist(), err.tolist()
+    for i, (v, e) in enumerate(zip(k, err)):
+        if not (math.isfinite(v) and math.isfinite(e)):
+            raise QuadratureError("non-finite integrand sample in [%r, %r]"
+                                  % (lo[i], hi[i]))
+    return k, err
 
 
-def _adapt(fn, edges, tol, budget):
+def _adapt(fn, edges, tol):
     """Worst-first adaptive bisection of the partition edges[0] < edges[1]
     < ... under one shared error budget -> (per-piece values, total error
-    estimate, evaluations).  The per-cell error estimate is the
-    conservative |K - G|; it overestimates the true Kronrod error on smooth
-    integrands, which is what makes it usable as a certified bound."""
+    estimate, evaluations), within EVAL_BUDGET samples.  The per-cell error
+    estimate is the conservative |K - G|; it overestimates the true Kronrod
+    error on smooth integrands, which is what makes it usable as a
+    certified bound."""
     pieces = len(edges) - 1
-    if CELL_SAMPLES * pieces > budget:
+    if CELL_SAMPLES * pieces > EVAL_BUDGET:
         raise BudgetExceededError(
             "quadrature budget of %d evaluations is below one cell per piece"
-            % budget)
+            % EVAL_BUDGET)
+    los, his = edges[:-1], edges[1:]
+    totals, errs = _cells(fn, los, his)
     # heap entries: (-err, lo, hi, piece, value, err)
-    heap = []
-    totals = []
-    total_err = 0.0
-    for piece in range(pieces):
-        lo, hi = edges[piece], edges[piece + 1]
-        k, err = _gk_cell(fn, lo, hi)
-        heap.append((-err, lo, hi, piece, k, err))
-        totals.append(k)
-        total_err += err
+    heap = [(-e, lo, hi, piece, k, e) for piece, (lo, hi, k, e)
+            in enumerate(zip(los, his, totals, errs))]
     heapq.heapify(heap)
+    total_err = sum(errs)
     evals = CELL_SAMPLES * pieces
     growth_run = 0
     last_delta = math.inf
     while total_err > tol:
-        if evals + 30 > budget:
+        if evals + 2 * CELL_SAMPLES > EVAL_BUDGET:
             raise BudgetExceededError(
                 "quadrature budget exhausted (%d evaluations, error %.3g)"
                 % (evals, total_err))
         _, clo, chi, piece, cval, cerr = heapq.heappop(heap)
         mid = 0.5 * (clo + chi)
-        k1, e1 = _gk_cell(fn, clo, mid)
-        k2, e2 = _gk_cell(fn, mid, chi)
-        evals += 30
+        (k1, k2), (e1, e2) = _cells(fn, (clo, mid), (mid, chi))
+        evals += 2 * CELL_SAMPLES
         delta = (k1 + k2) - cval
         totals[piece] += delta
         total_err += (e1 + e2) - cerr
@@ -186,36 +215,30 @@ def _adapt(fn, edges, tol, budget):
     return totals, total_err, evals
 
 
-def integrate_finite(fn, a, b, tol=1e-10, singular=None, budget=EVAL_BUDGET):
+def integrate_finite(fn, a, b, tol=1e-10, singular=None):
     """Integrate fn over [a, b] to absolute tolerance tol.
 
-    fn must accept numpy arrays.  singular='left'/'right' applies the
-    substitution x = endpoint +/- u**2, which removes integrable algebraic
-    endpoint singularities up to 1/sqrt strength (the caller flags which
-    endpoint is singular; nothing is auto-detected).
+    fn must accept numpy arrays.  singular='left' applies the substitution
+    x = a + u**2, which removes an integrable algebraic singularity at a up
+    to 1/sqrt strength (the caller flags it; nothing is auto-detected).
     """
     if not (math.isfinite(a) and math.isfinite(b)):
         raise ValueError("integrate_finite needs finite endpoints")
     if a == b:
         return QuadResult(0.0, 0.0, 0)
     if b < a:
-        r = integrate_finite(fn, b, a, tol, singular, budget)
+        r = integrate_finite(fn, b, a, tol, singular)
         return QuadResult(-r.value, r.error_estimate, r.evaluations)
+    g, lo, hi = fn, a, b
     if singular == "left":
-        g, hi = (lambda u: 2.0 * u * fn(a + u * u)), math.sqrt(b - a)
-        lo = 0.0
-    elif singular == "right":
-        g, hi = (lambda u: 2.0 * u * fn(b - u * u)), math.sqrt(b - a)
-        lo = 0.0
-    elif singular is None:
-        g, lo, hi = fn, a, b
-    else:
-        raise ValueError("singular must be None, 'left' or 'right'")
-    (value,), err, evals = _adapt(g, (lo, hi), tol, budget)
+        g, lo, hi = (lambda u: 2.0 * u * fn(a + u * u)), 0.0, math.sqrt(b - a)
+    elif singular is not None:
+        raise ValueError("singular must be None or 'left'")
+    (value,), err, evals = _adapt(g, (lo, hi), tol)
     return QuadResult(value, err, evals)
 
 
-def integrate_to_infinity(fn, a, tol=1e-10, budget=EVAL_BUDGET):
+def integrate_to_infinity(fn, a, tol=1e-10):
     """Integrate fn over [a, inf) via the substitution x = a + t/(1-t).
 
     a may also be a strictly increasing 1-D array of lower limits.  The
@@ -228,8 +251,8 @@ def integrate_to_infinity(fn, a, tol=1e-10, budget=EVAL_BUDGET):
     error estimate is the run's shared total, so it bounds the error of
     every entry.
 
-    Divergent tails surface as DivergenceError; more than budget samples
-    surface as BudgetExceededError.
+    Divergent tails surface as DivergenceError; more than EVAL_BUDGET
+    samples surface as BudgetExceededError.
     """
     lows = np.asarray(a, dtype=float)
     limits = lows.ravel().tolist()
@@ -259,9 +282,9 @@ def integrate_to_infinity(fn, a, tol=1e-10, budget=EVAL_BUDGET):
     scale = 1.0 + span
     edges = [(x - a0 - span) / (1.0 + (x - a0)) for x in limits] + [1.0]
     # one errstate for the run, not one per cell: an invalid sample is
-    # still caught, as a non-finite one, by _gk_cell
+    # still caught, as a non-finite one, by _adapt
     with np.errstate(invalid="ignore"):
-        values, err, evals = _adapt(transformed, edges, tol / scale, budget)
+        values, err, evals = _adapt(transformed, edges, tol / scale)
     if lows.ndim == 0:
         return QuadResult(values[0] * scale, err * scale, evals)
     # the tail from a[i] is the sum of the pieces from t_i on
@@ -269,7 +292,7 @@ def integrate_to_infinity(fn, a, tol=1e-10, budget=EVAL_BUDGET):
                       evals)
 
 
-def l1_tail_norm(fn, a, tol=1e-10, budget=EVAL_BUDGET):
+def l1_tail_norm(fn, a, tol=1e-10):
     """L1 norm of fn on [a, inf): returns the QuadResult for int |fn|.
 
     An increasing array a gives every tail norm from one adaptive run, as
@@ -279,4 +302,4 @@ def l1_tail_norm(fn, a, tol=1e-10, budget=EVAL_BUDGET):
     def absfn(x):
         return np.abs(fn(x))
 
-    return integrate_to_infinity(absfn, a, tol, budget)
+    return integrate_to_infinity(absfn, a, tol)

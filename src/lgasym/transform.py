@@ -423,33 +423,31 @@ class PhaseMap:
         inv_sqrt_f(x) must return |f(x)|^(-1/2).  Each node starts from the
         linear interpolant inside its table cell [x_j, x_{j+1}] and takes
         Newton steps x <- x - (Phi_j + GK15(x_j, x) - y) |f(x)|^(-1/2)
-        until every step is within 1e-14 |x|.
+        until its step is within 1e-14 |x|; the unsettled nodes take each
+        step together.
         """
         ys = np.asarray(ys, dtype=float)
-        n = len(ys)
         edges, phi = table.edges, table.phi
         j = np.clip(np.searchsorted(phi, ys, side="right") - 1,
                     0, len(phi) - 2)
         left = edges[j]
         behind = phi[j] - ys    # Phi(x_j) - y, at most 0
         xs = left - behind / (phi[j + 1] - phi[j]) * (edges[j + 1] - left)
-        for s in range(0, n, quadrature.CHUNK_CELLS):
-            todo = np.arange(s, min(s + quadrature.CHUNK_CELLS, n))
-            for _step in range(_NEWTON_STEPS):
-                k, _ = quadrature.gk_cells(table.sqrt_f, left[todo], xs[todo])
-                with np.errstate(all="ignore"):
-                    dx = (behind[todo] + k) * inv_sqrt_f(xs[todo])
-                # a non-finite step leaves its node non-finite and drops
-                # it here; the domain check below raises for it
-                xs[todo] -= dx
-                todo = todo[np.abs(dx) > 1e-14 * np.abs(xs[todo])]
-                if not todo.size:
-                    break
-            else:
-                raise HypothesisFailed(
-                    "phase map: Newton left %d nodes unsettled after %d "
-                    "steps (first at x=%.17g)"
-                    % (todo.size, _NEWTON_STEPS, xs[todo[0]]))
+        todo = np.arange(len(ys))
+        for _step in range(_NEWTON_STEPS):
+            k, _ = quadrature.gk_cells(table.sqrt_f, left[todo], xs[todo])
+            with np.errstate(all="ignore"):
+                dx = (behind[todo] + k) * inv_sqrt_f(xs[todo])
+            # a non-finite step leaves its node non-finite and drops it
+            # here; the domain check below raises for it
+            xs[todo] -= dx
+            todo = todo[np.abs(dx) > 1e-14 * np.abs(xs[todo])]
+            if not todo.size:
+                break
+        else:
+            raise HypothesisFailed(
+                "phase map: Newton left %d nodes unsettled after %d steps "
+                "(first at x=%.17g)" % (todo.size, _NEWTON_STEPS, xs[todo[0]]))
         with np.errstate(all="ignore"):
             slopes = np.asarray(inv_sqrt_f(xs), dtype=float)
         if not np.all(np.isfinite(xs) & np.isfinite(slopes)):

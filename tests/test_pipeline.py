@@ -4,7 +4,7 @@ import warnings
 import numpy as np
 import pytest
 
-from lgasym import cli, expr, pipeline, quadrature, transform, volterra
+from lgasym import cli, expr, pipeline, quadrature, volterra
 from lgasym.pipeline import AnalysisError, RangeError, analyze
 from lgasym.transform import HypothesisFailed, Regime
 from reference_oracles import (BesselFixture, _series_eval,
@@ -225,33 +225,56 @@ def test_airy_quadratic_certifies():
             -2.0, rel=1e-6)
 
 
-def test_phase_table_samples_are_charged_as_quadrature_work(monkeypatch):
-    # count the samples each phase table takes through a wrapping sqrt_f,
-    # and what every other quadrature charges, separately
-    tables, quads = [], []
-    build_table = transform.PhaseTable.__init__
-    charge = pipeline._Work.quad
+@pytest.mark.parametrize("f, g, kwargs", [
+    ("1", "3/(4*x^2)", {}),
+    ("-1", "-1/(4*x^2)", {}),
+    ("x", "0", {}),
+    ("-(1+1/x)", "0", {}),
+    ("0", "x^-4", {}),
+    ("1/x^2", "1.5 - 1/(4*x^2)", {"endpoint": "zero"}),
+], ids=["constant-exp", "constant-osc", "exp", "osc", "algebraic",
+        "zero-endpoint"])
+def test_ledger_counts_every_sample_and_step(monkeypatch, f, g, kwargs):
+    # an independent count of every Gauss-Kronrod sample and march step
+    # taken inside analyze, from wrappers around the one kernel and the
+    # two marches
+    cell = quadrature._gk_cell
+    samples, steps, ledgers = [0], [0], set()
 
-    def counting_table(self, sqrt_f, a, x_end):
-        taken = [0]
+    def counted_cell(fn, lo, hi):
+        samples[0] += quadrature.CELL_SAMPLES * len(lo)
+        ledgers.add(id(quadrature._LEDGER.get()))
+        return cell(fn, lo, hi)
 
-        def counted(x):
-            taken[0] += np.size(x)
-            return sqrt_f(x)
+    monkeypatch.setattr(quadrature, "_gk_cell", counted_cell)
+    for name in ("solve_kernel", "solve_algebraic"):
+        def counted_march(*args, _solve=getattr(volterra, name), **kw):
+            sol = _solve(*args, **kw)
+            steps[0] += sol.steps
+            return sol
+        monkeypatch.setattr(volterra, name, counted_march)
+    r = analyze(f, g, **kwargs)
+    assert samples[0] > 0 and steps[0] > 0
+    assert r.work["quadrature_evaluations"] == samples[0]
+    assert r.work["march_steps"] == steps[0]
+    # one ledger took every sample, and it is gone once analyze returns
+    assert len(ledgers) == 1 and id(None) not in ledgers
+    assert quadrature._LEDGER.get() is None
 
-        build_table(self, counted, a, x_end)
-        self.sqrt_f = sqrt_f
-        tables.append(taken[0])
 
-    def counting_quad(self, result):
-        quads.append(result.evaluations)
-        return charge(self, result)
-
-    monkeypatch.setattr(transform.PhaseTable, "__init__", counting_table)
-    monkeypatch.setattr(pipeline._Work, "quad", counting_quad)
-    r = analyze("-(1+1/x)", "0")
-    assert len(tables) >= 1 and min(tables) > 0
-    assert sum(tables) + sum(quads) == r.work["quadrature_evaluations"]
+def test_ledger_charges_only_inside_an_analysis():
+    with quadrature.Work() as work:
+        quadrature.integrate_finite(np.exp, 0.0, 1.0)
+        taken = work.quadrature_evaluations
+        assert taken > 0
+    # outside the block the same call charges nothing
+    quadrature.integrate_finite(np.exp, 0.0, 1.0)
+    assert work.quadrature_evaluations == taken
+    assert quadrature._LEDGER.get() is None
+    # a refused analysis leaves no ledger behind
+    with pytest.raises(HypothesisFailed):
+        analyze("1", "1/x")
+    assert quadrature._LEDGER.get() is None
 
 
 # ----------------------------------------------------------- rejection
