@@ -2,12 +2,15 @@
 leading-order solution behavior.
 
 analyze() parses the split, classifies the regime, chooses a cutoff whose
-perturbation tail is certifiably small, marches the correction equation
-on a graded grid at two resolutions (the raw fine run carries the hard
-envelope guarantees; Richardson extrapolation of the pair feeds the
-reported constants and solution callables), completes the connection
-constants across the un-marched tail with a computable residual bound,
-and packages everything into an AnalysisReport.
+perturbation tail is certifiably small, predicts the grid end at which the
+tail completion will meet tail_tol (_predict_end: the regime's completion
+bound with z = 1, from tail integrals alone), marches the correction
+equation there on a graded grid at two resolutions (the raw fine run
+carries the hard envelope guarantees; Richardson extrapolation of the pair
+feeds the reported constants and solution callables), completes the
+connection constants across the un-marched tail with a computable residual
+bound, and packages everything into an AnalysisReport.  Only when that
+bound still exceeds tail_tol does a further round march to a larger end.
 
 The graded grid (_graded_pair) keeps the level-0 step h_c where the
 perturbation weight is large and doubles it, up to _STEP_CAP, where the
@@ -312,13 +315,22 @@ class _Algebraic:
                                     h_c, n_c)
         self.fine, self.sol = fine, _extrapolate(coarse, fine)
 
+    def predicted_residual(self, a, xs, L, tol):
+        """complete()'s residual bound with z = 1: then X z'(X) = S2(X) / X,
+        S2(X) = int_a^X s^2 g."""
+        S2 = quadrature.integrate_finite(lambda s: s * self.sg(s), a, xs,
+                                         tol=tol).value
+        return L * (2.0 * L + np.abs(S2) / xs) / (1.0 - L)
+
     def complete(self, qtol):
         X = self.end
         W0 = quadrature.integrate_to_infinity(self.sg, X, tol=qtol).value
         W0a = quadrature.l1_tail_norm(self.sg, X, tol=qtol).value
-        self.completion = volterra.complete_algebraic(self.sol, W0, W0a)
-        self.constants = {"z_infinity": self.completion.value}
-        return self.completion.residual_bound
+        c, raw = (volterra.complete_algebraic(sol, W0, W0a)
+                  for sol in (self.sol, self.fine))
+        self.completion, self.march_error = c, abs(raw.value - c.value)
+        self.constants = {"z_infinity": c.value}
+        return c.residual_bound
 
     def solutions(self):
         sol, X, a = self.sol, self.end, float(self.sol.grid[0])
@@ -440,11 +452,18 @@ class _Exponential(_Phased):
 
     zeta = 1.0
 
+    def predicted_residual(self, a, xs, L, tol):
+        """complete()'s residual bound with z = 1, whose memory term z' is
+        then about w / 2."""
+        return 0.5 * L * (L + 0.25 * np.abs(self.w(xs))) / (1.0 - 0.5 * L)
+
     def complete(self, qtol):
-        self.completion = volterra.complete_exponential(
-            self.sol, *self.tail_integrals(qtol))
-        self.constants = {"z_infinity": self.completion.value}
-        return self.completion.residual_bound
+        tails = self.tail_integrals(qtol)
+        c, raw = (volterra.complete_exponential(sol, *tails)
+                  for sol in (self.sol, self.fine))
+        self.completion, self.march_error = c, abs(raw.value - c.value)
+        self.constants = {"z_infinity": c.value}
+        return c.residual_bound
 
     def solutions(self):
         sol, shape, phase = self.sol, self.shape, self.phase_fn()
@@ -526,6 +545,13 @@ class _Oscillatory(_Phased):
             expr.binary("mul", a1_ast, psi.inv_sqrt_f_ast))
         return expr.compile_fn(a1_ast), expr.compile_fn(a2_ast)
 
+    def predicted_residual(self, a, xs, L, tol):
+        """complete()'s residual bound with z = 1, so |xi1| + |xi2| + |eta1|
+        + |eta2| = 2."""
+        R2 = quadrature.l1_tail_norm(_abs_fn(self.tail_moments[1]), xs,
+                                     tol=tol).value
+        return (0.5 * L * L + 0.75 * R2) / (1.0 - L)
+
     def complete(self, qtol):
         # the e^{+-2iy} tail moments via two integrations by parts in x
         psi = self.psi
@@ -540,8 +566,10 @@ class _Oscillatory(_Phased):
         Gp, Gm = (cmath.exp(2j * sign * Y) * invX
                   * (-psiX / (2j * sign) - a1X / 4.0) for sign in (1, -1))
         g_err = R2 / 4.0
-        c = self.completion = volterra.complete_oscillatory(
-            self.sol, G0, Gp, Gm, G0a)
+        c, raw = (volterra.complete_oscillatory(sol, G0, Gp, Gm, G0a)
+                  for sol in (self.sol, self.fine))
+        self.completion = c
+        self.march_error = max(abs(raw.xi1 - c.xi1), abs(raw.xi2 - c.xi2))
         self.constants = {"xi1": c.xi1, "xi2": c.xi2, "eta1": c.eta1,
                           "eta2": c.eta2}
         size = (abs(c.xi1) + abs(c.xi2) + abs(c.eta1) + abs(c.eta2))
@@ -590,6 +618,41 @@ class _Oscillatory(_Phased):
         return self.shape.amp(s)
 
 
+# The march ends where the regime's completion bound with z = 1 in it
+# (predicted_residual) falls to this share of tail_tol; the bound of the
+# marched z has come out 1 to 5 times that prediction, so one round
+# usually certifies and the rounds below are the fallback.
+_PREDICT_SHARE = 0.1
+# the prediction's grid x0 2^k, k < _PREDICT_POINTS: a tail that has not
+# met the target by x0 2^47 (about 1.4e14 x0) is refused
+_PREDICT_POINTS = 48
+
+
+def _predict_end(reg, a, x0, tail_tol):
+    """(x_end, r_hat): where the predicted residual r_hat reaches
+    _PREDICT_SHARE * tail_tol, found without a march.  Every term is
+    evaluated on the grid x0 2^k, the tails of the weight from one adaptive
+    run; x_end is the first grid point at or below the target, moved back
+    toward its predecessor by interpolating log r_hat in log x."""
+    target = _PREDICT_SHARE * tail_tol
+    tol = 0.01 * target
+    xs = x0 * 2.0 ** np.arange(_PREDICT_POINTS)
+    L = quadrature.l1_tail_norm(reg.weight, xs, tol=tol).value
+    # the completions refuse a tail mass of 1/2 and more
+    with np.errstate(all="ignore"):
+        r_hat = np.where(L < 0.5, reg.predicted_residual(a, xs, L, tol),
+                         np.inf)
+    hits = np.flatnonzero(r_hat <= target)
+    if not len(hits):
+        raise AnalysisError("perturbation tail refuses to decay")
+    k = hits[0]
+    if k == 0 or r_hat[k] == 0.0 or not math.isfinite(r_hat[k - 1]):
+        return float(xs[k]), float(r_hat[k])
+    share = math.log(r_hat[k - 1] / target) / math.log(r_hat[k - 1]
+                                                       / r_hat[k])
+    return float(xs[k - 1] * 2.0 ** share), target
+
+
 def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, inverted):
     """The infinity-side machinery for a classified split: the regime
     object marched and completed, the march summary in the caller's
@@ -598,13 +661,9 @@ def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, inverted):
     a, tail0 = certificate_mod.find_cutoff(reg.weight, lo, tol=tol)
     reg.cutoff = a
 
-    x_end = max(x_floor if x_floor is not None else a, a + 10.0)
-    for _ in range(80):
-        if quadrature.l1_tail_norm(reg.weight, x_end, tol=1e-6).value <= 0.05:
-            break
-        x_end *= 1.8
-    else:
-        raise AnalysisError("perturbation tail refuses to decay")
+    x_end, r_hat = _predict_end(
+        reg, a, max(x_floor if x_floor is not None else a, a + 10.0),
+        tail_tol)
 
     qtol = max(min(tol, 1e-12), 1e-14)
     refinements = 0
@@ -650,7 +709,8 @@ def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, inverted):
     verification = certificate_mod.verify_certificate(cert, reg.weight,
                                                       tol=tol)
     reg.solutions()
-    constants = dict(reg.constants, tail_residual_bound=residual)
+    constants = dict(reg.constants, tail_residual_bound=residual,
+                     march_error_estimate=reg.march_error)
     end = reg.end
     if inverted:
         march = {"frame": "inverted (s = 1/x)", "cutoff_s": a,
@@ -658,9 +718,10 @@ def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, inverted):
     else:
         march = {"frame": "direct", "cutoff": a, "x_max": end}
     # rounds: [x_end, residual bound, coarse cells] per tail round, x_end
-    # in the frame of the march (s at the zero endpoint)
+    # in the frame of the march (s at the zero endpoint); a second round
+    # means the predicted residual missed
     march.update(phase_span=span, coarse_step=h_c, refinements=refinements,
-                 rounds=history)
+                 rounds=history, predicted_residual=r_hat)
     return reg, march, cert, verification, constants
 
 
@@ -773,6 +834,14 @@ def analyze(f_text, g_text, endpoint="infinity", interval=None, tol=1e-10,
     the perturbation weight is large and doubles it, up to 0.25, where the
     weight is small.  The default resolves the span with second-order
     error well under the reported tolerances.
+
+    The grid end is predicted without a march, where the tail completion's
+    residual bound with z = 1 falls to tail_tol / 10, and the pair is
+    marched once there; march["predicted_residual"] is that prediction.
+    Only when the completed residual bound still exceeds tail_tol is the
+    end moved out and the pair marched again, one entry of march["rounds"]
+    per march.  constants["march_error_estimate"] is how far the same
+    completion of the raw fine run lies from the reported constants.
 
     Returns an AnalysisReport whose .solutions hold normalized value and
     derivative callables, valid on the resolved range, and whose .work

@@ -16,7 +16,8 @@ also be an increasing array a[0] < a[1] < ...: every limit is mapped
 through one substitution of the same form, the pieces between the mapped
 limits and the tail past the last one are integrated in one adaptive run,
 and the tails come back as a reverse cumulative sum.  The run's shared
-error estimate bounds the error of every entry.
+error estimate bounds the error of every entry.  A finite integral takes an
+increasing array of upper limits the same way, as a cumulative sum.
 
 Divergence is detected structurally rather than by timeout: when each of
 the last _DIVERGENCE_RUN (40) refinements grows the running value by more
@@ -216,26 +217,45 @@ def _adapt(fn, edges, tol):
 
 
 def integrate_finite(fn, a, b, tol=1e-10, singular=None):
-    """Integrate fn over [a, b] to absolute tolerance tol.
+    """Integrate fn from a to b to absolute tolerance tol (b < a gives the
+    negative of the integral over [b, a]).
 
-    fn must accept numpy arrays.  singular='left' applies the substitution
-    x = a + u**2, which removes an integrable algebraic singularity at a up
+    fn must accept numpy arrays.  b may also be a strictly increasing 1-D
+    array of upper limits above a: the value is then the array of
+    int_a^{b[i]} fn from one adaptive run over the pieces between the
+    limits, whose shared error estimate bounds every entry.
+    singular='left' applies the substitution x = a + u**2 (x = a - u**2
+    when b < a), which removes an integrable algebraic singularity at a up
     to 1/sqrt strength (the caller flags it; nothing is auto-detected).
     """
-    if not (math.isfinite(a) and math.isfinite(b)):
+    ends = np.asarray(b, dtype=float)
+    limits = ends.ravel().tolist()
+    if not all(map(math.isfinite, [a] + limits)):
         raise ValueError("integrate_finite needs finite endpoints")
-    if a == b:
-        return QuadResult(0.0, 0.0, 0)
-    if b < a:
-        r = integrate_finite(fn, b, a, tol, singular)
-        return QuadResult(-r.value, r.error_estimate, r.evaluations)
-    g, lo, hi = fn, a, b
-    if singular == "left":
-        g, lo, hi = (lambda u: 2.0 * u * fn(a + u * u)), 0.0, math.sqrt(b - a)
-    elif singular is not None:
+    if singular not in (None, "left"):
         raise ValueError("singular must be None or 'left'")
-    (value,), err, evals = _adapt(g, (lo, hi), tol)
-    return QuadResult(value, err, evals)
+    if ends.ndim == 0:
+        if a == b:
+            return QuadResult(0.0, 0.0, 0)
+        if b < a and singular is None:
+            r = integrate_finite(fn, b, a, tol)
+            return QuadResult(-r.value, r.error_estimate, r.evaluations)
+    elif (ends.ndim > 1 or not limits
+          or any(lo >= hi for lo, hi in zip([a] + limits, limits))):
+        raise ValueError("upper limits must be a strictly increasing 1-D "
+                         "array above a")
+    g, edges = fn, [a] + limits
+    if singular == "left":
+        sign = 1.0 if limits[-1] > a else -1.0
+
+        def g(u):
+            return 2.0 * sign * u * fn(a + sign * u * u)
+
+        edges = [0.0] + [math.sqrt(abs(x - a)) for x in limits]
+    values, err, evals = _adapt(g, edges, tol)
+    if ends.ndim == 0:
+        return QuadResult(values[0], err, evals)
+    return QuadResult(np.cumsum(values), err, evals)
 
 
 def integrate_to_infinity(fn, a, tol=1e-10):

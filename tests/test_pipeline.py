@@ -31,9 +31,13 @@ def test_pure_exponential_closed_form():
 def test_exponential_connection_constant():
     r = analyze("1", "3/(4*x^2)")
     assert r.regime is Regime.CONSTANT_EXP
-    assert r.constants["z_infinity"] == pytest.approx(1.354431383098691,
+    assert r.constants["z_infinity"] == pytest.approx(1.3544312649400647,
                                                       rel=1e-10)
     assert r.constants["tail_residual_bound"] <= 1e-6
+    # sqrt(x) I_1 and sqrt(x) K_1 matched to z = 1, z' = 0 at the cutoff,
+    # to 40 digits
+    assert abs(r.constants["z_infinity"] - 1.3544312307288973) \
+        <= r.constants["tail_residual_bound"]
     assert r.march["cutoff"] == pytest.approx(1.203125, rel=1e-12)
     assert r.certificate.passed()
     assert r.verification["tail_consistent"]
@@ -53,10 +57,16 @@ def test_oscillatory_connection_constants():
     assert r.regime is Regime.CONSTANT_OSC
     xi1 = r.constants["xi1"]
     xi2 = r.constants["xi2"]
-    assert xi1 == pytest.approx(0.9933039792676156 + 0.12304556658121753j,
+    assert xi1 == pytest.approx(0.9933040255210028 + 0.12304557233813462j,
                                 rel=1e-9)
-    assert xi2 == pytest.approx(0.03271385701835617 - 0.02688777142245019j,
+    assert xi2 == pytest.approx(0.03271385888685263 - 0.02688777251511704j,
                                 rel=1e-8)
+    # sqrt(x) H_0^(1,2) matched to z = 1, z' = 0 at the cutoff 1, to 40
+    # digits
+    assert r.march["cutoff"] == 1.0
+    bound = r.constants["tail_residual_bound"]
+    assert abs(xi1 - (0.99330404981926099 + 0.12304557519145396j)) <= bound
+    assert abs(xi2 - (0.032713859659172769 - 0.026887773201599009j)) <= bound
     # the zeta = -i constants are the conjugates of the +i ones
     assert "conjugation_defect" not in r.constants
     assert r.constants["eta2"] == xi1.conjugate()
@@ -422,19 +432,66 @@ def test_json_dict_shape():
 
 
 def test_march_rounds_record_the_tail_search():
+    # the predicted tail end certifies in the one round marched
+    r = analyze("1", "3/(4*x^2)")
+    (x_end, residual, cells), = r.march["rounds"]
+    assert x_end == pytest.approx(r.march["x_max"], rel=1e-9)
+    assert residual == r.constants["tail_residual_bound"] <= r.tail_tolerance
+    assert isinstance(cells, int) and cells > 0
+    assert 2 * cells == r.fine_run.steps
+    # the rounds and the prediction are part of the deterministic --json
+    # document
+    again = analyze("1", "3/(4*x^2)")
+    text = cli.json_dumps(r.to_json_dict())
+    assert text == cli.json_dumps(again.to_json_dict())
+    assert '"rounds"' in text and '"predicted_residual"' in text
+
+
+@pytest.mark.parametrize("f, g, kw", [
+    ("1", "3/(4*x^2)", {}),
+    ("-1", "-1/(4*x^2)", {}),
+    ("x", "0", {}),
+    ("0", "exp(-2*x)", {"interval": (0, math.inf)}),
+    ("1/x^2", "1.75 - 1/(4*x^2)", {"endpoint": "zero", "interval": (0, 1)}),
+    ("1", "0", {}),
+])
+def test_predicted_residual_is_recorded(f, g, kw):
+    r = analyze(f, g, **kw)
+    r_hat = r.march["predicted_residual"]
+    assert math.isfinite(r_hat) and r_hat >= 0.0
+    if len(r.march["rounds"]) == 1:
+        assert r_hat <= r.tail_tolerance / 10
+
+
+def test_rounds_grow_the_tail_when_the_prediction_misses(monkeypatch):
+    # a prediction of 0 stops at the first grid point x0 = a + 10, whose
+    # residual is far above tail_tol: the growth rounds take over
+    monkeypatch.setattr(pipeline._Exponential, "predicted_residual",
+                        lambda self, a, xs, L, tol: np.zeros_like(xs))
     r = analyze("1", "3/(4*x^2)")
     rounds = r.march["rounds"]
-    assert len(rounds) >= 2
+    assert r.march["predicted_residual"] == 0.0
+    assert rounds[0][0] == pytest.approx(r.march["cutoff"] + 10.0)
+    assert len(rounds) >= 2 and rounds[0][1] > r.tail_tolerance
     ends = [x_end for x_end, _, _ in rounds]
     assert all(a < b for a, b in zip(ends, ends[1:]))
-    assert rounds[-1][1] == r.constants["tail_residual_bound"]
-    assert all(isinstance(cells, int) and cells > 0 for _, _, cells in rounds)
+    assert rounds[-1][1] == r.constants["tail_residual_bound"] \
+        <= r.tail_tolerance
     assert 2 * rounds[-1][2] == r.fine_run.steps
-    # the rounds are part of the deterministic --json document
-    again = analyze("1", "3/(4*x^2)")
-    assert cli.json_dumps(r.to_json_dict()) == \
-        cli.json_dumps(again.to_json_dict())
-    assert '"rounds"' in cli.json_dumps(r.to_json_dict())
+    assert r.certificate.passed()
+    assert r.verification["tail_consistent"]
+
+
+def test_march_error_estimate_is_the_fine_runs_second_order_error():
+    # the completion of the raw fine run minus the reported (extrapolated)
+    # constant: the fine run's error, which falls 4x when the step halves
+    r = analyze("1", "3/(4*x^2)")
+    half = analyze("1", "3/(4*x^2)", step=r.march["coarse_step"] / 2)
+    est, est_half = (x.constants["march_error_estimate"] for x in (r, half))
+    assert 0.0 < est_half < est
+    assert est / est_half == pytest.approx(4.0, rel=0.05)
+    # g == 0: z == 1 on both runs
+    assert analyze("1", "0").constants["march_error_estimate"] == 0.0
 
 
 def test_graded_grid_does_not_step_over_a_late_bump():

@@ -51,6 +51,27 @@ def test_left_endpoint_singularity():
     assert res.value == pytest.approx(2.0, abs=1e-11)
 
 
+def test_left_singularity_with_reversed_endpoints():
+    # the singularity stays at a, the lower limit as written, when b < a
+    res = integrate_finite(lambda x: 1.0 / np.sqrt(2.0 - x), 2.0, 0.0,
+                           tol=1e-12, singular="left")
+    assert res.value == pytest.approx(-2.0 * math.sqrt(2.0), rel=1e-12)
+
+
+def test_array_upper_limits_share_one_run():
+    ups = np.array([0.5, 1.0, 3.0])
+    res = integrate_finite(np.exp, 0.0, ups, tol=1e-12)
+    assert np.allclose(res.value, np.expm1(ups), rtol=0.0, atol=1e-11)
+    # with the substitution the limits are mapped as well
+    sing = integrate_finite(lambda x: 1.0 / np.sqrt(x), 0.0, ups, tol=1e-12,
+                            singular="left")
+    assert np.allclose(sing.value, 2.0 * np.sqrt(ups), rtol=0.0, atol=1e-11)
+    for bad in (np.array([1.0, 0.5]), np.array([0.0, 1.0]), np.array([]),
+                np.ones((2, 2))):
+        with pytest.raises(ValueError):
+            integrate_finite(np.exp, 0.0, bad)
+
+
 def test_error_estimate_is_honest():
     cases = [
         (lambda x: np.exp(-x * x), 0.0, 3.0, 0.5 * math.sqrt(math.pi)
