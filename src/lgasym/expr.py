@@ -19,6 +19,13 @@ Grammar (whitespace insignificant)::
 '^' binds tighter than unary minus, so ``-x^2`` is ``-(x^2)``.  Exponents
 are restricted to constants; general powers must be spelled via exp/log.
 
+Exact derivatives repeat subtrees many times (the oscillatory tail moment
+a2 of ``-(a+b/x)`` has 2256 nodes and 137 distinct subtrees).
+differentiate() differentiates each shared subtree once and shares the
+result; compile_fn() value-numbers the tree into an evaluation tape with
+one entry per distinct subtree and runs it without generating code.
+evaluate() stays the checked reference evaluator.
+
 Trees are immutable (frozen dataclass) and all functions here are pure, so
 everything in this module is safe to share across threads.
 """
@@ -26,6 +33,7 @@ everything in this module is safe to share across threads.
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -444,25 +452,40 @@ def differentiate(e):
 
     Total on the grammar: every parseable expression has a derivative.
     abs is differentiated as sign(u)*u' with sign(0) = 0; pow requires its
-    constant exponent (guaranteed by construction).
+    constant exponent (guaranteed by construction).  A subtree that occurs
+    more than once (the same object) is differentiated once, and its
+    derivative is shared by every occurrence in the result.
     """
+    memo = {}
+
+    def d(node):
+        key = id(node)
+        if key not in memo:
+            memo[key] = _derivative(node, d)
+        return memo[key]
+
+    return d(e)
+
+
+def _derivative(e, d):
+    """The derivative of e, with d differentiating its operands."""
     op = e.op
     if op == "const":
         return const(0.0)
     if op == "var":
         return const(1.0)
     if op == "neg":
-        return _neg(differentiate(e.args[0]))
+        return _neg(d(e.args[0]))
     if op == "add":
-        return _add(differentiate(e.args[0]), differentiate(e.args[1]))
+        return _add(d(e.args[0]), d(e.args[1]))
     if op == "sub":
-        return _sub(differentiate(e.args[0]), differentiate(e.args[1]))
+        return _sub(d(e.args[0]), d(e.args[1]))
     if op == "mul":
         a, b = e.args
-        return _add(_mul(differentiate(a), b), _mul(a, differentiate(b)))
+        return _add(_mul(d(a), b), _mul(a, d(b)))
     if op == "div":
         a, b = e.args
-        num = _sub(_mul(differentiate(a), b), _mul(a, differentiate(b)))
+        num = _sub(_mul(d(a), b), _mul(a, d(b)))
         return _div(num, _mul(b, b))
     if op == "pow":
         base, expo = e.args
@@ -470,9 +493,9 @@ def differentiate(e):
         if c == 0.0:
             return const(0.0)
         reduced = binary("pow", base, const(c - 1.0))
-        return _mul(const(c), _mul(reduced, differentiate(base)))
+        return _mul(const(c), _mul(reduced, d(base)))
     u = e.args[0]
-    du = differentiate(u)
+    du = d(u)
     if op == "exp":
         return _mul(unary("exp", u), du)
     if op == "log":
@@ -561,46 +584,121 @@ def _prec_of(e):
 
 
 # --------------------------------------------------------------------------
-# compilation to a fast vectorized callable
+# compilation to a value-numbered evaluation tape
 
-_GEN = {
-    "add": "({}+{})", "sub": "({}-{})", "mul": "({}*{})", "div": "({}/{})",
-    "neg": "(-{})", "exp": "np.exp({})", "log": "np.log({})",
-    "sqrt": "np.sqrt({})", "sin": "np.sin({})", "cos": "np.cos({})",
-    "abs": "np.abs({})", "sign": "np.sign({})",
+_APPLY = {
+    "add": operator.add, "sub": operator.sub, "mul": operator.mul,
+    "div": operator.truediv, "pow": operator.pow, "neg": operator.neg,
+    "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "sin": np.sin,
+    "cos": np.cos, "abs": np.abs, "sign": np.sign,
 }
+_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "**"}
 
 
-def _gen(e):
-    if e.op == "const":
-        return "(" + repr(e.value) + ")"
-    if e.op == "var":
-        return "x"
-    if e.op == "pow":
-        c = e.args[1].value if e.args[1].op == "const" else constant_value(e.args[1])
-        return "(%s**(%s))" % (_gen(e.args[0]), repr(c))
-    parts = [_gen(a) for a in e.args]
-    return _GEN[e.op].format(*parts)
+def _tape(e):
+    """(consts, entries, root): the tree numbered so that each distinct
+    subtree has one slot.  Slot 0 is x, slots 1..len(consts) hold the
+    constants (Python floats), then comes one slot per entry (op, operand
+    slots) in the post-order of first occurrence.  A pow's exponent is a
+    constant slot."""
+    consts = []
+    entries = []
+    by_id = {}
+    by_key = {}
+
+    def constant(value):
+        # float.hex keeps 0.0 and -0.0 apart
+        key = ("const", value.hex())
+        if key not in by_key:
+            consts.append(value)
+            by_key[key] = -1 - len(consts)
+        return by_key[key]
+
+    def number(node):
+        # provisional slots: -1 is x, -1 - k the constant consts[k - 1],
+        # n >= 0 the n-th entry
+        slot = by_id.get(id(node))
+        if slot is not None:
+            return slot
+        op = node.op
+        if op == "var":
+            slot = -1
+        elif op == "const":
+            slot = constant(node.value)
+        else:
+            if op == "pow":
+                c = node.args[1]
+                c = c.value if c.op == "const" else constant_value(c)
+                key = (op, number(node.args[0]), constant(c))
+            elif len(node.args) == 1:
+                key = (op, number(node.args[0]))
+            else:
+                key = (op, number(node.args[0]), number(node.args[1]))
+            slot = by_key.get(key)
+            if slot is None:
+                entries.append(key)
+                slot = by_key[key] = len(entries) - 1
+        by_id[id(node)] = slot
+        return slot
+
+    root = number(e)
+    n = len(consts) + 1
+
+    def final(slot):
+        return n + slot if slot >= 0 else -1 - slot
+
+    return (consts, [(op, *map(final, args)) for op, *args in entries],
+            final(root))
+
+
+def _listing(consts, entries, root):
+    """One line per tape entry, then the returned slot."""
+    names = ["x", *map(repr, consts),
+             *("t%d" % k for k in range(len(entries)))]
+    lines = []
+    for k, (op, *args) in enumerate(entries):
+        a = [names[s] for s in args]
+        if op in _SYMBOL:
+            rhs = "%s %s %s" % (a[0], _SYMBOL[op], a[1])
+        elif op == "neg":
+            rhs = "-" + a[0]
+        else:
+            rhs = "np.%s(%s)" % (op, a[0])
+        lines.append("t%d = %s" % (k, rhs))
+    lines.append("return " + names[root])
+    return "\n".join(lines) + "\n"
 
 
 def compile_fn(e):
     """Compile a tree to a numpy-vectorized callable.
 
+    The tree is value-numbered into a tape (_tape) with one entry per
+    distinct subtree, so a subexpression that the tree repeats, as exact
+    derivatives do, is evaluated once per call.  No code is generated:
+    the callable runs the entries in order, each the operator or numpy
+    function the node names on the values of its operands, so every value
+    is the IEEE operation a nested evaluation of the tree would apply.
+    .source lists the tape, one line per entry.
+
     The compiled path skips the per-node domain checks of evaluate() for
     speed (out-of-domain input produces nan/inf rather than an exception);
     callers on hot paths validate finiteness of the results themselves.
     """
-    src = "def _f(x):\n    with np.errstate(all='ignore'):\n        return %s\n" % _gen(e)
-    ns = {"np": np}
-    exec(src, ns)
-    fn = ns["_f"]
+    consts, entries, root = _tape(e)
+    # (function, operand slot, second operand slot or None)
+    steps = [(_APPLY[op], *args, None)[:3] for op, *args in entries]
 
     def wrapped(x):
-        v = fn(x)
+        v = [x, *consts]
+        push = v.append
+        with np.errstate(all="ignore"):
+            for apply, i, j in steps:
+                push(apply(v[i]) if j is None else apply(v[i], v[j]))
+        v = v[root]
         if isinstance(x, np.ndarray):
             return np.broadcast_to(np.asarray(v, dtype=float), x.shape).copy() \
                 if np.ndim(v) == 0 else np.asarray(v, dtype=float)
         return float(v)
 
-    wrapped.source = src
+    wrapped.source = _listing(consts, entries, root)
     return wrapped

@@ -108,6 +108,10 @@ _TARGET_CELLS = 20000
 # its slowly varying parts; see VolterraSolution.z_at) and the 8-point
 # Gauss-Legendre sums of the recessive branch keep their accuracy.
 _STEP_CAP = 0.25
+# The most level-0 steps one march may span, 24 times the largest n_c of
+# the benchmark's certify cases (86.7k, on constant-exp).  A longer march
+# is refused before an array of its length is allocated.
+_MAX_LEVEL0_STEPS = 2 ** 21
 
 
 def _choose_h(y_span, override=None):
@@ -167,7 +171,15 @@ def _graded_pair(pilot, sample, solve, h_c, n_c):
     its cell by the same rule: a sample that breaks it joins the samples
     and forces a re-grade, which lowers that cell's level.  Levels only
     fall from one grading to the next, so this ends.
+
+    Raises AnalysisError, allocating nothing, when n_c exceeds
+    _MAX_LEVEL0_STEPS.
     """
+    if n_c > _MAX_LEVEL0_STEPS:
+        raise AnalysisError(
+            "marching a span of %.6g in level-0 steps of %.3g takes %d "
+            "steps, more than the cap of %d; raise the step or loosen the "
+            "tail tolerance" % (h_c * n_c, h_c, n_c, _MAX_LEVEL0_STEPS))
     top = 0
     while h_c * 2 ** (top + 1) <= _STEP_CAP:
         top += 1
@@ -833,7 +845,8 @@ def analyze(f_text, g_text, endpoint="infinity", interval=None, tol=1e-10,
     the phase variable (in x for f == 0): the graded grid keeps it where
     the perturbation weight is large and doubles it, up to 0.25, where the
     weight is small.  The default resolves the span with second-order
-    error well under the reported tolerances.
+    error well under the reported tolerances.  A march that would take
+    more than 2^21 level-0 steps is refused with AnalysisError.
 
     The grid end is predicted without a march, where the tail completion's
     residual bound with z = 1 falls to tail_tol / 10, and the pair is

@@ -230,3 +230,98 @@ def test_is_constant_and_value():
     assert expr.is_constant(parse("2^3 + 1"))
     assert expr.constant_value(parse("2^3 + 1")) == 9.0
     assert not expr.is_constant(parse("x + 1"))
+
+
+# ---------------------------------------------------------------------------
+# the evaluation tape against nested evaluation
+
+_NESTED = {
+    "add": "({}+{})", "sub": "({}-{})", "mul": "({}*{})", "div": "({}/{})",
+    "neg": "(-{})", "exp": "np.exp({})", "log": "np.log({})",
+    "sqrt": "np.sqrt({})", "sin": "np.sin({})", "cos": "np.cos({})",
+    "abs": "np.abs({})", "sign": "np.sign({})",
+}
+
+
+def _nested_fn(e):
+    """The tree as one nested Python expression, every repeat evaluated
+    again: the reference the tape must match bit for bit."""
+    def gen(n):
+        if n.op == "const":
+            return "(%r)" % n.value
+        if n.op == "var":
+            return "x"
+        if n.op == "pow":
+            c = expr.constant_value(n.args[1])
+            return "(%s**(%r))" % (gen(n.args[0]), c)
+        return _NESTED[n.op].format(*map(gen, n.args))
+    ns = {"np": np}
+    exec("def f(x):\n    with np.errstate(all='ignore'):\n        return "
+         + gen(e), ns)
+    return ns["f"]
+
+
+def _outcome(fn, x):
+    """fn(x) as a float64 array, or the class of the exception it raised."""
+    try:
+        with np.errstate(all="ignore"):
+            return np.atleast_1d(np.asarray(fn(x), dtype=float))
+    except (ArithmeticError, TypeError) as exc:
+        return type(exc)
+
+
+def _same_bits(got, want):
+    if isinstance(got, type) or isinstance(want, type):
+        return got is want
+    return (np.array_equal(got, want, equal_nan=True)
+            and np.array_equal(np.signbit(got), np.signbit(want)))
+
+
+def test_tape_matches_nested_evaluation_bit_for_bit():
+    rng = random.Random(2024)
+    xs = np.array([-3.0, -1.0, -0.0, 0.0, 0.2, 0.5, 1.0, 1.7, 3.0, 40.0,
+                   800.0])
+    # 0.0 and -0.0 are distinct constants: 1/(x*-0) + 1/(x*0) is nan
+    signed_zeros = expr.binary("add", *(
+        expr.binary("div", expr.const(1.0),
+                    expr.binary("mul", expr.VAR, expr.const(z)))
+        for z in (-0.0, 0.0)))
+    trees = [_random_tree(rng, 5) for _ in range(40)] + [signed_zeros]
+    nonfinite = 0
+    for tree in trees:
+        fn, ref = compile_fn(tree), _nested_fn(tree)
+        want = np.broadcast_to(_outcome(ref, xs), xs.shape)
+        assert _same_bits(_outcome(fn, xs), want), to_string(tree)
+        nonfinite += int(np.sum(~np.isfinite(want)))
+        for x in xs:
+            for scalar in (float(x), np.float64(x)):
+                assert _same_bits(_outcome(fn, scalar),
+                                  _outcome(lambda t: float(ref(t)), scalar)), \
+                    (to_string(tree), scalar)
+    assert nonfinite > 20   # nan and inf results are part of the check
+
+
+def _node_count(e):
+    return 1 + sum(_node_count(a) for a in e.args)
+
+
+def test_tape_has_one_entry_per_distinct_subtree():
+    # a2 as the oscillatory regime builds it, on osc-at-inf
+    from lgasym import transform
+    split = transform.CoefficientSplit.from_expressions("-(1.297+1.025/x)",
+                                                        "0")
+    psi = transform.compute_psi(split, -1)
+    a1 = differentiate(expr.binary("mul", psi.psi_ast, psi.inv_sqrt_f_ast))
+    a2 = differentiate(expr.binary("mul", a1, psi.inv_sqrt_f_ast))
+    assert _node_count(a2) == 2256
+    entries = [line for line in compile_fn(a2).source.splitlines()
+               if line.startswith("t")]
+    assert len(entries) <= 137
+
+
+def test_differentiate_shares_the_derivative_of_a_shared_subtree():
+    t = parse("sin(x)*exp(x)")
+    d = differentiate(expr.binary("mul", t, t))
+    # (t t)' = t' t + t t'
+    assert d.op == "add"
+    assert d.args[0].args[0] is d.args[1].args[1]

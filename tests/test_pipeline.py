@@ -1,4 +1,7 @@
 import math
+import os
+import subprocess
+import sys
 import warnings
 
 import numpy as np
@@ -548,6 +551,50 @@ def test_step_override():
     # phase span, so expect it only to ~span/n accuracy
     r = analyze("1", "3/(4*x^2)", step=0.01)
     assert r.march["coarse_step"] == pytest.approx(0.01, rel=1e-3)
+
+
+# Run under a 1.5 GB address-space limit: a march of 1e9 level-0 steps
+# would ask for about 1 GB in its first array.
+_OVERSIZED_MARCHES = """
+import resource, time
+limit = 1500 * 2 ** 20
+resource.setrlimit(resource.RLIMIT_AS, (limit, limit))
+from lgasym import cli, pipeline
+for args, kw in (("1", "1/x^1.5"), {}), (("1", "3/(4*x^2)"), {"step": 1e-9}):
+    t0 = time.perf_counter()
+    try:
+        pipeline.analyze(*args, **kw)
+        print("not refused")
+    except pipeline.AnalysisError as exc:
+        print("%.3f %s" % (time.perf_counter() - t0, exc))
+print("exit", cli.main(["analyze", "--f", "1", "--g", "1/x^1.5"]))
+"""
+
+
+def test_oversized_march_is_refused_before_it_allocates():
+    pytest.importorskip("resource")
+    env = dict(os.environ, OPENBLAS_NUM_THREADS="1", OMP_NUM_THREADS="1")
+    p = subprocess.run([sys.executable, "-c", _OVERSIZED_MARCHES], env=env,
+                       capture_output=True, text=True, timeout=120)
+    assert p.returncode == 0, p.stderr
+    *refusals, exit_line = p.stdout.splitlines()
+    assert len(refusals) == 2, p.stdout
+    for line in refusals:
+        seconds, message = line.split(" ", 1)
+        assert float(seconds) < 1.0, line
+        assert "more than the cap of %d" % pipeline._MAX_LEVEL0_STEPS \
+            in message
+    assert exit_line == "exit 1"
+    assert p.stderr.startswith("error: ")
+
+
+def test_march_guard_runs_before_the_pilot():
+    def pilot(idx):
+        raise AssertionError("sampled %d points" % len(idx))
+
+    with pytest.raises(AnalysisError, match="cap"):
+        pipeline._graded_pair(pilot, pilot, None, 0.01,
+                              pipeline._MAX_LEVEL0_STEPS + 1)
 
 
 def test_tail_tolerance_tradeoff():
