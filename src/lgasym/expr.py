@@ -651,8 +651,10 @@ def _tape(e):
             final(root))
 
 
-def _listing(consts, entries, root):
-    """One line per tape entry, then the returned slot."""
+def listing(fn):
+    """The tape of a compile_fn callable, one line per entry, then the
+    returned slot."""
+    consts, entries, root = fn.tape
     names = ["x", *map(repr, consts),
              *("t%d" % k for k in range(len(entries)))]
     lines = []
@@ -678,7 +680,7 @@ def compile_fn(e):
     the callable runs the entries in order, each the operator or numpy
     function the node names on the values of its operands, so every value
     is the IEEE operation a nested evaluation of the tree would apply.
-    .source lists the tape, one line per entry.
+    .tape holds the tape; listing(fn) prints it, one line per entry.
 
     The compiled path skips the per-node domain checks of evaluate() for
     speed (out-of-domain input produces nan/inf rather than an exception);
@@ -700,5 +702,5 @@ def compile_fn(e):
                 if np.ndim(v) == 0 else np.asarray(v, dtype=float)
         return float(v)
 
-    wrapped.source = _listing(consts, entries, root)
+    wrapped.tape = consts, entries, root
     return wrapped

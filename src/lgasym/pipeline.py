@@ -115,13 +115,29 @@ _MAX_LEVEL0_STEPS = 2 ** 21
 
 
 def _choose_h(y_span, override=None):
-    """The level-0 coarse step and the span in such steps."""
+    """The level-0 coarse step and the span in such steps.
+
+    Raises ValueError for an override that is not a positive finite
+    number, and AnalysisError when the span takes more than
+    _MAX_LEVEL0_STEPS such steps (or a count that overflows)."""
     if override is not None:
         h = float(override)
+        if not (math.isfinite(h) and h > 0.0):
+            raise ValueError("step must be a positive finite number")
     else:
         h = min(_H_COARSE_MAX, max(_H_COARSE_MIN, y_span / _TARGET_CELLS))
-    n = max(int(math.ceil(y_span / h)), 8)
+    n = y_span / h
+    if not n <= _MAX_LEVEL0_STEPS:
+        raise _too_long(y_span, h, n)
+    n = max(int(math.ceil(n)), 8)
     return y_span / n, n
+
+
+def _too_long(span, h, n):
+    return AnalysisError(
+        "marching a span of %.6g in level-0 steps of %.3g takes %.6g "
+        "steps, more than the cap of %d; raise the step or loosen the "
+        "tail tolerance" % (span, h, n, _MAX_LEVEL0_STEPS))
 
 
 def _levels(w_hat, W0, top):
@@ -176,10 +192,7 @@ def _graded_pair(pilot, sample, solve, h_c, n_c):
     _MAX_LEVEL0_STEPS.
     """
     if n_c > _MAX_LEVEL0_STEPS:
-        raise AnalysisError(
-            "marching a span of %.6g in level-0 steps of %.3g takes %d "
-            "steps, more than the cap of %d; raise the step or loosen the "
-            "tail tolerance" % (h_c * n_c, h_c, n_c, _MAX_LEVEL0_STEPS))
+        raise _too_long(h_c * n_c, h_c, n_c)
     top = 0
     while h_c * 2 ** (top + 1) <= _STEP_CAP:
         top += 1

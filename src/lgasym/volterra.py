@@ -18,11 +18,11 @@ from cell to cell: the pipeline marches on a dyadic graded grid, whose
 cells are the level-0 step times a power of two, so the exact moments are
 computed once per distinct step.  The derivative comes for free (z'
 equals the memory integral E in the kernel case, S2/x^2 in the algebraic
-case).  That update is affine in the state (z, Q, E), resp. (z, S1, S2),
-with coefficients fixed by the samples and steps alone, so the march is
-evaluated as a blocked affine scan (_affine_scan): block maps on four
-lanes, a short chain of block start states, and one more vectorized pass
-from those starts.
+case).  Since z = 1 + (Q - E)/mu, resp. 1 + S1 - S2/x, at every node,
+the running integral Q = int w z, resp. S1 = int s g z, is not marched:
+only zeta = z - 1 and the memory v (E, resp. S2) are, by a step linear
+in (z, v) with coefficients fixed by the samples and steps, evaluated as
+a blocked scan (_scan).
 
 The continuous solutions obey |z| <= exp(T) with T the running L1 norm of
 the perturbation weight; the discrete march asserts this envelope at
@@ -190,19 +190,16 @@ class VolterraSolution:
 def _kernel_weights(mu, h):
     """Exact hat-function moments of the kernel over one cell.
 
-    Returns (D, A, B, cL, cR): D = e^{-mu h}; A and B weight q_k and
-    q_{k+1} in the memory update; cL and cR are the net (1/mu)(h/2 - .)
-    weights of the implicit z update.  Series forms are used for small
-    mu h where the closed forms cancel.
+    Returns (A, B, cL, cR): A and B weight q_k and q_{k+1} in the memory
+    update, and A + B = (1 - e^{-mu h}) / mu; cL and cR are the net
+    (1/mu)(h/2 - .) weights of the implicit z update.  Series forms are
+    used for small mu h where the closed forms cancel.
     """
     cd = mu * h
-    D = cmath.exp(-cd) if isinstance(mu, complex) else math.exp(-cd)
     if abs(cd) < 0.5:
-        # I0/h    = sum (-cd)^m / (m+1)!
         # A/h     = sum (-cd)^m (m+1) / (m+2)!
         # h/2 - A = -h * sum_{m>=1} (-cd)^m (m+1)/(m+2)!
         # h/2 - B = -h * sum_{m>=1} (-cd)^m / (m+2)!
-        i0 = 0.0
         da = 0.0
         db = 0.0
         term = 1.0 + 0j if isinstance(mu, complex) else 1.0
@@ -210,25 +207,24 @@ def _kernel_weights(mu, h):
         for m in range(0, 18):
             fact2 = fact * (m + 1)      # (m+1)!
             fact3 = fact2 * (m + 2)     # (m+2)!
-            i0 += term / fact2
             if m >= 1:
                 da -= term * (m + 1) / fact3
                 db -= term / fact3
             term *= -cd
             fact = fact2
-        i0 *= h
         half_minus_A = h * da
         half_minus_B = h * db
         A = 0.5 * h - half_minus_A
         B = 0.5 * h - half_minus_B
     else:
+        D = cmath.exp(-cd) if isinstance(mu, complex) else math.exp(-cd)
         I0 = (1.0 - D) / mu
         I1 = (1.0 - D * (1.0 + cd)) / (mu * mu)
         A = I1 / h
         B = I0 - A
         half_minus_A = 0.5 * h - A
         half_minus_B = 0.5 * h - B
-    return D, A, B, half_minus_A / mu, half_minus_B / mu
+    return A, B, half_minus_A / mu, half_minus_B / mu
 
 
 def _envelope_bound(T, slack):
@@ -248,66 +244,69 @@ def _contracting_steps(denom):
 def _block_size(m):
     """Steps per block when scanning m steps: about sqrt(m / 32).
 
-    Passes 1 and 3 of _affine_scan cost some 30 numpy calls per in-block
-    position, pass 2 about one call's time per block, so this size
-    balances the two (both grow like sqrt(m))."""
+    Passes 1 and 3 of _scan make 19 numpy calls per in-block position,
+    pass 2 costs about one call's time per block, so this size balances
+    the two (both grow like sqrt(m)); m // 16 to m // 64 time within a
+    few percent of it."""
     return max(1, math.isqrt(m // 32))
 
 
-def _affine_scan(step, coefs, dtype):
-    """March x_{k+1} = step(x_k, c_k) from x_0 = (1, 0, 0) over the m
-    steps whose coefficients c_k = (coefs[0][k], coefs[1][k], ...) are
-    given, and return the state components z and v at every node.
+def _scan(f, b, g, d):
+    """March the deviation zeta = z - 1 and the memory v from zeta = v = 0
+    over the m steps
 
-    step(z, u, v, one, *c) must be affine in the state (z, u, v), with
-    `one` scaling its constant part; it is called on arrays, one entry
-    per block.  The steps are cut into blocks of _block_size(m).
+        zeta' = zeta + f_k z + b_k v,    v' = v + g_k z + d_k v,
 
-    1. Every block runs at once on four lanes: the constant part (one = 1
-       from the zero state) and the three unit states (one = 0).  The
-       lanes' end states are the columns of the block's affine map.
+    and return z and v at every node.  The steps are linear in (z, v) and
+    cut into blocks of _block_size(m):
+
+    1. Every block runs at once on two lanes, from z = 1 and from v = 1;
+       their deviations from those starts are the block's map less 1.
     2. The block maps are chained in order into each block's start state.
     3. Every block runs again at once from its true start state.
 
-    The interpreter thus sees O(sqrt(m)) vectorized steps, and working
-    memory stays O(m): there are no per-step maps or lane histories.
+    Each pass adds increments to the state, never rescales it, so a state
+    that should not move (z == 1 where w == 0) stays exact.  The
+    interpreter sees O(sqrt(m)) vectorized steps, and working memory
+    stays O(m).
     """
-    m = len(coefs[0])
+    m = len(f)
+    dtype = np.result_type(f, b, g, d)
     if m == 0:
         return np.ones(1, dtype), np.zeros(1, dtype)
     size = _block_size(m)
     nb = -(-m // size)
     # row j holds step j of every block; the last block is padded with
-    # copies of the final step, whose results are never read
-    cols = [np.ascontiguousarray(
-        np.pad(c, (0, nb * size - m), mode="edge").reshape(nb, size).T)
-        for c in coefs]
+    # identity steps, whose results are never read
+    packed = np.zeros((4, nb * size), dtype)
+    packed[:, :m] = f, b, g, d
+    f, b, g, d = packed.reshape(4, nb, size).transpose(0, 2, 1).copy()
     with np.errstate(over="ignore", invalid="ignore"):
-        # pass 1: lanes[i, 1 + i] starts at 1, everything else at 0
-        lanes = np.zeros((3, 4, nb), dtype)
-        for i in range(3):
-            lanes[i, i + 1] = 1.0
-        z, u, v = lanes
-        one = np.array([[1.0], [0.0], [0.0], [0.0]])
+        # pass 1: lane 0 starts at (z, v) = (1, 0), lane 1 at (0, 1)
+        unit_z = np.array([[1.0], [0.0]])
+        unit_v = unit_z[::-1]
+        dz = np.zeros((2, nb), dtype)
+        dv = np.zeros((2, nb), dtype)
         for j in range(size):
-            z, u, v = step(z, u, v, one, *(c[j] for c in cols))
-        # pass 2, on Python scalars: start_{b+1} = c_b + M_b start_b
-        zs, us, vs = [1.0], [0.0], [0.0]
-        for (cz, zz, zu, zv, cu, uz, uu, uv, cv, vz, vu, vv) in zip(
-                *z.tolist(), *u.tolist(), *v.tolist()):
-            z0, u0, v0 = zs[-1], us[-1], vs[-1]
-            zs.append(cz + zz * z0 + zu * u0 + zv * v0)
-            us.append(cu + uz * z0 + uu * u0 + uv * v0)
-            vs.append(cv + vz * z0 + vu * u0 + vv * v0)
+            z = dz + unit_z
+            v = dv + unit_v
+            dz, dv = dz + (f[j] * z + b[j] * v), dv + (g[j] * z + d[j] * v)
+        # pass 2, on Python scalars
+        zetas, vs = [0.0], [0.0]
+        for zz, zv, vz, vv in zip(*dz.tolist(), *dv.tolist()):
+            z0, v0 = 1.0 + zetas[-1], vs[-1]
+            zetas.append(zetas[-1] + (zz * z0 + zv * v0))
+            vs.append(v0 + (vz * z0 + vv * v0))
         # pass 3
-        z, u, v = (np.array(s[:nb], dtype) for s in (zs, us, vs))
-        z_out = np.empty((size, nb), dtype)
+        zeta = np.array(zetas[:nb], dtype)
+        v = np.array(vs[:nb], dtype)
+        zeta_out = np.empty((size, nb), dtype)
         v_out = np.empty((size, nb), dtype)
         for j in range(size):
-            z, u, v = step(z, u, v, 1.0, *(c[j] for c in cols))
-            z_out[j] = z
-            v_out[j] = v
-    return (np.concatenate(([1.0], z_out.T.reshape(-1)[:m])),
+            z = 1.0 + zeta
+            zeta, v = (np.add(zeta, f[j] * z + b[j] * v, out=zeta_out[j]),
+                       np.add(v, g[j] * z + d[j] * v, out=v_out[j]))
+    return (1.0 + np.concatenate(([0.0], zeta_out.T.reshape(-1)[:m])),
             np.concatenate(([0.0], v_out.T.reshape(-1)[:m])))
 
 
@@ -367,10 +366,11 @@ def solve_kernel(w_vals, h, zeta, grid=None):
     sum of the steps from 0).  zeta is 1 (growing exponential branch) or
     +-1j (oscillatory branches).
 
-    The step is affine in (z, Q, E), with Q = int w z and E the memory
-    integral, and its coefficients depend on the samples and the cell's
-    step alone, so the march is one blocked scan (_affine_scan).  The
-    exact kernel moments are computed once per distinct step.
+    Each step solves z_{k+1} (1 - w_{k+1} cR) = z_k (1 + w_k cL) + (A + B)
+    E_k and sets E_{k+1} = D E_k + A w_k z_k + B w_{k+1} z_{k+1}, with D =
+    e^{-mu h} taken as 1 - mu (A + B): a D rounded to a modulus other than
+    1 would make E drift over a long oscillatory run.  The exact kernel
+    moments are computed once per distinct step.
     """
     w_arr = np.asarray(w_vals, dtype=float)
     if not np.all(np.isfinite(w_arr)):
@@ -386,20 +386,16 @@ def solve_kernel(w_vals, h, zeta, grid=None):
     if margin > 0.5:
         raise StepTooLargeError(
             "h * max|w| = %.3g exceeds the contraction margin" % margin)
-    D, A, B, cL, cR = _per_step(_kernel_weights, mu, h)
-    denom = 1.0 - w_arr[1:] * cR
-    m = _contracting_steps(denom)
+    A, B, cL, cR = _per_step(_kernel_weights, mu, h)
+    m = _contracting_steps(1.0 - w_arr[1:] * cR)
+    A, B, cL, cR, w0, w1 = (c[:m] for c in (A, B, cL, cR, w_arr[:-1],
+                                            w_arr[1:]))
+    denom = 1.0 - w1 * cR
+    f = (w0 * cL + w1 * cR) / denom
+    I0 = A + B                      # (1 - D) / mu, free of D's rounding
+    b = I0 / denom
+    z, E = _scan(f, b, A * w0 + B * w1 * (1.0 + f), B * w1 * b - mu * I0)
     half = 0.5 * h
-
-    def step(z, Q, E, one, wk, wk1, den, D, A, B, cL, hk):
-        qk = wk * z
-        z1 = (one + (Q - D * E) / mu + qk * cL) / den
-        qk1 = wk1 * z1
-        return z1, Q + hk * (qk + qk1), D * E + qk * A + qk1 * B
-
-    dtype = complex if oscillatory else float
-    z, E = _affine_scan(step, tuple(c[:m] for c in (
-        w_arr[:-1], w_arr[1:], denom, D, A, B, cL, half)), dtype)
     dT = half[:m] * (aw[:m] + aw[1:m + 1])
     T = _running(dT)
     zmax = _check_march(z, T, dT, h, m < n - 1)
@@ -423,8 +419,8 @@ def solve_algebraic(g_vals, a, h, grid=None):
     g z over each cell, so the kernel weight at the diagonal vanishes to
     the same order as the kernel itself.  The envelope uses the same exact
     first moments of |g|, making T the product-integration value of
-    int s |g| ds.  The step is affine in (z, S1, S2), so the march is one
-    blocked scan (_affine_scan).
+    int s |g| ds.  With 1 + S1 = z + S2/s_k at node s_k, S1 drops out, so
+    the march is one blocked scan (_scan) of z - 1 and S2.
     """
     g_arr = np.asarray(g_vals, dtype=float)
     if not np.all(np.isfinite(g_arr)):
@@ -442,8 +438,7 @@ def solve_algebraic(g_vals, a, h, grid=None):
     if margin > 0.5:
         raise StepTooLargeError(
             "h * max|s g| = %.3g exceeds the contraction margin" % margin)
-    sk = grid[:-1]
-    sk1 = sk + h
+    sk, sk1 = grid[:-1], grid[1:]
     h2_6 = h * h / 6.0
     h2_3 = h * h / 3.0
     h3_12 = h ** 3 / 12.0
@@ -453,20 +448,20 @@ def solve_algebraic(g_vals, a, h, grid=None):
     m1R = 0.5 * h * sk + h2_3
     m2L = 0.5 * h * sk * sk + h2_3 * sk + h3_12
     m2R = 0.5 * h * sk * sk + 2.0 * h2_3 * sk + h3_4
-    denom = 1.0 - g_arr[1:] * (m1R - m2R / sk1)
-    m = _contracting_steps(denom)
-
-    def step(z, S1, S2, one, gk, gk1, m1L, m1R, m2L, m2R, sk1, den):
-        pk = gk * z
-        z1 = (one + S1 + m1L * pk - (S2 + m2L * pk) / sk1) / den
-        pk1 = gk1 * z1
-        return (z1, S1 + (m1L * pk + m1R * pk1),
-                S2 + (m2L * pk + m2R * pk1))
-
+    # the net weights of g_k z_k and g_{k+1} z_{k+1} in the implicit update
+    cL, cR = m1L - m2L / sk1, m1R - m2R / sk1
+    m = _contracting_steps(1.0 - g_arr[1:] * cR)
+    # S2 enters z through the drop of 1/s over the cell, taken from the
+    # nodes themselves so that it telescopes; S2 = 0 at s_k = 0
+    drop = np.divide(sk1 - sk, sk * sk1, out=np.zeros_like(h),
+                     where=sk > 0.0)
+    cL, cR, drop, mL, mR, g0, g1 = (c[:m] for c in (
+        cL, cR, drop, m2L, m2R, g_arr[:-1], g_arr[1:]))
+    denom = 1.0 - g1 * cR
+    f = (g0 * cL + g1 * cR) / denom
+    b = drop / denom
     # z and S2 at every node
-    z, z_deriv = _affine_scan(
-        step, tuple(c[:m] for c in (g_arr[:-1], g_arr[1:], m1L, m1R, m2L,
-                                    m2R, sk1, denom)), float)
+    z, z_deriv = _scan(f, b, mL * g0 + mR * g1 * (1.0 + f), mR * g1 * b)
     ag = np.abs(g_arr[:m + 1])
     dT = m1L[:m] * ag[:-1] + m1R[:m] * ag[1:]
     T = _running(dT)

@@ -597,6 +597,17 @@ def test_march_guard_runs_before_the_pilot():
                               pipeline._MAX_LEVEL0_STEPS + 1)
 
 
+@pytest.mark.parametrize("step, error", [
+    (0.0, ValueError), (-0.01, ValueError), (math.inf, ValueError),
+    (math.nan, ValueError),
+    (1e-320, AnalysisError),    # positive, but span / step overflows
+])
+def test_bad_step_is_refused_with_a_typed_error(step, error):
+    with pytest.raises(error, match="step") as got:
+        analyze("1", "3/(4*x^2)", step=step)
+    assert type(got.value) is error
+
+
 def test_tail_tolerance_tradeoff():
     tight = analyze("1", "3/(4*x^2)")
     loose = analyze("1", "3/(4*x^2)", tail_tol=1e-4)
