@@ -3,11 +3,13 @@ ledger of an analysis.
 
 One kernel, _gk_cell, applies a 7-point Gauss / 15-point Kronrod embedded
 pair to an array of cells in one call of the integrand, and every sample
-the package takes passes through it.  The adaptive engine bisects the
-worst cell first (QUADPACK's global strategy, Piessens et al. 1983).  It
-starts from a partition: one cell per piece, all of them refined against
-one shared error budget, and the per-piece sums returned; a single
-interval is the one-piece case.
+the package takes passes through it.  The adaptive engine refines the
+worst cell first (QUADPACK's global strategy, Piessens et al. 1983): it
+splits the end cell, the one at the upper end of the range, in four equal
+cells in one kernel call, and bisects every other cell.  It starts from a
+partition: one cell per piece, all of them refined against one shared
+error budget, and the per-piece sums returned; a single interval is the
+one-piece case.
 
 Semi-infinite integrals go through the rational substitution
 x = a + t/(1-t), which maps [a, inf) onto [0, 1); the Kronrod nodes are
@@ -19,13 +21,18 @@ and the tails come back as a reverse cumulative sum.  The run's shared
 error estimate bounds the error of every entry.  A finite integral takes an
 increasing array of upper limits the same way, as a cumulative sum.
 
-Divergence is detected structurally rather than by timeout: when each of
-the last _DIVERGENCE_RUN (40) refinements grows the running value by more
-than 10*tol, and by at least 0.9 of the previous such gain, the integral
-is declared divergent.  That rule catches harmonic-type tails (int 1/x)
-quickly while leaving slowly convergent integrals to the normal tolerance
-loop.  EVAL_BUDGET (2**20) samples per adaptive run bound the work on
-adversarial integrands.
+Divergence is detected structurally rather than by timeout, from two runs
+that neither resets the other: one over the splits of the end cell, one
+over those of the other cells.  A run counts dyadic shells, one per
+bisection and two per four-way split.  When the refinements of the last
+_DIVERGENCE_RUN (40) shells of a run each grow the running value by more
+than 10*tol, and by at least 0.9 per shell (0.81 per four-way split) of
+the run's previous such gain, the integral is declared divergent.  That
+rule catches harmonic-type tails (int 1/x) in 22 kernel calls while
+leaving slowly convergent integrals to the normal tolerance loop; the
+threshold for x^-p sits near p = 1.15.  With separate runs an integrable
+feature elsewhere cannot hide a divergent tail.  EVAL_BUDGET (2**20)
+samples per adaptive run bound the work on adversarial integrands.
 
 While a Work ledger is active (pipeline.analyze holds one for its run),
 _gk_cell charges every sample to it; outside one nothing is charged.
@@ -42,10 +49,12 @@ import numpy as np
 
 EVAL_BUDGET = 2 ** 20
 # A convergent integrand can sustain near-constant refinement gains for
-# about log2(span / feature width) splits while the adaptive zooms in on
-# a sharp feature (an exponential tail on a span of 1e4 plateaus for ~14
-# splits); only a genuine divergence sustains them indefinitely.  40 is
-# far beyond any legitimate plateau and still costs only ~1200 samples.
+# about log2(span / feature width) dyadic shells while the adaptive zooms
+# in on a sharp feature (an exponential tail on a span of 1e4 plateaus for
+# ~14 shells); only a genuine divergence sustains them indefinitely.  40
+# shells, 20 four-way splits of the end cell or 40 bisections of the
+# interior, is far beyond any legitimate plateau and costs the end cell
+# only ~1300 samples in 22 kernel calls.
 _DIVERGENCE_RUN = 40
 
 # 15-point Kronrod abscissae on [-1, 1]; odd-indexed entries are the
@@ -162,12 +171,14 @@ def _cells(fn, lo, hi):
 
 
 def _adapt(fn, edges, tol):
-    """Worst-first adaptive bisection of the partition edges[0] < edges[1]
+    """Worst-first adaptive refinement of the partition edges[0] < edges[1]
     < ... under one shared error budget -> (per-piece values, total error
-    estimate, evaluations), within EVAL_BUDGET samples.  The per-cell error
-    estimate is the conservative |K - G|; it overestimates the true Kronrod
-    error on smooth integrands, which is what makes it usable as a
-    certified bound."""
+    estimate, evaluations), within EVAL_BUDGET samples.  The end cell, the
+    one at edges[-1], is split in four equal cells per call (two levels of
+    bisection, two dyadic shells of a mapped tail); every other cell is
+    bisected.  The per-cell error estimate is the conservative |K - G|; it
+    overestimates the true Kronrod error on smooth integrands, which is
+    what makes it usable as a certified bound."""
     pieces = len(edges) - 1
     if CELL_SAMPLES * pieces > EVAL_BUDGET:
         raise BudgetExceededError(
@@ -181,38 +192,47 @@ def _adapt(fn, edges, tol):
     heapq.heapify(heap)
     total_err = sum(errs)
     evals = CELL_SAMPLES * pieces
-    growth_run = 0
-    last_delta = math.inf
+    end = edges[-1]
+    # divergence runs as [shells, last gain]; neither resets the other
+    end_run, interior_run = [0, math.inf], [0, math.inf]
     while total_err > tol:
-        if evals + 2 * CELL_SAMPLES > EVAL_BUDGET:
+        _, clo, chi, piece, cval, cerr = heapq.heappop(heap)
+        mid = 0.5 * (clo + chi)
+        if chi == end:
+            # two levels of bisection in one call: two dyadic shells
+            cuts = [clo, 0.5 * (clo + mid), mid, 0.5 * (mid + chi), chi]
+            shells, run = 2, end_run
+        else:
+            cuts = [clo, mid, chi]
+            shells, run = 1, interior_run
+        if evals + CELL_SAMPLES * (len(cuts) - 1) > EVAL_BUDGET:
             raise BudgetExceededError(
                 "quadrature budget exhausted (%d evaluations, error %.3g)"
                 % (evals, total_err))
-        _, clo, chi, piece, cval, cerr = heapq.heappop(heap)
-        mid = 0.5 * (clo + chi)
-        (k1, k2), (e1, e2) = _cells(fn, (clo, mid), (mid, chi))
-        evals += 2 * CELL_SAMPLES
-        delta = (k1 + k2) - cval
+        ks, es = _cells(fn, cuts[:-1], cuts[1:])
+        evals += len(ks) * CELL_SAMPLES
+        delta = sum(ks) - cval
         totals[piece] += delta
-        total_err += (e1 + e2) - cerr
-        heapq.heappush(heap, (-e1, clo, mid, piece, k1, e1))
-        heapq.heappush(heap, (-e2, mid, chi, piece, k2, e2))
+        total_err += sum(es) - cerr
+        for lo, hi, k, e in zip(cuts, cuts[1:], ks, es):
+            heapq.heappush(heap, (-e, lo, hi, piece, k, e))
         # Divergence heuristic: a true divergence (1/x and friends) keeps
-        # adding a roughly constant amount per refinement of the worst cell,
-        # while a convergent integrand adds amounts that decay geometrically
-        # (a p-integrable tail shrinks by 2^{-(p-1)} <= ~0.71 per split, a
-        # kink by ~0.25).  So only count refinements whose gain has not
-        # shrunk materially relative to the previous one.
-        if delta > 10.0 * tol and delta >= 0.9 * last_delta:
-            growth_run += 1
-            if growth_run >= _DIVERGENCE_RUN:
+        # adding a roughly constant amount per dyadic shell of the worst
+        # cell, while a convergent integrand adds amounts that decay
+        # geometrically (a p-integrable tail shrinks by 2^{-(p-1)} <= ~0.71
+        # per shell, a kink by ~0.25).  So only count refinements whose
+        # gain has not shrunk below 0.9 per shell of the previous one.
+        if delta > 10.0 * tol and delta >= 0.9 ** shells * run[1]:
+            run[0] += shells
+            if run[0] >= _DIVERGENCE_RUN:
                 raise DivergenceError(
                     "integral appears divergent (running value grew by %.3g "
-                    "on each of the last %d refinements)" % (delta, growth_run))
+                    "on the last refinement and kept growing over the last "
+                    "%d dyadic shells)" % (delta, run[0]))
         else:
-            growth_run = 0
+            run[0] = 0
         if delta > 10.0 * tol:
-            last_delta = delta
+            run[1] = delta
     return totals, total_err, evals
 
 

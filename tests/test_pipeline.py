@@ -303,6 +303,13 @@ def test_analyze_rejects_bad_hypotheses():
         analyze("1", "foo(x)")
 
 
+def test_divergent_perturbation_with_bump_is_refused():
+    # psi ~ 1/x is not integrable; the kinked bump's splits must not hide
+    # that from the divergence test (it once burned the whole budget)
+    with pytest.raises(HypothesisFailed):
+        analyze("1", "1/x + 3*abs(sin(x))*exp(-x/5)")
+
+
 # ---------------------------------------------------------- evaluation
 
 def test_solution_range_guard():
