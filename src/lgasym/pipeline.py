@@ -869,10 +869,17 @@ def analyze(f_text, g_text, endpoint="infinity", interval=None, tol=1e-10,
     per march.  constants["march_error_estimate"] is how far the same
     completion of the raw fine run lies from the reported constants.
 
+    tol and tail_tol must be positive finite numbers (ValueError).
+
     Returns an AnalysisReport whose .solutions hold normalized value and
     derivative callables, valid on the resolved range, and whose .work
-    holds the counters of the quadrature.Work ledger the run charged.
+    holds the counters of the quadrature.Work ledger the run charged.  That
+    ledger caps the run at quadrature.EVAL_BUDGET (2^20) samples; a
+    quadrature that would pass it raises BudgetExceededError.
     """
+    for name, value in (("tol", tol), ("tail_tol", tail_tol)):
+        if not (math.isfinite(value) and value > 0.0):
+            raise ValueError("%s must be a positive finite number" % name)
     split = transform.CoefficientSplit.from_expressions(f_text, g_text)
     if endpoint not in ("infinity", "zero"):
         raise ValueError("endpoint must be 'infinity' or 'zero'")

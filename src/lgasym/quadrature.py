@@ -31,16 +31,19 @@ the run's previous such gain, the integral is declared divergent.  That
 rule catches harmonic-type tails (int 1/x) in 22 kernel calls while
 leaving slowly convergent integrals to the normal tolerance loop; the
 threshold for x^-p sits near p = 1.15.  With separate runs an integrable
-feature elsewhere cannot hide a divergent tail.  EVAL_BUDGET (2**20)
-samples per adaptive run bound the work on adversarial integrands.
+feature elsewhere cannot hide a divergent tail.
 
-While a Work ledger is active (pipeline.analyze holds one for its run),
-_gk_cell charges every sample to it; outside one nothing is charged.
+The Work ledger is the one count and the one cap of integrand samples:
+_gk_cell charges every sample to the running one, and a call that would
+take it past EVAL_BUDGET (2**20) raises BudgetExceededError unsampled.
+pipeline.analyze holds one ledger for its run; an adaptive run outside
+one holds a fresh one, so the cap is per analysis or per direct call.
 """
 
 from __future__ import annotations
 
 import contextvars
+import functools
 import heapq
 import math
 from dataclasses import dataclass
@@ -90,14 +93,13 @@ class DivergenceError(QuadratureError):
 
 
 class BudgetExceededError(QuadratureError):
-    """More than EVAL_BUDGET integrand samples were requested."""
+    """A kernel call would take the ledger past EVAL_BUDGET samples."""
 
 
 @dataclass
 class QuadResult:
     value: float
     error_estimate: float
-    evaluations: int
 
 
 # the ledger of the running analysis; None outside one
@@ -121,18 +123,36 @@ class Work:
         _LEDGER.reset(self._token)
 
 
+def capped(run):
+    """Decorate run to charge the running ledger, or a fresh Work when none
+    is active: its samples are capped whether or not an analysis holds it."""
+    @functools.wraps(run)
+    def on_ledger(*args, **kwargs):
+        if _LEDGER.get() is not None:
+            return run(*args, **kwargs)
+        with Work():
+            return run(*args, **kwargs)
+    return on_ledger
+
+
 def charge(counter, n):
-    """Add n to the named counter of the running analysis's ledger."""
+    """Add n to the named counter of the running ledger, if any; n samples
+    that would take it past EVAL_BUDGET raise BudgetExceededError instead."""
     work = _LEDGER.get()
     if work is not None:
-        setattr(work, counter, getattr(work, counter) + n)
+        total = getattr(work, counter) + n
+        if counter == "quadrature_evaluations" and total > EVAL_BUDGET:
+            raise BudgetExceededError(
+                "quadrature budget of %d samples exhausted after %d"
+                % (EVAL_BUDGET, total - n))
+        setattr(work, counter, total)
 
 
 def _gk_cell(fn, lo, hi):
     """Gauss-Kronrod on the cells [lo[i], hi[i]] -> (kronrod, |K-G|)
     arrays, from one call of fn on all their samples, charged to the
-    ledger.  A non-finite sample makes its cell's values non-finite, which
-    the caller tests."""
+    ledger first, so a call past its budget takes no sample.  A non-finite
+    sample makes its cell's values non-finite, which the caller tests."""
     charge("quadrature_evaluations", CELL_SAMPLES * len(lo))
     mid = 0.5 * (lo + hi)
     half = 0.5 * (hi - lo)
@@ -170,20 +190,17 @@ def _cells(fn, lo, hi):
     return k, err
 
 
+@capped
 def _adapt(fn, edges, tol):
     """Worst-first adaptive refinement of the partition edges[0] < edges[1]
     < ... under one shared error budget -> (per-piece values, total error
-    estimate, evaluations), within EVAL_BUDGET samples.  The end cell, the
-    one at edges[-1], is split in four equal cells per call (two levels of
-    bisection, two dyadic shells of a mapped tail); every other cell is
-    bisected.  The per-cell error estimate is the conservative |K - G|; it
-    overestimates the true Kronrod error on smooth integrands, which is
-    what makes it usable as a certified bound."""
-    pieces = len(edges) - 1
-    if CELL_SAMPLES * pieces > EVAL_BUDGET:
-        raise BudgetExceededError(
-            "quadrature budget of %d evaluations is below one cell per piece"
-            % EVAL_BUDGET)
+    estimate), within the EVAL_BUDGET samples of the running ledger.  The
+    end cell, the one at edges[-1], is split in four equal cells per call
+    (two levels of bisection, two dyadic shells of a mapped tail); every
+    other cell is bisected.  The per-cell error estimate is the
+    conservative |K - G|; it overestimates the true Kronrod error on
+    smooth integrands, which is what makes it usable as a certified
+    bound."""
     los, his = edges[:-1], edges[1:]
     totals, errs = _cells(fn, los, his)
     # heap entries: (-err, lo, hi, piece, value, err)
@@ -191,7 +208,6 @@ def _adapt(fn, edges, tol):
             in enumerate(zip(los, his, totals, errs))]
     heapq.heapify(heap)
     total_err = sum(errs)
-    evals = CELL_SAMPLES * pieces
     end = edges[-1]
     # divergence runs as [shells, last gain]; neither resets the other
     end_run, interior_run = [0, math.inf], [0, math.inf]
@@ -205,12 +221,7 @@ def _adapt(fn, edges, tol):
         else:
             cuts = [clo, mid, chi]
             shells, run = 1, interior_run
-        if evals + CELL_SAMPLES * (len(cuts) - 1) > EVAL_BUDGET:
-            raise BudgetExceededError(
-                "quadrature budget exhausted (%d evaluations, error %.3g)"
-                % (evals, total_err))
         ks, es = _cells(fn, cuts[:-1], cuts[1:])
-        evals += len(ks) * CELL_SAMPLES
         delta = sum(ks) - cval
         totals[piece] += delta
         total_err += sum(es) - cerr
@@ -233,7 +244,7 @@ def _adapt(fn, edges, tol):
             run[0] = 0
         if delta > 10.0 * tol:
             run[1] = delta
-    return totals, total_err, evals
+    return totals, total_err
 
 
 def integrate_finite(fn, a, b, tol=1e-10, singular=None):
@@ -256,10 +267,10 @@ def integrate_finite(fn, a, b, tol=1e-10, singular=None):
         raise ValueError("singular must be None or 'left'")
     if ends.ndim == 0:
         if a == b:
-            return QuadResult(0.0, 0.0, 0)
+            return QuadResult(0.0, 0.0)
         if b < a and singular is None:
             r = integrate_finite(fn, b, a, tol)
-            return QuadResult(-r.value, r.error_estimate, r.evaluations)
+            return QuadResult(-r.value, r.error_estimate)
     elif (ends.ndim > 1 or not limits
           or any(lo >= hi for lo, hi in zip([a] + limits, limits))):
         raise ValueError("upper limits must be a strictly increasing 1-D "
@@ -272,10 +283,10 @@ def integrate_finite(fn, a, b, tol=1e-10, singular=None):
             return 2.0 * sign * u * fn(a + sign * u * u)
 
         edges = [0.0] + [math.sqrt(abs(x - a)) for x in limits]
-    values, err, evals = _adapt(g, edges, tol)
+    values, err = _adapt(g, edges, tol)
     if ends.ndim == 0:
-        return QuadResult(values[0], err, evals)
-    return QuadResult(np.cumsum(values), err, evals)
+        return QuadResult(values[0], err)
+    return QuadResult(np.cumsum(values), err)
 
 
 def integrate_to_infinity(fn, a, tol=1e-10):
@@ -292,7 +303,8 @@ def integrate_to_infinity(fn, a, tol=1e-10):
     every entry.
 
     Divergent tails surface as DivergenceError; more than EVAL_BUDGET
-    samples surface as BudgetExceededError.
+    samples on the ledger (one analysis, or this call) as
+    BudgetExceededError.
     """
     lows = np.asarray(a, dtype=float)
     limits = lows.ravel().tolist()
@@ -302,7 +314,7 @@ def integrate_to_infinity(fn, a, tol=1e-10):
         raise ValueError("lower limits must be a strictly increasing 1-D "
                          "array")
     if not limits:
-        return QuadResult(lows, 0.0, 0)
+        return QuadResult(lows, 0.0)
     a0, span = limits[0], limits[-1] - limits[0]
 
     def transformed(t):
@@ -324,12 +336,11 @@ def integrate_to_infinity(fn, a, tol=1e-10):
     # one errstate for the run, not one per cell: an invalid sample is
     # still caught, as a non-finite one, by _adapt
     with np.errstate(invalid="ignore"):
-        values, err, evals = _adapt(transformed, edges, tol / scale)
+        values, err = _adapt(transformed, edges, tol / scale)
     if lows.ndim == 0:
-        return QuadResult(values[0] * scale, err * scale, evals)
+        return QuadResult(values[0] * scale, err * scale)
     # the tail from a[i] is the sum of the pieces from t_i on
-    return QuadResult(scale * np.cumsum(values[::-1])[::-1], err * scale,
-                      evals)
+    return QuadResult(scale * np.cumsum(values[::-1])[::-1], err * scale)
 
 
 def l1_tail_norm(fn, a, tol=1e-10):

@@ -212,20 +212,6 @@ def _check(checks, name, passed, detail):
         raise HypothesisFailed(detail, checks)
 
 
-def _phase_diverges(sqrt_f_fn, start):
-    """True when int_start^inf |f|^(1/2) is judged divergent."""
-    try:
-        quadrature.integrate_to_infinity(sqrt_f_fn, start, tol=1e-8)
-    except quadrature.DivergenceError:
-        return True, None
-    except quadrature.BudgetExceededError:
-        # Could not settle; treat as divergent only if the partial mass is
-        # already large.  Conservatively report failure to converge.
-        return True, "budget"
-    else:
-        return False, None
-
-
 def classify_regime(split, endpoint, interval, checks=None):
     """Decide the asymptotic regime of u'' = (f+g) u at an endpoint.
 
@@ -297,13 +283,16 @@ def classify_regime(split, endpoint, interval, checks=None):
     if c is not None:
         regime = Regime.CONSTANT_EXP if sign > 0 else Regime.CONSTANT_OSC
     else:
-        diverges, note = _phase_diverges(psi.sqrt_f, start)
-        _check(checks, "phase-integral-diverges", diverges,
-               "int |f|^(1/2) converges at infinity; the endpoint is at "
-               "finite transformed distance and no normal form applies"
-               if not diverges else
-               "int_%g^inf |f|^(1/2) diverges%s" %
-               (start, " (budget exhausted)" if note else ""))
+        # only a detected divergence passes: a burned budget propagates
+        try:
+            quadrature.integrate_to_infinity(psi.sqrt_f, start, tol=1e-8)
+        except quadrature.DivergenceError:
+            _check(checks, "phase-integral-diverges", True,
+                   "int_%g^inf |f|^(1/2) diverges" % start)
+        else:
+            _check(checks, "phase-integral-diverges", False,
+                   "int |f|^(1/2) converges at infinity; the endpoint is at "
+                   "finite transformed distance and no normal form applies")
         regime = Regime.EXP_INFINITY if sign > 0 else Regime.OSC_INFINITY
 
     def abs_psi(x):
@@ -358,21 +347,18 @@ class PhaseTable:
 
     All cells of a bisection round are evaluated together
     (quadrature.gk_cells), and Phi at the edges is the cumulative sum of
-    the accepted cells; span is its total and samples counts every
-    integrand sample taken, within quadrature.EVAL_BUDGET.
+    the accepted cells; span is its total.  Every sample is charged to the
+    running ledger (a fresh one outside an analysis), so a table that would
+    take it past quadrature.EVAL_BUDGET raises BudgetExceededError.
     """
 
+    @quadrature.capped
     def __init__(self, sqrt_f, a, x_end):
         self.sqrt_f, self.a = sqrt_f, float(a)
         edges = np.linspace(self.a, float(x_end), _FIRST_CELLS + 1)
         lo, hi = edges[:-1], edges[1:]
-        starts, values, self.samples = [], [], 0
+        starts, values = [], []
         while lo.size:
-            self.samples += quadrature.CELL_SAMPLES * len(lo)
-            if self.samples > quadrature.EVAL_BUDGET:
-                raise quadrature.BudgetExceededError(
-                    "phase table budget exhausted (%d samples)"
-                    % self.samples)
             k, err = quadrature.gk_cells(sqrt_f, lo, hi)
             if not np.all(np.isfinite(k)):
                 bad = np.flatnonzero(~np.isfinite(k))[0]

@@ -125,8 +125,7 @@ def test_verify_certificate_does_not_repeat_the_search_quadrature(
     def biased(fn, a, **kw):
         r = l1_tail_norm(fn, a, **kw)
         if np.ndim(a) == 0:
-            r = quadrature.QuadResult(r.value * (1 + 1e-5), r.error_estimate,
-                                      r.evaluations)
+            r = quadrature.QuadResult(r.value * (1 + 1e-5), r.error_estimate)
         return r
 
     monkeypatch.setattr(quadrature, "l1_tail_norm", biased)

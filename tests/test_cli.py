@@ -91,6 +91,13 @@ def test_analyze_parse_error_exits_1():
     assert "error:" in p.stderr
 
 
+@pytest.mark.parametrize("flag", ["--tol", "--tail-tol"])
+def test_analyze_bad_tolerance_exits_1(flag):
+    p = run_cli("analyze", "--f", "1", "--g", "3/(4*x^2)", flag, "nan")
+    assert p.returncode == 1
+    assert "must be a positive finite number" in p.stderr
+
+
 def test_analyze_interval_argument():
     p = run_cli("analyze", "--f", "1", "--g", "3/(4*x^2)",
                 "--interval", "2:inf", "--json")

@@ -2,12 +2,13 @@ import math
 import os
 import subprocess
 import sys
+import time
 import warnings
 
 import numpy as np
 import pytest
 
-from lgasym import cli, expr, pipeline, quadrature, volterra
+from lgasym import cli, expr, pipeline, quadrature, transform, volterra
 from lgasym.pipeline import AnalysisError, RangeError, analyze
 from lgasym.transform import HypothesisFailed, Regime
 from reference_oracles import (BesselFixture, _series_eval,
@@ -288,6 +289,97 @@ def test_ledger_charges_only_inside_an_analysis():
     with pytest.raises(HypothesisFailed):
         analyze("1", "1/x")
     assert quadrature._LEDGER.get() is None
+
+
+# the burn input: its phase integral's classification run refines without
+# settling until the budget is gone
+BURN = ("cos(x) - cos(x)/cos(x)", "sqrt(x)^2 - abs(x)^-1")
+
+
+def test_budget_caps_the_whole_analysis(monkeypatch):
+    # the cap is on the analysis's ledger, not on each adaptive run: a
+    # budget above every single run but below their sum refuses
+    adapt, runs = quadrature._adapt, []
+
+    def measured(*args):
+        work = quadrature._LEDGER.get()
+        before = work.quadrature_evaluations
+        out = adapt(*args)
+        runs.append(work.quadrature_evaluations - before)
+        return out
+
+    monkeypatch.setattr(quadrature, "_adapt", measured)
+    total = analyze("1", "3/(4*x^2)").work["quadrature_evaluations"]
+    assert len(runs) > 1 and max(runs) < total
+    monkeypatch.setattr(quadrature, "_adapt", adapt)
+    monkeypatch.setattr(quadrature, "EVAL_BUDGET", (max(runs) + total) // 2)
+    with pytest.raises(quadrature.BudgetExceededError):
+        analyze("1", "3/(4*x^2)")
+    assert quadrature._LEDGER.get() is None
+
+
+def test_burned_budget_passes_no_check(monkeypatch):
+    # the phase integral of 1.5 x^-3 converges, but settling that takes
+    # more than 1380 samples: the check must neither pass nor fail
+    monkeypatch.setattr(quadrature, "EVAL_BUDGET", 1380)
+    split = transform.CoefficientSplit.from_expressions("1.5*x^-3", "0")
+    checks = []
+    with pytest.raises(quadrature.BudgetExceededError):
+        transform.classify_regime(split, "infinity", (1.0, math.inf),
+                                  checks=checks)
+    assert "phase-integral-diverges" not in [c["name"] for c in checks]
+
+
+@pytest.mark.parametrize("f, g, kwargs, budget", [
+    ("1", "3/(4*x^2)", {}, 1000),
+    ("-(1+1/x)", "0", {}, 20000),
+    ("1/x^2", "1.5 - 1/(4*x^2)", {"endpoint": "zero"}, 5000),
+    BURN + ({}, None),
+], ids=["constant-exp", "osc", "zero-endpoint", "burn-default-budget"])
+def test_no_sample_past_the_cap(monkeypatch, f, g, kwargs, budget):
+    # count the samples the integrand really sees, inside the kernel
+    cell, seen, ledgers = quadrature._gk_cell, [0], {}
+
+    def counted_cell(fn, lo, hi):
+        def counted(x):
+            seen[0] += np.size(x)
+            return fn(x)
+        work = quadrature._LEDGER.get()
+        ledgers[id(work)] = work
+        return cell(counted, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_gk_cell", counted_cell)
+    if budget is not None:
+        monkeypatch.setattr(quadrature, "EVAL_BUDGET", budget)
+    with pytest.raises(quadrature.BudgetExceededError):
+        analyze(f, g, **kwargs)
+    assert 0 < seen[0] <= quadrature.EVAL_BUDGET
+    # one ledger, which charged what was sampled and not the refused call
+    (work,) = ledgers.values()
+    assert work.quadrature_evaluations == seen[0]
+    assert quadrature._LEDGER.get() is None
+
+
+def test_largest_certify_case_leaves_budget_headroom():
+    # the heaviest bench case (osc-at-inf) must stay within half the
+    # per-analysis budget, so a quadrature regression fails here before
+    # the budget starts refusing a case that certifies
+    r = analyze("-(1.137+1.126/x)", "0")
+    assert r.work["quadrature_evaluations"] <= quadrature.EVAL_BUDGET // 2
+
+
+@pytest.mark.parametrize("bad", [0.0, -1.0, math.nan, math.inf])
+@pytest.mark.parametrize("name", ["tol", "tail_tol"])
+def test_analyze_rejects_a_bad_tolerance(monkeypatch, name, bad):
+    calls = []
+    monkeypatch.setattr(quadrature, "_gk_cell",
+                        lambda *args: calls.append(args))
+    start = time.perf_counter()
+    with pytest.raises(ValueError,
+                       match="%s must be a positive finite number" % name):
+        analyze("1", "3/(4*x^2)", **{name: bad})
+    assert time.perf_counter() - start < 0.1
+    assert calls == [] and quadrature._LEDGER.get() is None
 
 
 # ----------------------------------------------------------- rejection
