@@ -24,7 +24,12 @@ a2 of ``-(a+b/x)`` has 2256 nodes and 137 distinct subtrees).
 differentiate() differentiates each shared subtree once and shares the
 result; compile_fn() value-numbers the tree into an evaluation tape with
 one entry per distinct subtree and runs it without generating code.
-evaluate() stays the checked reference evaluator.
+
+The tape is the only evaluator, with one IEEE float64 rule: input outside
+the real domain (log/sqrt of a negative, x/0, a negative base under a
+fractional power, overflow) gives nan or inf and never raises.  Constant
+subtrees fold through the same tape, and only to a finite value;
+constant_value() raises EvalDomainError on a constant that is not finite.
 
 Trees are immutable (frozen dataclass) and all functions here are pure, so
 everything in this module is safe to share across threads.
@@ -53,7 +58,8 @@ class ParseError(ValueError):
 
 
 class EvalDomainError(ArithmeticError):
-    """Evaluation left the real domain (log/sqrt of negative, x/0, ...)."""
+    """A constant subtree has no finite real value (log/sqrt of a negative,
+    1/0, overflow, ...); raised by constant_value, naming the subtree."""
 
     def __init__(self, message, node):
         super().__init__("%s in subexpression '%s'" % (message, to_string(node)))
@@ -100,8 +106,8 @@ def unary(op, a):
 def binary(op, a, b):
     if op not in _BINARY_OPS:
         raise ValueError("unknown binary operator %r" % op)
-    if op == "pow" and not is_constant(b):
-        raise ValueError("pow exponent must be a constant subtree")
+    if op == "pow" and b.op != "const":
+        raise ValueError("pow exponent must be a constant")
     node = ExprNode(op, 0.0, (a, b))
     if a.op == "const" and b.op == "const":
         return _try_fold(node)
@@ -120,10 +126,8 @@ def binary(op, a, b):
 
 
 def _try_fold(node):
-    try:
-        return const(evaluate(node, 0.0))
-    except (EvalDomainError, OverflowError, ZeroDivisionError, ValueError):
-        return node
+    v = _compile(node)(0.0)
+    return const(v) if math.isfinite(v) else node
 
 
 def is_constant(e):
@@ -134,9 +138,14 @@ def is_constant(e):
 
 
 def constant_value(e):
+    """The value of a constant tree; EvalDomainError when it is not a
+    finite number."""
     if not is_constant(e):
         raise ValueError("expression depends on x")
-    return evaluate(e, 0.0)
+    v = _compile(e)(0.0)
+    if not math.isfinite(v):
+        raise EvalDomainError("non-finite value", e)
+    return v
 
 
 # --------------------------------------------------------------------------
@@ -184,6 +193,8 @@ class _Tokenizer:
             val = float(lit)
         except ValueError:
             raise ParseError("bad numeric literal %r" % lit, start) from None
+        if not math.isfinite(val):
+            raise ParseError("numeric literal %r is out of range" % lit, start)
         return ("number", val, start, i)
 
     def _ident(self):
@@ -204,7 +215,9 @@ def parse(text):
     """Parse expression text into an ExprNode tree.
 
     Raises ParseError (with byte offset) on syntax errors, unknown
-    identifiers, or a non-constant pow exponent.
+    identifiers, a non-constant pow exponent or a numeric literal outside
+    the float range, and EvalDomainError on an exponent chain without a
+    finite value (x^0^-1).
     """
     tz = _Tokenizer(text)
     node = _parse_expr(tz)
@@ -246,10 +259,7 @@ def _parse_factor(tz):
     kind = tz.peek()[0]
     if kind == "-":
         tz.advance()
-        inner = _parse_factor(tz)
-        if inner.op == "const":
-            return const(-inner.value)
-        return unary("neg", inner)
+        return unary("neg", _parse_factor(tz))
     return _parse_power(tz)
 
 
@@ -276,7 +286,8 @@ def _parse_exponent(tz):
     kind = tz.peek()[0]
     if kind == "^":
         tz.advance()
-        return sign * (val ** _parse_exponent(tz))
+        val = constant_value(
+            ExprNode("pow", 0.0, (const(val), const(_parse_exponent(tz)))))
     return sign * val
 
 
@@ -313,99 +324,7 @@ def _parse_atom(tz):
 
 
 # --------------------------------------------------------------------------
-# evaluation
-
-def _is_integral(c):
-    return float(c).is_integer()
-
-
-def evaluate(e, x):
-    """Evaluate the tree at x (float or ndarray).
-
-    Returns a float for scalar input, an ndarray for array input.  Raises
-    EvalDomainError naming the offending subexpression when evaluation
-    leaves the real domain (division by zero, log/sqrt of a negative,
-    negative base under a fractional power, overflow to non-finite).
-    """
-    arr = isinstance(x, np.ndarray)
-    with np.errstate(all="ignore"):
-        v = _eval(e, np.asarray(x, dtype=float) if arr else float(x))
-        if arr:
-            v = np.asarray(v, dtype=float)
-            if not np.all(np.isfinite(v)):
-                raise EvalDomainError("non-finite result", e)
-            return v
-        v = float(v)
-        if not math.isfinite(v):
-            raise EvalDomainError("non-finite result", e)
-        return v
-
-
-def _any(cond):
-    return bool(np.any(cond))
-
-
-def _eval(e, x):
-    op = e.op
-    if op == "const":
-        if isinstance(x, np.ndarray):
-            return np.full_like(x, e.value)
-        return e.value
-    if op == "var":
-        return x
-    if op in _BINARY_OPS:
-        a = _eval(e.args[0], x)
-        if op == "pow":
-            c = e.args[1].value if e.args[1].op == "const" else constant_value(e.args[1])
-            if _any(np.less(a, 0.0)) and not _is_integral(c):
-                raise EvalDomainError("negative base under fractional power", e)
-            if c < 0 and _any(np.equal(a, 0.0)):
-                raise EvalDomainError("zero base under negative power", e)
-            return np.power(a, c) if isinstance(a, np.ndarray) else a ** c
-        b = _eval(e.args[1], x)
-        if op == "add":
-            return a + b
-        if op == "sub":
-            return a - b
-        if op == "mul":
-            return a * b
-        if _any(np.equal(b, 0.0)):
-            raise EvalDomainError("division by zero", e)
-        return a / b
-    a = _eval(e.args[0], x)
-    if op == "neg":
-        return -a
-    if op == "exp":
-        return np.exp(a)
-    if op == "log":
-        if _any(np.less_equal(a, 0.0)):
-            raise EvalDomainError("log of a non-positive value", e)
-        return np.log(a)
-    if op == "sqrt":
-        if _any(np.less(a, 0.0)):
-            raise EvalDomainError("sqrt of a negative value", e)
-        return np.sqrt(a)
-    if op == "sin":
-        return np.sin(a)
-    if op == "cos":
-        return np.cos(a)
-    if op == "abs":
-        return np.abs(a)
-    if op == "sign":
-        return np.sign(a)
-    raise ValueError("unknown operator %r" % op)
-
-
-# --------------------------------------------------------------------------
 # differentiation
-
-def _neg(a):
-    if a.op == "const":
-        return const(-a.value)
-    if a.op == "neg":
-        return a.args[0]
-    return unary("neg", a)
-
 
 def _add(a, b):
     if a.op == "const" and a.value == 0.0:
@@ -421,7 +340,7 @@ def _sub(a, b):
     if b.op == "const" and b.value == 0.0:
         return a
     if a.op == "const" and a.value == 0.0:
-        return _neg(b)
+        return unary("neg", b)
     if a.op == "const" and b.op == "const":
         return const(a.value - b.value)
     return binary("sub", a, b)
@@ -475,7 +394,7 @@ def _derivative(e, d):
     if op == "var":
         return const(1.0)
     if op == "neg":
-        return _neg(d(e.args[0]))
+        return unary("neg", d(e.args[0]))
     if op == "add":
         return _add(d(e.args[0]), d(e.args[1]))
     if op == "sub":
@@ -489,7 +408,7 @@ def _derivative(e, d):
         return _div(num, _mul(b, b))
     if op == "pow":
         base, expo = e.args
-        c = expo.value if expo.op == "const" else constant_value(expo)
+        c = expo.value
         if c == 0.0:
             return const(0.0)
         reduced = binary("pow", base, const(c - 1.0))
@@ -505,7 +424,7 @@ def _derivative(e, d):
     if op == "sin":
         return _mul(unary("cos", u), du)
     if op == "cos":
-        return _neg(_mul(unary("sin", u), du))
+        return unary("neg", _mul(unary("sin", u), du))
     if op == "abs":
         return _mul(unary("sign", u), du)
     if op == "sign":
@@ -529,7 +448,7 @@ _PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
 
 
 def _fmt_number(v):
-    if v == int(v) and abs(v) < 1e16:
+    if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return str(int(v))
     return repr(v)
 
@@ -568,7 +487,7 @@ def to_string(e):
         base = to_string(e.args[0])
         if _prec_of(e.args[0]) < 5:
             base = "(" + base + ")"
-        c = e.args[1].value if e.args[1].op == "const" else constant_value(e.args[1])
+        c = e.args[1].value
         expo = _fmt_number(abs(c))
         return base + "^" + ("-" + expo if c < 0 else expo)
     # function application
@@ -627,9 +546,7 @@ def _tape(e):
             slot = constant(node.value)
         else:
             if op == "pow":
-                c = node.args[1]
-                c = c.value if c.op == "const" else constant_value(c)
-                key = (op, number(node.args[0]), constant(c))
+                key = (op, number(node.args[0]), constant(node.args[1].value))
             elif len(node.args) == 1:
                 key = (op, number(node.args[0]))
             else:
@@ -682,25 +599,44 @@ def compile_fn(e):
     is the IEEE operation a nested evaluation of the tree would apply.
     .tape holds the tape; listing(fn) prints it, one line per entry.
 
-    The compiled path skips the per-node domain checks of evaluate() for
-    speed (out-of-domain input produces nan/inf rather than an exception);
-    callers on hot paths validate finiteness of the results themselves.
+    The tape runs in float64, so input outside the real domain gives nan
+    or inf and never raises.  Scalar input returns a float, array input an
+    array of its shape; callers on hot paths validate finiteness of the
+    results themselves.
     """
     consts, entries, root = _tape(e)
+    # Scalar x runs as np.float64, so an entry with an x operand follows
+    # numpy's float64 rule.  When every entry has one, the constants stay
+    # Python floats, which numpy applies to an array on its fast paths
+    # (x ** 0.5 runs np.sqrt; 2.0 * x skips the dispatch of a numpy scalar
+    # on the left).  A tree with an entry that has no x operand (a constant
+    # tree, or a constant subtree that did not fold to a finite value)
+    # holds them as np.float64, so that entry follows the rule too.
+    on_x = [True] + [False] * len(consts)     # slot s depends on x
+    for op, *args in entries:
+        on_x.append(on_x[args[0]] or on_x[args[-1]])
+    wide = not all(on_x[len(consts) + 1:])
+    values = [np.float64(c) for c in consts] if wide else consts
     # (function, operand slot, second operand slot or None)
     steps = [(_APPLY[op], *args, None)[:3] for op, *args in entries]
 
     def wrapped(x):
-        v = [x, *consts]
+        arr = isinstance(x, np.ndarray)
+        v = [x if arr else np.float64(x), *values]
         push = v.append
         with np.errstate(all="ignore"):
             for apply, i, j in steps:
                 push(apply(v[i]) if j is None else apply(v[i], v[j]))
         v = v[root]
-        if isinstance(x, np.ndarray):
+        if arr:
             return np.broadcast_to(np.asarray(v, dtype=float), x.shape).copy() \
                 if np.ndim(v) == 0 else np.asarray(v, dtype=float)
         return float(v)
 
     wrapped.tape = consts, entries, root
     return wrapped
+
+
+# Folding and constant_value compile under this private name, so a wrapper
+# put on compile_fn sees only the compiles of its callers.
+_compile = compile_fn

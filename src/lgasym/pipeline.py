@@ -869,7 +869,8 @@ def analyze(f_text, g_text, endpoint="infinity", interval=None, tol=1e-10,
     per march.  constants["march_error_estimate"] is how far the same
     completion of the raw fine run lies from the reported constants.
 
-    tol and tail_tol must be positive finite numbers (ValueError).
+    tol, tail_tol and x_max (when given) must be positive finite numbers,
+    and interval must satisfy lo < hi (ValueError).
 
     Returns an AnalysisReport whose .solutions hold normalized value and
     derivative callables, valid on the resolved range, and whose .work
@@ -880,17 +881,21 @@ def analyze(f_text, g_text, endpoint="infinity", interval=None, tol=1e-10,
     for name, value in (("tol", tol), ("tail_tol", tail_tol)):
         if not (math.isfinite(value) and value > 0.0):
             raise ValueError("%s must be a positive finite number" % name)
+    if x_max is not None and not (math.isfinite(x_max) and x_max > 0.0):
+        raise ValueError("x_max must be a positive finite number")
     split = transform.CoefficientSplit.from_expressions(f_text, g_text)
     if endpoint not in ("infinity", "zero"):
         raise ValueError("endpoint must be 'infinity' or 'zero'")
     if interval is None:
         interval = (1.0, math.inf) if endpoint == "infinity" else (0.0, 1.0)
+    if not float(interval[0]) < float(interval[1]):
+        raise ValueError("interval must satisfy lo < hi")
     inverted = endpoint == "zero"
     with quadrature.Work() as work:
         cls = transform.classify_regime(split, endpoint, interval)
         if inverted:    # run everything on the inverted split
             frame = (cls.inverted, cls.inner, 1.0 / float(interval[1]),
-                     (1.0 / x_max) if x_max else None)
+                     (1.0 / x_max) if x_max is not None else None)
         else:
             frame = (split, cls, float(interval[0]), x_max)
         reg, march, cert, verification, constants = _analyze_infinity(

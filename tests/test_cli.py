@@ -98,6 +98,13 @@ def test_analyze_bad_tolerance_exits_1(flag):
     assert "must be a positive finite number" in p.stderr
 
 
+def test_analyze_out_of_domain_constant_exits_1():
+    p = run_cli("analyze", "--f", "1", "--g", "exp(-x) + 1/0")
+    assert p.returncode == 1
+    assert p.stderr.startswith("error: ")
+    assert "Traceback" not in p.stderr
+
+
 def test_analyze_interval_argument():
     p = run_cli("analyze", "--f", "1", "--g", "3/(4*x^2)",
                 "--interval", "2:inf", "--json")

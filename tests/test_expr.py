@@ -1,4 +1,7 @@
-"""Expression parsing, evaluation, differentiation."""
+"""Expression parsing, evaluation, differentiation.
+
+Values are checked against the reference evaluator in reference_eval,
+which raises where the library's float64 tape gives nan or inf."""
 
 import math
 import random
@@ -8,8 +11,8 @@ import pytest
 
 from lgasym import expr
 from lgasym.expr import (EvalDomainError, ParseError, compile_fn,
-                         differentiate, evaluate, parse, substitute,
-                         to_string)
+                         differentiate, parse, substitute, to_string)
+from reference_eval import evaluate
 
 
 CASES = [
@@ -72,11 +75,47 @@ def test_parse_error_offset_points_at_problem():
 def test_domain_errors(text, x):
     with pytest.raises(EvalDomainError):
         evaluate(parse(text), x)
+    # the library: the tape gives a non-finite value for the x form, and
+    # constant_value refuses the constant form
+    assert not math.isfinite(compile_fn(parse(text))(x))
+    with pytest.raises(EvalDomainError):
+        expr.constant_value(substitute(parse(text), expr.const(x)))
+
+
+def test_tape_gives_ieee_values_for_scalars():
+    assert compile_fn(parse("1/x"))(0.0) == math.inf
+    assert math.isnan(compile_fn(parse("x^0.5"))(-8.0))
+    assert type(compile_fn(parse("x + 1"))(1)) is float
+
+
+@pytest.mark.parametrize("text", ["1/0", "0^-1", "10^400", "(-8)^0.5",
+                                  "log(-1)", "exp(1000)"])
+def test_constants_fold_only_to_finite_values(text):
+    node = parse(text)
+    assert node.op != "const"
+    with pytest.raises(EvalDomainError, match="subexpression"):
+        expr.constant_value(node)
+
+
+@pytest.mark.parametrize("text, error", [
+    ("1e400", ParseError), ("x^1e999", ParseError),
+    ("x^0^-1", EvalDomainError), ("x^10^400", EvalDomainError),
+])
+def test_out_of_range_numbers_are_refused_at_parse(text, error):
+    with pytest.raises(error):
+        parse(text)
+
+
+def test_pow_exponent_must_be_a_constant_node():
+    with pytest.raises(ValueError, match="constant"):
+        expr.binary("pow", expr.VAR, parse("2^0.5 + log(-1)"))
 
 
 def test_domain_error_on_array_any_bad_point():
     with pytest.raises(EvalDomainError):
         evaluate(parse("sqrt(x)"), np.array([4.0, -1.0]))
+    got = compile_fn(parse("sqrt(x)"))(np.array([4.0, -1.0]))
+    assert got[0] == 2.0 and np.isnan(got[1])
 
 
 # ---------------------------------------------------------------------------
@@ -244,16 +283,16 @@ _NESTED = {
 
 
 def _nested_fn(e):
-    """The tree as one nested Python expression, every repeat evaluated
-    again: the reference the tape must match bit for bit."""
+    """The tree as one nested Python expression in float64, every repeat
+    evaluated again: the reference the tape must match bit for bit.  A
+    pow's exponent is a Python float, as on the tape."""
     def gen(n):
         if n.op == "const":
-            return "(%r)" % n.value
+            return "np.float64(%r)" % n.value
         if n.op == "var":
             return "x"
         if n.op == "pow":
-            c = expr.constant_value(n.args[1])
-            return "(%s**(%r))" % (gen(n.args[0]), c)
+            return "(%s**(%r))" % (gen(n.args[0]), n.args[1].value)
         return _NESTED[n.op].format(*map(gen, n.args))
     ns = {"np": np}
     exec("def f(x):\n    with np.errstate(all='ignore'):\n        return "
@@ -295,8 +334,9 @@ def test_tape_matches_nested_evaluation_bit_for_bit():
         nonfinite += int(np.sum(~np.isfinite(want)))
         for x in xs:
             for scalar in (float(x), np.float64(x)):
-                assert _same_bits(_outcome(fn, scalar),
-                                  _outcome(lambda t: float(ref(t)), scalar)), \
+                assert _same_bits(
+                    _outcome(fn, scalar),
+                    _outcome(lambda t: float(ref(np.float64(t))), scalar)), \
                     (to_string(tree), scalar)
     assert nonfinite > 20   # nan and inf results are part of the check
 

@@ -1,5 +1,6 @@
 import math
 import os
+import pathlib
 import subprocess
 import sys
 import time
@@ -380,6 +381,51 @@ def test_analyze_rejects_a_bad_tolerance(monkeypatch, name, bad):
         analyze("1", "3/(4*x^2)", **{name: bad})
     assert time.perf_counter() - start < 0.1
     assert calls == [] and quadrature._LEDGER.get() is None
+
+
+@pytest.mark.parametrize("kwargs, message", [
+    ({"x_max": math.nan}, "x_max must be a positive finite number"),
+    ({"x_max": math.inf}, "x_max must be a positive finite number"),
+    ({"x_max": -5.0}, "x_max must be a positive finite number"),
+    ({"x_max": 0.0}, "x_max must be a positive finite number"),
+    ({"x_max": 0.0, "endpoint": "zero"},
+     "x_max must be a positive finite number"),
+    ({"interval": (5.0, 2.0)}, "interval must satisfy lo < hi"),
+    ({"interval": (2.0, 2.0)}, "interval must satisfy lo < hi"),
+    ({"interval": (1.0, 0.5), "endpoint": "zero"},
+     "interval must satisfy lo < hi"),
+])
+def test_analyze_rejects_a_bad_range(monkeypatch, kwargs, message):
+    calls = []
+    monkeypatch.setattr(quadrature, "_gk_cell",
+                        lambda *args: calls.append(args))
+    start = time.perf_counter()
+    with pytest.raises(ValueError, match=message):
+        analyze("1", "3/(4*x^2)", **kwargs)
+    assert time.perf_counter() - start < 0.1
+    assert calls == [] and quadrature._LEDGER.get() is None
+
+
+PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
+# constants without a finite real value, in the grammar
+OUT_OF_DOMAIN = ["1/0", "0^-1", "10^400", "(-8)^0.5", "log(-1)", "sqrt(-1)",
+                 "exp(1000)"]
+
+
+@pytest.mark.parametrize("c", OUT_OF_DOMAIN)
+@pytest.mark.parametrize("f, g", [("{c}", "0"), ("x + {c}", "0"),
+                                  ("1", "exp(-x) + {c}"),
+                                  ("1", "exp(-x)*{c}")])
+def test_out_of_domain_constant_is_refused_with_a_typed_error(
+        monkeypatch, f, g, c):
+    # the refusals the benchmark counts as intended; a warning (numpy's
+    # ComplexWarning, say) fails the test under filterwarnings = error
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    from workloads import TYPED_ERRORS
+    start = time.perf_counter()
+    with pytest.raises(TYPED_ERRORS):
+        analyze(f.format(c=c), g.format(c=c))
+    assert time.perf_counter() - start < 0.1
 
 
 # ----------------------------------------------------------- rejection
