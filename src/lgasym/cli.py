@@ -21,6 +21,7 @@ import logging
 import math
 import os
 import random
+import re
 import sys
 
 from . import certificate as certificate_mod
@@ -80,19 +81,17 @@ def _write_json(obj, out, depth):
 
 
 _ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
+# the characters a JSON string must escape: \, " and the controls below 0x20
+_NEEDS_ESCAPE = re.compile(r'[\\"\x00-\x1f]')
+
+
+def _escape(match):
+    ch = match.group()
+    return _ESCAPES.get(ch) or "\\u%04x" % ord(ch)
 
 
 def _json_str(s):
-    chunks = ['"']
-    for ch in s:
-        if ch in _ESCAPES:
-            chunks.append(_ESCAPES[ch])
-        elif ord(ch) < 0x20:
-            chunks.append("\\u%04x" % ord(ch))
-        else:
-            chunks.append(ch)
-    chunks.append('"')
-    return "".join(chunks)
+    return '"' + _NEEDS_ESCAPE.sub(_escape, s) + '"'
 
 
 # --------------------------------------------------------------------------

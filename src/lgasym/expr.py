@@ -58,11 +58,16 @@ class ParseError(ValueError):
 
 
 class EvalDomainError(ArithmeticError):
-    """A constant subtree has no finite real value (log/sqrt of a negative,
-    1/0, overflow, ...); raised by constant_value, naming the subtree."""
+    """An expression has no finite real value where it must have one (log or
+    sqrt of a negative, 1/0, overflow, ...): raised by constant_value on a
+    constant subtree, and by classification when the leading coefficient
+    is not finite at a probe point.  The message names the tree, when
+    given."""
 
-    def __init__(self, message, node):
-        super().__init__("%s in subexpression '%s'" % (message, to_string(node)))
+    def __init__(self, message, node=None):
+        if node is not None:
+            message = "%s in subexpression '%s'" % (message, to_string(node))
+        super().__init__(message)
         self.node = node
 
 

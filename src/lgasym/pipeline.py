@@ -232,8 +232,9 @@ class _Shape:
     """Variable f: amplitude |f|^(-1/4) and phase Phi = int_a^x |f|^(1/2).
 
     span() builds one PhaseTable of Phi on [a, x_end] per tail round; the
-    span is its total and phase_map() places the march's y nodes by Newton
-    inside it."""
+    span is its total and phase_map() places the march's y nodes inside it
+    by second-order Newton steps, which take (|f|^(1/2))' from
+    d_sqrt_f, compiled on first use and kept for the analysis."""
 
     template = "|f(x)|^(-1/4) * %s(%sPhi(x))"   # % (function, sign)
     decay_text = ""
@@ -249,12 +250,17 @@ class _Shape:
     def amp_deriv(self):
         return expr.compile_fn(expr.differentiate(self.psi.amplitude_ast))
 
+    @functools.cached_property
+    def d_sqrt_f(self):
+        return expr.compile_fn(expr.differentiate(self.psi.sqrt_f_ast))
+
     def span(self, a, x_end):
         self.table = transform.PhaseTable(self.psi.sqrt_f, a, x_end)
         return self.table.span
 
     def phase_map(self, a, ys):
-        return transform.PhaseMap.build(self.table, self.psi.inv_sqrt_f, ys)
+        return transform.PhaseMap.build(self.table, self.psi.inv_sqrt_f,
+                                        self.d_sqrt_f, ys)
 
     def rough_x(self, a, ys):
         """x at the phase values ys, interpolated linearly in the table:

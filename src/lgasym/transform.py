@@ -15,8 +15,9 @@ psi is built symbolically from the coefficient ASTs so its derivatives
 and L1 norms are available to the rest of the pipeline.  Phi is tabulated
 once per resolved range (PhaseTable, Gauss-Kronrod cells evaluated on
 whole arrays), and the nodes of the map, at whatever phase values the
-march grid asks for, are found from that table by vectorized Newton
-steps (PhaseMap.build).  Problems posed
+march grid asks for, are found from that table by a Hermite start and
+vectorized second-order Newton steps of one Gauss-Kronrod cell each
+(PhaseMap.build).  Problems posed
 at the endpoint 0 are inverted through s = 1/x, v(s) = s * u(1/s), which
 multiplies both coefficients by s^(-4) after substitution; the inverted
 split is classified at infinity.
@@ -163,20 +164,23 @@ def compute_psi(split, sign):
 _PROBE_POINTS = 96
 
 
-def probe_sign(fn, lo, hi):
+def probe_sign(fn, lo, hi, node=None):
     """Sign of fn on a geometric probe grid of >= 64 points.
 
     Returns +1, -1, or 0 (identically zero on the grid); raises
     AmbiguousSignError when the samples mix signs or vanish at isolated
-    points, since then no fractional power of |f| is usable.
+    points, since then no fractional power of |f| is usable, and
+    expr.EvalDomainError, naming node (the tree of fn) and the first such
+    point, when a sample is not finite.
     """
     lo = max(float(lo), 1e-8)
     hi = max(float(hi), lo * 1e4)
     xs = np.geomspace(lo, hi, _PROBE_POINTS)
     vals = np.asarray(fn(xs), dtype=float)
     if not np.all(np.isfinite(vals)):
-        raise AmbiguousSignError(
-            "leading coefficient is not finite on the probe grid")
+        raise expr.EvalDomainError(
+            "leading coefficient is not finite at the probe point x = %.17g"
+            % xs[np.flatnonzero(~np.isfinite(vals))[0]], node)
     pos = bool(np.any(vals > 0.0))
     neg = bool(np.any(vals < 0.0))
     zero = bool(np.any(vals == 0.0))
@@ -222,6 +226,7 @@ def classify_regime(split, endpoint, interval, checks=None):
     integrability of the perturbation (psi for nonzero f, the s-weighted
     g for f == 0).  Raises HypothesisFailed (or AmbiguousSignError) as
     soon as a hypothesis fails; the raised error carries the check log.
+    An f that is not finite at a probe point raises expr.EvalDomainError.
     """
     if checks is None:
         checks = []
@@ -259,7 +264,8 @@ def classify_regime(split, endpoint, interval, checks=None):
         checks.append({"name": "constant-leading-part", "passed": True,
                        "detail": "f is the constant %g" % c})
     else:
-        sign = probe_sign(split.f, probe_lo, hi if math.isfinite(hi) else 1e6)
+        sign = probe_sign(split.f, probe_lo,
+                          hi if math.isfinite(hi) else 1e6, split.f_ast)
         checks.append({"name": "sign-probe", "passed": True,
                        "detail": "f has constant sign %+d on the probe grid"
                        % sign if sign else "f samples to zero everywhere"})
@@ -329,12 +335,14 @@ def _weighted_g(split):
 # ~500 lies below that floor and would bisect until the budget ran out.
 _CELL_RTOL = 1e-13
 # The table starts from this many equal cells.  Gauss-Kronrod accepts a
-# polynomial |f|^(1/2) on one cell however wide, and from a linear start
-# across a cell where |f|^(1/2) grows by a factor 10-100 Newton needs 7-9
-# steps; from 64 cells every bench and test case settles within 4.
+# polynomial |f|^(1/2) on one cell however wide, so the first cells may
+# span up to 2.6 in phase (f = a x); the map's quintic start is loosest
+# there, and the nodes of those cells take a second step.  On the bench
+# cases the map takes 1.00-1.06 cells per node.
 _FIRST_CELLS = 64
-# Newton steps a map node may take.  From the linear start inside an
-# accepted cell the quadratic convergence needs about four.
+# Steps a map node may take.  From the quintic start one step settles
+# almost every node, every bench case settles within two, and the
+# |f|^(1/2) = 1 + 0.9 sin x map of the tests within three.
 _NEWTON_STEPS = 6
 # what one Gauss-Kronrod cell from the nearest node may miss in y_of_x
 _NODE_ATOL = 1e-13
@@ -382,13 +390,33 @@ class PhaseTable:
         return float(self.phi[-1])
 
 
+def _inverse_quintic(table, inv_sqrt_f, d_sqrt_f):
+    """Coefficients, highest power first, of x(y) on every cell of table
+    as a quintic in u = (y - Phi_j) / (Phi_{j+1} - Phi_j): the Hermite
+    quintic of the values x_j, x_{j+1}, the slopes dx/dy = |f|^(-1/2) and
+    the curvatures d2x/dy2 = -(|f|^(1/2))' |f|^(-3/2) at both edges."""
+    h = np.diff(table.phi)
+    with np.errstate(all="ignore"):
+        slope = inv_sqrt_f(table.edges)
+        curve = -d_sqrt_f(table.edges) * slope ** 3
+    m0, m1 = slope[:-1] * h, slope[1:] * h
+    k0, k1 = curve[:-1] * h * h, curve[1:] * h * h
+    dx = np.diff(table.edges)
+    return np.array([
+        6 * dx - 3 * (m0 + m1) - 0.5 * (k0 - k1),
+        -15 * dx + 8 * m0 + 7 * m1 + 1.5 * k0 - k1,
+        10 * dx - 6 * m0 - 4 * m1 - 1.5 * k0 + 0.5 * k1,
+        0.5 * k0, m0, table.edges[:-1]])
+
+
 class PhaseMap:
     """The monotone change of variables y = Phi(x) = int_a^x |f|^(1/2).
 
     Forward values x(y) are tabulated at the march's nodes y_nodes (any
-    increasing phase values from 0, graded or not) by Newton's method on
-    Phi(x) = y, started inside the cell of a PhaseTable (Phi' = |f|^(1/2)
-    is known exactly), with cubic Hermite interpolation between nodes.
+    increasing phase values from 0, graded or not) by second-order Newton
+    steps on Phi(x) = y, started inside the cell of a PhaseTable
+    (Phi' = |f|^(1/2) and Phi'' are known exactly), with cubic Hermite
+    interpolation between nodes.
     The inverse y(x) is evaluated directly as one Gauss-Kronrod cell of
     |f|^(1/2) from the nearest node, so it carries no interpolation error.
     """
@@ -402,32 +430,58 @@ class PhaseMap:
         self.affine_rate = affine_rate
 
     @classmethod
-    def build(cls, table, inv_sqrt_f, ys):
+    def build(cls, table, inv_sqrt_f, d_sqrt_f, ys):
         """Tabulate x(y) at the increasing phase values ys, from ys[0] = 0.
 
         table is the PhaseTable of |f|^(1/2) from the map's origin;
-        inv_sqrt_f(x) must return |f(x)|^(-1/2).  Each node starts from the
-        linear interpolant inside its table cell [x_j, x_{j+1}] and takes
-        Newton steps x <- x - (Phi_j + GK15(x_j, x) - y) |f(x)|^(-1/2)
-        until its step is within 1e-14 |x|; the unsettled nodes take each
-        step together.
+        inv_sqrt_f(x) must return |f(x)|^(-1/2) and d_sqrt_f(x) the
+        derivative of |f(x)|^(1/2).  Each node starts from the quintic
+        Hermite of x(y) on its table cell [x_j, x_{j+1}] (_inverse_quintic),
+        clipped into the cell.  One Gauss-Kronrod cell on [x_j, x] gives
+        the residual r = Phi_j + GK15(x_j, x) - y, and the step
+
+            x <- x - dx - c,  dx = r |f(x)|^(-1/2),
+                              c = (|f|^(1/2))'(x) |f(x)|^(-1/2) dx^2 / 2,
+
+        is x(y) to second order in r (Halley's step).  It leaves a
+        third-order remainder of about (3 s'^2 - s s'') dx^3 / (6 s^2),
+        s = |f|^(1/2).  A node is settled when |c| <= 1e-14 |x|, which
+        bounds the first part, and |dx|^3 <= 1e-15 |x| w^2, w the width
+        of its table cell, which bounds the second where s' vanishes and
+        c says nothing of it: the table resolves s on its cells, so
+        |s''/s| w^2 stays small (at most 0.3 on the bench maps, 7.7 on
+        s = 1 + 0.9 sin x), and below 60 the remainder is within
+        1e-14 |x|.  The unsettled nodes take each step together.
         """
         ys = np.asarray(ys, dtype=float)
         edges, phi = table.edges, table.phi
         j = np.clip(np.searchsorted(phi, ys, side="right") - 1,
                     0, len(phi) - 2)
         left = edges[j]
+        width2 = (edges[j + 1] - left) ** 2
         behind = phi[j] - ys    # Phi(x_j) - y, at most 0
-        xs = left - behind / (phi[j + 1] - phi[j]) * (edges[j + 1] - left)
+        coef = _inverse_quintic(table, inv_sqrt_f, d_sqrt_f)[:, j]
+        u = (ys - phi[j]) / (phi[j + 1] - phi[j])
+        xs = coef[0]
+        for c in coef[1:]:
+            xs = xs * u + c
+        # fmax/fmin also send a non-finite start to a cell edge
+        xs = np.fmin(np.fmax(xs, left), edges[j + 1])
         todo = np.arange(len(ys))
         for _step in range(_NEWTON_STEPS):
-            k, _ = quadrature.gk_cells(table.sqrt_f, left[todo], xs[todo])
+            x = xs[todo]
+            k, _ = quadrature.gk_cells(table.sqrt_f, left[todo], x)
             with np.errstate(all="ignore"):
-                dx = (behind[todo] + k) * inv_sqrt_f(xs[todo])
-            # a non-finite step leaves its node non-finite and drops it
-            # here; the domain check below raises for it
-            xs[todo] -= dx
-            todo = todo[np.abs(dx) > 1e-14 * np.abs(xs[todo])]
+                slope = inv_sqrt_f(x)
+                dx = (behind[todo] + k) * slope
+                c = 0.5 * d_sqrt_f(x) * slope * dx * dx
+                # a non-finite step leaves its node non-finite and drops
+                # it here; the domain check below raises for it
+                xs[todo] = x = x - dx - c
+                ax = np.abs(x)
+                todo = todo[(np.abs(c) > 1e-14 * ax)
+                            | (dx * dx * np.abs(dx)
+                               > 1e-15 * ax * width2[todo])]
             if not todo.size:
                 break
         else:

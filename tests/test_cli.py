@@ -6,7 +6,7 @@ import sys
 
 import pytest
 
-from lgasym.cli import json_dumps
+from lgasym.cli import _json_str, json_dumps
 
 
 def run_cli(*args, env_extra=None):
@@ -41,6 +41,30 @@ def test_json_dumps_nonfinite_becomes_null():
 def test_json_dumps_escapes_strings():
     s = json_dumps({"key": 'quote " backslash \\ newline \n'})
     assert json.loads(s)["key"] == 'quote " backslash \\ newline \n'
+
+
+def _json_str_per_character(s):
+    # JSON string escaping one character at a time: the reference
+    escapes = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r",
+               "\t": "\\t"}
+    chunks = ['"']
+    for ch in s:
+        if ch in escapes:
+            chunks.append(escapes[ch])
+        elif ord(ch) < 0x20:
+            chunks.append("\\u%04x" % ord(ch))
+        else:
+            chunks.append(ch)
+    chunks.append('"')
+    return "".join(chunks)
+
+
+@pytest.mark.parametrize("s", ["", "a\"b", "a\\b", "\n", "\r", "\t", "\x01",
+                               "\x1f", "\x7f", "\u00e9", "\u03c8",
+                               "plain text", "x^-4*(1/x)"])
+def test_json_str_matches_per_character_escaping(s):
+    assert _json_str(s) == _json_str_per_character(s)
+    assert json.loads(_json_str(s)) == s
 
 
 # ------------------------------------------------------------ analyze
@@ -102,6 +126,16 @@ def test_analyze_out_of_domain_constant_exits_1():
     p = run_cli("analyze", "--f", "1", "--g", "exp(-x) + 1/0")
     assert p.returncode == 1
     assert p.stderr.startswith("error: ")
+    assert "Traceback" not in p.stderr
+
+
+def test_analyze_non_finite_leading_coefficient_exits_1():
+    # f has no finite value on the probe grid: a domain error, not the
+    # hypothesis failure (exit 2) of a sign change
+    p = run_cli("analyze", "--f", "x + 1/0", "--g", "0")
+    assert p.returncode == 1
+    assert p.stderr.startswith("error: leading coefficient is not finite")
+    assert "'x + 1/0'" in p.stderr
     assert "Traceback" not in p.stderr
 
 
