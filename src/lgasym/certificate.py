@@ -85,8 +85,8 @@ def find_cutoff(weight, left, target=DEFAULT_TARGET, tol=1e-10):
     hi = max(left, 1e-3)
     for _ in range(70):
         hi = hi * 2.0
-        t = _tail(weight, hi, tol)
-        if t <= target:
+        t_hi = _tail(weight, hi, tol)
+        if t_hi <= target:
             break
         lo = hi
     else:
@@ -94,11 +94,11 @@ def find_cutoff(weight, left, target=DEFAULT_TARGET, tol=1e-10):
             "weighted tail stays above %.4g arbitrarily far out" % target)
     while hi - lo > 1e-3 * hi:
         mid = 0.5 * (lo + hi)
-        if _tail(weight, mid, tol) <= target:
-            hi = mid
+        if (t := _tail(weight, mid, tol)) <= target:
+            hi, t_hi = mid, t
         else:
             lo = mid
-    return hi, _tail(weight, hi, tol)
+    return hi, t_hi
 
 
 def gronwall_certificate(cutoff, tail_norm, envelope_report, target=DEFAULT_TARGET):

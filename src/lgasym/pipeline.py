@@ -10,7 +10,8 @@ carries the hard envelope guarantees; Richardson extrapolation of the pair
 feeds the reported constants and solution callables), completes the
 connection constants across the un-marched tail with a computable residual
 bound, and packages everything into an AnalysisReport.  Only when that
-bound still exceeds tail_tol does a further round march to a larger end.
+bound still exceeds tail_tol is the end predicted again, for a target
+lowered by the ratio of the bound to its prediction, and marched.
 
 The graded grid (_graded_pair) keeps the level-0 step h_c where the
 perturbation weight is large and doubles it, up to _STEP_CAP, where the
@@ -91,13 +92,6 @@ def _extrapolate(coarse, fine):
         coarse, z=z, z_deriv=(4.0 * fine.z_deriv[::2] - coarse.z_deriv) / 3.0,
         envelope_log=fine.envelope_log[::2], l1_q=fine.l1_q[::2],
         z_max=float(np.max(np.abs(z))), steps=coarse.steps + fine.steps)
-
-
-def _abs_fn(fn):
-    def wrapped(x):
-        with np.errstate(all="ignore"):
-            return np.abs(fn(x))
-    return wrapped
 
 
 _H_COARSE_MIN = 0.004
@@ -193,8 +187,10 @@ def _graded_pair(pilot, sample, solve, h_c, n_c):
     """
     if n_c > _MAX_LEVEL0_STEPS:
         raise _too_long(h_c * n_c, h_c, n_c)
+    # the largest level: its cells fit both _STEP_CAP and the span, so a
+    # tiny h_c cannot overflow the level count
     top = 0
-    while h_c * 2 ** (top + 1) <= _STEP_CAP:
+    while h_c * 2 ** (top + 1) <= _STEP_CAP and 2 ** (top + 1) <= n_c:
         top += 1
     full = 2 ** top
     starts = 2 * full * np.arange(-(-n_c // full))      # in fine steps
@@ -322,8 +318,7 @@ class _Algebraic:
         with np.errstate(all="ignore"):
             return np.asarray(x, dtype=float) * self.g(x)
 
-    def weight(self, x):
-        return np.abs(self.sg(x))
+    weight = sg
 
     @property
     def end(self):
@@ -351,7 +346,7 @@ class _Algebraic:
         S2(X) = int_a^X s^2 g."""
         S2 = quadrature.integrate_finite(lambda s: s * self.sg(s), a, xs,
                                          tol=tol).value
-        return L * (2.0 * L + np.abs(S2) / xs) / (1.0 - L)
+        return volterra.real_bound(L, 1.0, np.abs(S2) / xs)
 
     def complete(self, qtol):
         X = self.end
@@ -416,12 +411,12 @@ class _Algebraic:
 
 class _Phased:
     """What the exponential and oscillatory regimes share: the weight
-    |psi|, the march of the branch e^{zeta y} in the phase variable y and
+    psi, the march of the branch e^{zeta y} in the phase variable y and
     the tail integrals of psi."""
 
     def __init__(self, psi, shape):
         self.psi, self.shape, self.span = psi, shape, shape.span
-        self.weight = _abs_fn(psi.psi)
+        self.weight = psi.psi
 
     @property
     def end(self):
@@ -486,7 +481,7 @@ class _Exponential(_Phased):
     def predicted_residual(self, a, xs, L, tol):
         """complete()'s residual bound with z = 1, whose memory term z' is
         then about w / 2."""
-        return 0.5 * L * (L + 0.25 * np.abs(self.w(xs))) / (1.0 - 0.5 * L)
+        return volterra.real_bound(0.5 * L, 1.0, 0.25 * np.abs(self.w(xs)))
 
     def complete(self, qtol):
         tails = self.tail_integrals(qtol)
@@ -579,9 +574,8 @@ class _Oscillatory(_Phased):
     def predicted_residual(self, a, xs, L, tol):
         """complete()'s residual bound with z = 1, so |xi1| + |xi2| + |eta1|
         + |eta2| = 2."""
-        R2 = quadrature.l1_tail_norm(_abs_fn(self.tail_moments[1]), xs,
-                                     tol=tol).value
-        return (0.5 * L * L + 0.75 * R2) / (1.0 - L)
+        R2 = quadrature.l1_tail_norm(self.tail_moments[1], xs, tol=tol).value
+        return volterra.oscillatory_bound(L, 1.0, R2, 2.0)
 
     def complete(self, qtol):
         # the e^{+-2iy} tail moments via two integrations by parts in x
@@ -589,22 +583,20 @@ class _Oscillatory(_Phased):
         G0, G0a = self.tail_integrals(qtol)
         a1, a2 = self.tail_moments
         X = self.end
-        R2 = quadrature.l1_tail_norm(_abs_fn(a2), X, tol=qtol).value
+        R2 = quadrature.l1_tail_norm(a2, X, tol=qtol).value
         Y = self.phase_map.y_span
         invX = float(psi.inv_sqrt_f(X))
         psiX = float(psi.psi(X))
         a1X = float(a1(X))
         Gp, Gm = (cmath.exp(2j * sign * Y) * invX
                   * (-psiX / (2j * sign) - a1X / 4.0) for sign in (1, -1))
-        g_err = R2 / 4.0
-        c, raw = (volterra.complete_oscillatory(sol, G0, Gp, Gm, G0a)
+        c, raw = (volterra.complete_oscillatory(sol, G0, Gp, Gm, G0a, R2)
                   for sol in (self.sol, self.fine))
         self.completion = c
         self.march_error = max(abs(raw.xi1 - c.xi1), abs(raw.xi2 - c.xi2))
         self.constants = {"xi1": c.xi1, "xi2": c.xi2, "eta1": c.eta1,
                           "eta2": c.eta2}
-        size = (abs(c.xi1) + abs(c.xi2) + abs(c.eta1) + abs(c.eta2))
-        return c.residual_bound + g_err * (1.0 + size) / (1.0 - min(G0a, 0.9))
+        return c.residual_bound
 
     def solutions(self):
         c, shape, phase = self.completion, self.shape, self.phase_fn()
@@ -652,20 +644,20 @@ class _Oscillatory(_Phased):
 # The march ends where the regime's completion bound with z = 1 in it
 # (predicted_residual) falls to this share of tail_tol; the bound of the
 # marched z has come out 1 to 5 times that prediction, so one round
-# usually certifies and the rounds below are the fallback.
+# usually certifies.  A round that misses is predicted again, for a target
+# lowered by the ratio of its bound to its prediction.
 _PREDICT_SHARE = 0.1
 # the prediction's grid x0 2^k, k < _PREDICT_POINTS: a tail that has not
 # met the target by x0 2^47 (about 1.4e14 x0) is refused
 _PREDICT_POINTS = 48
 
 
-def _predict_end(reg, a, x0, tail_tol):
-    """(x_end, r_hat): where the predicted residual r_hat reaches
-    _PREDICT_SHARE * tail_tol, found without a march.  Every term is
-    evaluated on the grid x0 2^k, the tails of the weight from one adaptive
-    run; x_end is the first grid point at or below the target, moved back
-    toward its predecessor by interpolating log r_hat in log x."""
-    target = _PREDICT_SHARE * tail_tol
+def _predict_end(reg, a, x0, target):
+    """(x_end, r_hat): where the predicted residual r_hat reaches target,
+    found without a march.  Every term is evaluated on the grid x0 2^k, the
+    tails of the weight from one adaptive run; x_end is the first grid
+    point at or below the target, moved back toward its predecessor by
+    interpolating log r_hat in log x."""
     tol = 0.01 * target
     xs = x0 * 2.0 ** np.arange(_PREDICT_POINTS)
     L = quadrature.l1_tail_norm(reg.weight, xs, tol=tol).value
@@ -692,14 +684,20 @@ def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, inverted):
     a, tail0 = certificate_mod.find_cutoff(reg.weight, lo, tol=tol)
     reg.cutoff = a
 
-    x_end, r_hat = _predict_end(
-        reg, a, max(x_floor if x_floor is not None else a, a + 10.0),
-        tail_tol)
+    x0 = max(x_floor if x_floor is not None else a, a + 10.0)
+    target = _PREDICT_SHARE * tail_tol
+    x_end, r_hat = _predict_end(reg, a, x0, target)
+    predicted = r_hat
 
     qtol = max(min(tol, 1e-12), 1e-14)
     refinements = 0
     history = []
     for _round in range(6):
+        if history:
+            # the last bound missed its prediction by residual / r_hat:
+            # predict again for a target that much lower
+            target *= r_hat / residual
+            x_end, r_hat = _predict_end(reg, a, x0, target)
         # the coarse/fine march pair, halving the step (and rebuilding
         # the grid) on envelope violations
         span = reg.span(a, x_end)
@@ -718,17 +716,6 @@ def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, inverted):
         history.append([float(x_end), float(residual), reg.fine.steps // 2])
         if residual <= tail_tol:
             break
-        # Predict the cutoff that meets the target from the observed decay
-        # residual ~ C x^{-p}; default to the quadratic rate the tail
-        # completions guarantee for 1/x-type masses until two rounds exist.
-        p = 2.0
-        if len(history) >= 2:
-            (x_prev, r_prev, _), (x_cur, r_cur, _) = history[-2:]
-            if r_prev > r_cur > 0.0 and x_cur > x_prev:
-                p = min(6.0, max(0.5, math.log(r_prev / r_cur)
-                                 / math.log(x_cur / x_prev)))
-        grow = (residual / tail_tol) ** (1.0 / p) * 1.25
-        x_end = x_end * min(50.0, max(1.3, grow)) + 1.0
     else:
         raise AnalysisError(
             "could not certify the connection constants to %.3g "
@@ -750,9 +737,9 @@ def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, inverted):
         march = {"frame": "direct", "cutoff": a, "x_max": end}
     # rounds: [x_end, residual bound, coarse cells] per tail round, x_end
     # in the frame of the march (s at the zero endpoint); a second round
-    # means the predicted residual missed
+    # means the first round's predicted residual missed
     march.update(phase_span=span, coarse_step=h_c, refinements=refinements,
-                 rounds=history, predicted_residual=r_hat)
+                 rounds=history, predicted_residual=predicted)
     return reg, march, cert, verification, constants
 
 
@@ -871,9 +858,11 @@ def analyze(f_text, g_text, endpoint="infinity", interval=None, tol=1e-10,
     residual bound with z = 1 falls to tail_tol / 10, and the pair is
     marched once there; march["predicted_residual"] is that prediction.
     Only when the completed residual bound still exceeds tail_tol is the
-    end moved out and the pair marched again, one entry of march["rounds"]
-    per march.  constants["march_error_estimate"] is how far the same
-    completion of the raw fine run lies from the reported constants.
+    end predicted again, for the target divided by the ratio of the bound
+    to its prediction, and marched: one entry of march["rounds"] per
+    march, and AnalysisError when six miss.
+    constants["march_error_estimate"] is how far the same completion of
+    the raw fine run lies from the reported constants.
 
     tol, tail_tol and x_max (when given) must be positive finite numbers,
     and interval must satisfy lo < hi (ValueError).

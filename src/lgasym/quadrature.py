@@ -348,11 +348,10 @@ def integrate_to_infinity(fn, a, tol=1e-10):
 def l1_tail_norm(fn, a, tol=1e-10):
     """L1 norm of fn on [a, inf): returns the QuadResult for int |fn|.
 
-    An increasing array a gives every tail norm from one adaptive run, as
-    in integrate_to_infinity.  Propagates DivergenceError when the tail is
-    not integrable.
+    fn may be signed: |fn| is taken here, with numpy's warnings off for the
+    run.  An increasing array a gives every tail norm from one adaptive
+    run, as in integrate_to_infinity.  Propagates DivergenceError when the
+    tail is not integrable.
     """
-    def absfn(x):
-        return np.abs(fn(x))
-
-    return integrate_to_infinity(absfn, a, tol)
+    with np.errstate(all="ignore"):
+        return integrate_to_infinity(lambda x: np.abs(fn(x)), a, tol)

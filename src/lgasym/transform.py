@@ -274,9 +274,9 @@ def classify_regime(split, endpoint, interval, checks=None):
     start = max(lo, 1.0)
     if sign == 0:
         # algebraic regime: need the first moment of g near infinity
-        weighted = _weighted_g(split)
         try:
-            tail = quadrature.l1_tail_norm(weighted, start, tol=1e-8)
+            tail = quadrature.l1_tail_norm(lambda x: x * split.g(x), start,
+                                           tol=1e-8)
         except quadrature.DivergenceError:
             _check(checks, "weighted-perturbation-integrable", False,
                    "int s*|g(s)| ds diverges at infinity, so solutions need "
@@ -301,12 +301,8 @@ def classify_regime(split, endpoint, interval, checks=None):
                    "finite transformed distance and no normal form applies")
         regime = Regime.EXP_INFINITY if sign > 0 else Regime.OSC_INFINITY
 
-    def abs_psi(x):
-        with np.errstate(all="ignore"):
-            return np.abs(psi.psi(x))
-
     try:
-        tail = quadrature.l1_tail_norm(abs_psi, start, tol=1e-8)
+        tail = quadrature.l1_tail_norm(psi.psi, start, tol=1e-8)
     except quadrature.DivergenceError:
         _check(checks, "perturbation-integrable", False,
                "the perturbation psi is not integrable at infinity; the "
@@ -314,16 +310,6 @@ def classify_regime(split, endpoint, interval, checks=None):
     _check(checks, "perturbation-integrable", True,
            "int_%g^inf |psi| = %.6g" % (start, tail.value))
     return Classification(regime, sign, checks, constant_f=c, psi=psi)
-
-
-def _weighted_g(split):
-    g = split.g
-
-    def weighted(x):
-        with np.errstate(all="ignore"):
-            return np.abs(x * g(x))
-
-    return weighted
 
 
 # --------------------------------------------------------------------------

@@ -571,33 +571,46 @@ class Completion:
     residual_bound: float
 
 
-def complete_exponential(sol, G0, G0_abs):
-    """Limit of z for the growing exponential branch, from the end state
-    (z, z') of the march at its grid end Y.
+def real_bound(G_abs, z_sup, m_abs):
+    """_complete_real's residual bound; with z_sup = 1, the end
+    predictor's."""
+    return G_abs * (2.0 * G_abs * z_sup + m_abs) / (1.0 - G_abs)
 
-    G0 = int_Y^inf w dt (signed) and G0_abs its absolute version, both
-    supplied by the caller from quadrature of the perturbation beyond Y.
 
-    Writing Q(y) = int_0^y w z and E(y) = int_0^y e^{-2(y-t)} w z (the
-    memory term, equal to z'), the marched value satisfies
-    z(Y) = 1 + (Q(Y) - E(Y))/2 exactly, while the limit satisfies
-    z_inf = 1 + Q(inf)/2.  Splitting the tail of Q around z_inf gives
+def _complete_real(sol, G, G_abs, m, L):
+    """zhat = (z + m) / (1 - G) from a real march's end state at its grid
+    end X, with the residual bound real_bound(G_abs, z_sup, |m|).
 
-        z_inf = (z(Y) + E(Y)/2 - err) / (1 - G0/2),
-        err   = (1/2) int_Y^inf w (z_inf - z),
-
-    so the computable quotient is exact up to err, which is second order
-    in the tail: |z_inf - z(t)| <= G0_abs * z_sup + |E(Y)|/2 for t >= Y.
-    """
-    if G0_abs >= 0.5:
+    Both real marches satisfy z = 1 + P - M exactly, P the running integral
+    of k z for a kernel weight k, int_X^inf k = G, int_X^inf |k| = G_abs,
+    and M a memory that tends to 0, M(X) = m.  So z_inf = 1 + P(inf) =
+    (z(X) + m - err) / (1 - G), err = int_X^inf k (z_inf - z).  Past X, |z|
+    <= z_sup = max(z_max e^L, |zhat|) (Gronwall, L the weight's tail mass),
+    and the tail of P and the change of M stay within G_abs z_sup each, so
+    |z_inf - z| <= 2 G_abs z_sup + |m| and |err| <= G_abs (2 G_abs z_sup +
+    |m|), second order in the tail.  L >= 1/2 is refused."""
+    if L >= 0.5:
         raise VolterraError(
-            "tail mass %.3g too large to complete; march further" % G0_abs)
-    z, E = float(sol.z[-1]), float(sol.z_deriv[-1])
-    zhat = (z + 0.5 * E) / (1.0 - 0.5 * G0)
-    z_tail_sup = max(sol.z_max * math.exp(G0_abs), abs(zhat))
-    sup_dev = G0_abs * z_tail_sup + 0.5 * abs(E)
-    residual = 0.5 * G0_abs * sup_dev / (1.0 - 0.5 * G0_abs)
-    return Completion(zhat, residual)
+            "tail mass %.3g too large to complete; march further" % L)
+    zhat = (float(sol.z[-1]) + m) / (1.0 - G)
+    z_sup = max(sol.z_max * math.exp(L), abs(zhat))
+    return Completion(zhat, real_bound(G_abs, z_sup, abs(m)))
+
+
+def complete_exponential(sol, G0, G0_abs):
+    """Limit of z for the growing exponential branch; G0 = int_Y^inf w and
+    G0_abs = int_Y^inf |w| past the grid end Y.  The march satisfies z = 1
+    + (Q - E)/2, Q = int_0^y w z and E = z' = int_0^y e^{-2(y-t)} w z, so
+    this is _complete_real with (G, G_abs, m, L) = (G0/2, G0_abs/2, E/2,
+    G0_abs)."""
+    E = float(sol.z_deriv[-1])
+    return _complete_real(sol, 0.5 * G0, 0.5 * G0_abs, 0.5 * E, G0_abs)
+
+
+def oscillatory_bound(L, z_sup, R2, size):
+    """complete_oscillatory's residual bound; with z_sup = 1 and size = 2,
+    the end predictor's."""
+    return (0.5 * L * L * z_sup + 0.25 * R2 * (1.0 + size)) / (1.0 - L)
 
 
 @dataclass
@@ -609,14 +622,14 @@ class OscillatoryCoeffs:
     residual_bound: float
 
 
-def complete_oscillatory(sol, G0, Gp, Gm, tail_l1):
+def complete_oscillatory(sol, G0, Gp, Gm, tail_l1, R2):
     """Connection constants of the oscillatory pair, from the end state
     (z, z') of the zeta = +i march at its grid end Y.
 
-    G0, Gp, Gm are int_Y^inf w e^{0, +2it, -2it} dt and tail_l1 =
-    int_Y^inf |w| dt.  Models z past Y by xi1 + xi2 e^{-2it}, solves the
-    resulting 2x2 system and reports a residual bound.  The zeta = -i run
-    of real w is the conjugate, z ~ eta2 + eta1 e^{+2it} with eta1 =
+    G0, Gp, Gm are int_Y^inf w e^{0, +2it, -2it} dt, the last two to
+    within R2 / 4 each, and tail_l1 = int_Y^inf |w| dt.  Models z past Y by
+    xi1 + xi2 e^{-2it} and solves the resulting 2x2 system.  The zeta = -i
+    run of real w is the conjugate, z ~ eta2 + eta1 e^{+2it} with eta1 =
     conj(xi2) and eta2 = conj(xi1).
     """
     if tail_l1 >= 0.5:
@@ -629,35 +642,24 @@ def complete_oscillatory(sol, G0, Gp, Gm, tail_l1):
     # model inside the tail integrals; the replacement error per row is at
     # most (L/2) sup_{t>=Y} |z - model| <= (L/2) L z_sup, and the matrix is
     # I + B with row sums of |B| at most L, so the solved coefficients
-    # carry a second-order residual L^2 z_sup / (2 (1 - L)).
+    # carry a second-order residual L^2 z_sup / (2 (1 - L)).  An error of
+    # R2 / 4 in Gp or Gm moves them by at most R2 (1 + size) / (4 (1 - L)),
+    # size = |xi1| + |xi2| + |eta1| + |eta2|.
     A = np.array([[1.0 - G0 / mu, -Gm / mu],
                   [Gp / mu, 1.0 + G0 / mu]])
     b = np.array([z + E / mu, -cmath.exp(mu * Y) * E / mu])
     xi1, xi2 = (complex(v) for v in np.linalg.solve(A, b))
+    eta1, eta2 = xi2.conjugate(), xi1.conjugate()
     z_tail_sup = max(sol.z_max * math.exp(tail_l1), abs(xi1) + abs(xi2))
-    residual = tail_l1 * tail_l1 * z_tail_sup / (2.0 * (1.0 - tail_l1))
-    return OscillatoryCoeffs(xi1, xi2, xi2.conjugate(), xi1.conjugate(),
-                             residual)
+    size = abs(xi1) + abs(xi2) + abs(eta1) + abs(eta2)
+    return OscillatoryCoeffs(xi1, xi2, eta1, eta2, oscillatory_bound(
+        tail_l1, z_tail_sup, R2, size))
 
 
 def complete_algebraic(sol, W0, W0_abs):
-    """Limit of z for the algebraic march, from the end state (z, z') at
-    its grid end X; W0 = int_X^inf s g ds.
-
-    With S1(x) = int_a^x s g z and S2(x) = int_a^x s^2 g z, the march
-    satisfies z = 1 + S1 - S2/x and z' = S2/x^2 exactly, and the limit
-    z_inf = (1 + S1(X) - err) / (1 - W0) = (z + X z' - err) / (1 - W0),
-    where err = int_X^inf s g (z_inf - z).  The deviation on the tail obeys
-    |z_inf - z(x)| <= 2 W0_abs z_sup + X |z'(X)| exactly, so err is a
-    product of small quantities.
-    """
-    if W0_abs >= 0.5:
-        raise VolterraError(
-            "tail mass %.3g too large to complete; march further" % W0_abs)
-    X = float(sol.grid[-1])
-    z, zd = float(sol.z[-1]), float(sol.z_deriv[-1])
-    zhat = (z + X * zd) / (1.0 - W0)
-    z_tail_sup = max(sol.z_max * math.exp(W0_abs), abs(zhat))
-    sup_dev = 2.0 * W0_abs * z_tail_sup + X * abs(zd)
-    residual = W0_abs * sup_dev / (1.0 - W0_abs)
-    return Completion(zhat, residual)
+    """Limit of z for the algebraic march; W0 = int_X^inf s g and W0_abs
+    its absolute version past the grid end X.  The march satisfies z = 1 +
+    S1 - S2/x and z' = S2/x^2, S_k = int_a^x s^k g z, so this is
+    _complete_real with (G, G_abs, m, L) = (W0, W0_abs, X z', W0_abs)."""
+    m = float(sol.grid[-1]) * float(sol.z_deriv[-1])
+    return _complete_real(sol, W0, W0_abs, m, W0_abs)

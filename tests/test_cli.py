@@ -234,3 +234,10 @@ def test_log_env_writes_to_stderr():
 def test_quiet_by_default():
     p = run_cli("analyze", "--f", "1", "--g", "3/(4*x^2)")
     assert p.stderr == ""
+
+
+@pytest.mark.parametrize("f", ["1e-40", "1e-300", "-1e-300"])
+def test_cli_tiny_constant_f_exits_without_traceback(f):
+    p = run_cli("analyze", "--f=" + f, "--g", "0")
+    assert p.returncode in (0, 1)
+    assert "Traceback" not in p.stderr

@@ -615,13 +615,16 @@ def test_predicted_residual_is_recorded(f, g, kw):
 
 
 def test_rounds_grow_the_tail_when_the_prediction_misses(monkeypatch):
-    # a prediction of 0 stops at the first grid point x0 = a + 10, whose
-    # residual is far above tail_tol: the growth rounds take over
+    # a prediction 1e5 times too low stops at the first grid point x0 =
+    # a + 10, whose residual is far above tail_tol: the next round is
+    # predicted for a target lowered by the miss
+    predicted = pipeline._Exponential.predicted_residual
     monkeypatch.setattr(pipeline._Exponential, "predicted_residual",
-                        lambda self, a, xs, L, tol: np.zeros_like(xs))
+                        lambda self, a, xs, L, tol:
+                        1e-5 * predicted(self, a, xs, L, tol))
     r = analyze("1", "3/(4*x^2)")
     rounds = r.march["rounds"]
-    assert r.march["predicted_residual"] == 0.0
+    assert 0.0 < r.march["predicted_residual"] <= 1e-4 * rounds[0][1]
     assert rounds[0][0] == pytest.approx(r.march["cutoff"] + 10.0)
     assert len(rounds) >= 2 and rounds[0][1] > r.tail_tolerance
     ends = [x_end for x_end, _, _ in rounds]
@@ -631,6 +634,82 @@ def test_rounds_grow_the_tail_when_the_prediction_misses(monkeypatch):
     assert 2 * rounds[-1][2] == r.fine_run.steps
     assert r.certificate.passed()
     assert r.verification["tail_consistent"]
+
+
+def test_a_missed_prediction_is_predicted_again(monkeypatch):
+    # the predictor 100x low: the first bound misses by about 100x, so the
+    # second round aims that much lower and certifies
+    predicted = pipeline._Exponential.predicted_residual
+    monkeypatch.setattr(pipeline._Exponential, "predicted_residual",
+                        lambda self, a, xs, L, tol:
+                        0.01 * predicted(self, a, xs, L, tol))
+    made = []
+    predict_end = pipeline._predict_end
+
+    def recording(*args):
+        made.append(predict_end(*args))
+        return made[-1]
+
+    monkeypatch.setattr(pipeline, "_predict_end", recording)
+    r = analyze("1", "3/(4*x^2)")
+    rounds = r.march["rounds"]
+    assert len(rounds) == len(made) == 2
+    assert rounds[0][0] < rounds[1][0] == pytest.approx(r.march["x_max"])
+    assert rounds[0][1] > r.tail_tolerance
+    assert rounds[1][1] == r.constants["tail_residual_bound"] \
+        <= r.tail_tolerance
+    assert r.certificate.passed()
+    assert r.march["predicted_residual"] == made[0][1]
+
+
+def _predicted_closed_form(reg, a, xs, L, tol):
+    """Each regime's end prediction written out as a closed form, apart
+    from volterra's bound functions."""
+    if isinstance(reg, pipeline._Algebraic):
+        S2 = quadrature.integrate_finite(lambda s: s * reg.sg(s), a, xs,
+                                         tol=tol).value
+        return L * (2.0 * L + np.abs(S2) / xs) / (1.0 - L)
+    if isinstance(reg, pipeline._Exponential):
+        return 0.5 * L * (L + 0.25 * np.abs(reg.w(xs))) / (1.0 - 0.5 * L)
+    R2 = quadrature.l1_tail_norm(reg.tail_moments[1], xs, tol=tol).value
+    return (0.5 * L * L + 0.75 * R2) / (1.0 - L)
+
+
+@pytest.mark.parametrize("f, g, kw", [
+    ("1", "3/(4*x^2)", {}),
+    ("-1", "-1/(4*x^2)", {}),
+    ("x", "0", {}),
+    ("0", "exp(-2*x)", {"interval": (0, math.inf)}),
+    ("1/x^2", "1.75 - 1/(4*x^2)", {"endpoint": "zero", "interval": (0, 1)}),
+    ("1", "0", {}),
+])
+def test_predicted_residual_is_the_closed_form(f, g, kw):
+    # on the prediction's 48-point grid, bit for bit
+    reg = analyze(f, g, **kw)._regime
+    a = reg.cutoff
+    xs = (a + 10.0) * 2.0 ** np.arange(pipeline._PREDICT_POINTS)
+    tol = 0.01 * pipeline._PREDICT_SHARE * 1e-6
+    L = quadrature.l1_tail_norm(reg.weight, xs, tol=tol).value
+    with np.errstate(all="ignore"):
+        np.testing.assert_array_equal(
+            reg.predicted_residual(a, xs, L, tol),
+            _predicted_closed_form(reg, a, xs, L, tol))
+
+
+@pytest.mark.parametrize("f", ["1e-40", "1e-300", "-1e-300"])
+def test_tiny_constant_f_is_answered_quickly(f):
+    # the graded grid's largest level is bounded by the span, so a level-0
+    # step of 1e-150 no longer overflows the level count
+    t0 = time.perf_counter()
+    try:
+        r = analyze(f, "0")
+    except (AnalysisError, HypothesisFailed, quadrature.QuadratureError,
+            volterra.VolterraError):
+        pass
+    else:
+        assert r.certificate.passed()
+        assert r.constants["tail_residual_bound"] <= r.tail_tolerance
+    assert time.perf_counter() - t0 < 0.1
 
 
 def test_march_error_estimate_is_the_fine_runs_second_order_error():

@@ -295,9 +295,9 @@ def test_complete_oscillatory_against_far_march():
         return solve_kernel(np.exp(-t), h, 1j)
 
     G0, Gp, Gm = _osc_tails(15.0)
-    near = complete_oscillatory(run(15.0), G0, Gp, Gm, G0)
+    near = complete_oscillatory(run(15.0), G0, Gp, Gm, G0, R2=0.0)
     G0f, Gpf, Gmf = _osc_tails(40.0)
-    far = complete_oscillatory(run(40.0), G0f, Gpf, Gmf, G0f)
+    far = complete_oscillatory(run(40.0), G0f, Gpf, Gmf, G0f, R2=0.0)
     assert abs(near.xi1 - far.xi1) < 1e-8
     assert abs(near.xi2 - far.xi2) < 1e-8
     assert near.residual_bound < 1e-12
@@ -310,7 +310,37 @@ def test_complete_oscillatory_against_far_march():
 def test_complete_oscillatory_refuses_fat_tail():
     sol = solve_kernel(np.full(11, 0.1), 0.01, 1j)
     with pytest.raises(VolterraError):
-        complete_oscillatory(sol, 0.5, 0.0, 0.0, 0.5)
+        complete_oscillatory(sol, 0.5, 0.0, 0.0, 0.5, R2=0.0)
+
+
+def test_complete_oscillatory_bound_carries_the_moment_remainder():
+    # Gp and Gm may each miss by R2 / 4, which moves the solved
+    # coefficients by at most R2 (1 + size) / (4 (1 - L))
+    h = 0.004
+    t = h * np.arange(int(round(15.0 / h)) + 1)
+    sol = solve_kernel(np.exp(-t), h, 1j)
+    G0, Gp, Gm = _osc_tails(15.0)
+    L, R2 = 0.3, 1e-3
+    exact = complete_oscillatory(sol, G0, Gp, Gm, L, R2=0.0)
+    c = complete_oscillatory(sol, G0, Gp, Gm, L, R2=R2)
+    assert (c.xi1, c.xi2, c.eta1, c.eta2) == (exact.xi1, exact.xi2,
+                                              exact.eta1, exact.eta2)
+    size = abs(c.xi1) + abs(c.xi2) + abs(c.eta1) + abs(c.eta2)
+    assert c.residual_bound - exact.residual_bound == pytest.approx(
+        0.25 * R2 * (1.0 + size) / (1.0 - L), rel=1e-12)
+
+
+def test_real_completions_refuse_the_same_tail_mass():
+    exp_run = solve_kernel(np.full(11, 0.1), 0.01, 1.0)
+    alg_run = solve_algebraic(np.zeros(11), 1.0, 0.1)
+    messages = set()
+    for complete, sol in ((complete_exponential, exp_run),
+                          (complete_algebraic, alg_run)):
+        complete(sol, 0.49, 0.49)
+        with pytest.raises(VolterraError) as err:
+            complete(sol, 0.5, 0.5)
+        messages.add(str(err.value))
+    assert messages == {"tail mass 0.5 too large to complete; march further"}
 
 
 def test_complete_algebraic_against_far_march():
@@ -352,7 +382,7 @@ def test_completions_without_tail_match_the_end_state():
     assert complete_exponential(sol, 0.0, 0.0).value == pytest.approx(
         z + 0.5 * E, rel=1e-15, abs=0.0)
     sol = solve_kernel(w, h, 1j)
-    c = complete_oscillatory(sol, 0.0, 0.0, 0.0, 0.0)
+    c = complete_oscillatory(sol, 0.0, 0.0, 0.0, 0.0, R2=0.0)
     z, E, back = sol.z[-1], sol.z_deriv[-1], cmath.exp(-sol.mu * sol.grid[-1])
     assert abs(c.xi1 + c.xi2 * back - z) <= 1e-15 * abs(z)
     assert abs(-sol.mu * c.xi2 * back - E) <= 1e-15 * abs(z)
