@@ -6,22 +6,22 @@ Subcommands:
   table     tabulate the certified branch against its approximant
   validate  run a named self-check suite, one PASS/FAIL line per check
 
-Exit codes: 0 on success, 2 when a structural hypothesis fails (the
-input is outside the method's scope), 1 for everything else (bad
-arguments, parse errors, numerical failures).  Logging goes to stderr
-and is controlled by the LG_LOG environment variable (error, info,
-debug).
+Exit codes: 0 on success, 2 on a usage error (argparse's) or when a
+structural hypothesis fails (the input is outside the method's scope), 1
+for everything else (bad tolerances, parse errors, numerical failures).
+Logging goes to stderr and is controlled by the LG_LOG environment
+variable (error, info, debug).
 """
 
 from __future__ import annotations
 
 import argparse
 import csv
+import json
 import logging
 import math
 import os
 import random
-import re
 import sys
 
 from . import certificate as certificate_mod
@@ -34,64 +34,18 @@ log = logging.getLogger("lgasym")
 # deterministic JSON
 
 def json_dumps(obj):
-    """Serialize to JSON with a fixed, platform-independent byte layout:
-    dict order preserved, floats as repr-faithful %.17g, non-finite
-    numbers as null."""
-    out = []
-    _write_json(obj, out, 0)
-    out.append("\n")
-    return "".join(out)
+    """The standard library's JSON in a fixed byte layout: key order kept,
+    floats as repr, non-finite numbers as null, other objects as str."""
+    return json.dumps(_finite(obj), indent=2, ensure_ascii=False,
+                      default=str) + "\n"
 
 
-def _write_json(obj, out, depth):
-    pad = "  " * depth
+def _finite(obj):
     if isinstance(obj, dict):
-        if not obj:
-            out.append("{}")
-            return
-        out.append("{\n")
-        items = list(obj.items())
-        for i, (k, v) in enumerate(items):
-            out.append(pad + "  " + _json_str(str(k)) + ": ")
-            _write_json(v, out, depth + 1)
-            out.append(",\n" if i + 1 < len(items) else "\n")
-        out.append(pad + "}")
-    elif isinstance(obj, (list, tuple)):
-        if not obj:
-            out.append("[]")
-            return
-        out.append("[\n")
-        for i, v in enumerate(obj):
-            out.append(pad + "  ")
-            _write_json(v, out, depth + 1)
-            out.append(",\n" if i + 1 < len(obj) else "\n")
-        out.append(pad + "]")
-    elif isinstance(obj, bool):
-        out.append("true" if obj else "false")
-    elif obj is None:
-        out.append("null")
-    elif isinstance(obj, int):
-        out.append(str(obj))
-    elif isinstance(obj, float):
-        out.append(format(obj, ".17g") if math.isfinite(obj) else "null")
-    elif isinstance(obj, str):
-        out.append(_json_str(obj))
-    else:
-        out.append(_json_str(str(obj)))
-
-
-_ESCAPES = {"\\": "\\\\", '"': '\\"', "\n": "\\n", "\r": "\\r", "\t": "\\t"}
-# the characters a JSON string must escape: \, " and the controls below 0x20
-_NEEDS_ESCAPE = re.compile(r'[\\"\x00-\x1f]')
-
-
-def _escape(match):
-    ch = match.group()
-    return _ESCAPES.get(ch) or "\\u%04x" % ord(ch)
-
-
-def _json_str(s):
-    return '"' + _NEEDS_ESCAPE.sub(_escape, s) + '"'
+        return {k: _finite(v) for k, v in obj.items()}
+    if isinstance(obj, (list, tuple)):
+        return [_finite(v) for v in obj]
+    return None if isinstance(obj, float) and not math.isfinite(obj) else obj
 
 
 # --------------------------------------------------------------------------
@@ -405,10 +359,25 @@ def _setup_logging():
                         format="%(levelname)s %(name)s: %(message)s")
 
 
+# argparse reads a separate value that starts with '-' as an option unless
+# it is a plain negative number, so an expression is joined to its option
+# before parsing: --f -x becomes --f=-x.  A value starting with '--' is
+# left to argparse.
+def _join_expressions(argv):
+    out = []
+    for arg in argv:
+        if out and out[-1] in ("--f", "--g") and not arg.startswith("--"):
+            out[-1] += "=" + arg
+        else:
+            out.append(arg)
+    return out
+
+
 def main(argv=None):
     _setup_logging()
     parser = build_parser()
-    args = parser.parse_args(argv)
+    args = parser.parse_args(
+        _join_expressions(sys.argv[1:] if argv is None else argv))
     try:
         return args.func(args)
     except transform.HypothesisFailed as e:

@@ -27,8 +27,9 @@ one entry per distinct subtree and runs it without generating code.
 
 The tape is the only evaluator, with one IEEE float64 rule: input outside
 the real domain (log/sqrt of a negative, x/0, a negative base under a
-fractional power, overflow) gives nan or inf and never raises.  Constant
-subtrees fold through the same tape, and only to a finite value;
+fractional power, overflow) gives nan or inf and never raises.  Every
+constant fold, in parsing and in derivatives alike, applies the tape's
+operator to float64 values and keeps only a finite result;
 constant_value() raises EvalDomainError on a constant that is not finite.
 
 Trees are immutable (frozen dataclass) and all functions here are pure, so
@@ -102,10 +103,9 @@ def unary(op, a):
             return const(-a.value)
         if a.op == "neg":
             return a.args[0]
-    node = ExprNode(op, 0.0, (a,))
     if a.op == "const":
-        return _try_fold(node)
-    return node
+        return _try_fold(op, a)
+    return ExprNode(op, 0.0, (a,))
 
 
 def binary(op, a, b):
@@ -113,26 +113,34 @@ def binary(op, a, b):
         raise ValueError("unknown binary operator %r" % op)
     if op == "pow" and b.op != "const":
         raise ValueError("pow exponent must be a constant")
-    node = ExprNode(op, 0.0, (a, b))
+    # identity folds that cannot change domain behaviour; 1*b, a*1, a/1 and
+    # a^1 are exact, so they may precede the constant fold, but a zero
+    # term may not: -0 + 0 folds to +0
+    if op == "mul" and a.op == "const" and a.value == 1.0:
+        return b
+    if op in ("mul", "div", "pow") and b.op == "const" and b.value == 1.0:
+        return a
     if a.op == "const" and b.op == "const":
-        return _try_fold(node)
-    # identity folds that cannot change domain behaviour
+        return _try_fold(op, a, b)
     if op in ("add", "sub") and b.op == "const" and b.value == 0.0:
         return a
     if op == "add" and a.op == "const" and a.value == 0.0:
         return b
-    if op == "mul" and a.op == "const" and a.value == 1.0:
-        return b
-    if op in ("mul", "div") and b.op == "const" and b.value == 1.0:
-        return a
-    if op == "pow" and b.op == "const" and b.value == 1.0:
-        return a
-    return node
+    return ExprNode(op, 0.0, (a, b))
 
 
-def _try_fold(node):
-    v = _compile(node)(0.0)
-    return const(v) if math.isfinite(v) else node
+def _try_fold(op, *args):
+    """The node op(*args) of constant args, folded to a constant by the
+    tape's operator when its value is finite."""
+    v = [a.value for a in args]
+    # +, - and * of Python floats are the float64 operations themselves and
+    # never raise, so they skip numpy's dispatch and error state
+    if op in ("add", "sub", "mul"):
+        v = _APPLY[op](*v)
+    else:
+        with np.errstate(all="ignore"):
+            v = float(_APPLY[op](*map(np.float64, v)))
+    return const(v) if math.isfinite(v) else ExprNode(op, 0.0, args)
 
 
 def is_constant(e):
@@ -331,44 +339,26 @@ def _parse_atom(tz):
 # --------------------------------------------------------------------------
 # differentiation
 
-def _add(a, b):
-    if a.op == "const" and a.value == 0.0:
-        return b
-    if b.op == "const" and b.value == 0.0:
-        return a
-    if a.op == "const" and b.op == "const":
-        return const(a.value + b.value)
-    return binary("add", a, b)
+# The folds binary() must not make on a user's tree, since they drop an
+# operand that may have no finite value; a derivative drops it anyway.
+# _sub leaves 0 - 0 to binary(): negating the second zero would give -0.
+
+def _zero(e):
+    return e.op == "const" and e.value == 0.0
 
 
 def _sub(a, b):
-    if b.op == "const" and b.value == 0.0:
-        return a
-    if a.op == "const" and a.value == 0.0:
+    if _zero(a) and not _zero(b):
         return unary("neg", b)
-    if a.op == "const" and b.op == "const":
-        return const(a.value - b.value)
     return binary("sub", a, b)
 
 
 def _mul(a, b):
-    for u, v in ((a, b), (b, a)):
-        if u.op == "const":
-            if u.value == 0.0:
-                return const(0.0)
-            if u.value == 1.0:
-                return v
-    if a.op == "const" and b.op == "const":
-        return const(a.value * b.value)
-    return binary("mul", a, b)
+    return const(0.0) if _zero(a) or _zero(b) else binary("mul", a, b)
 
 
 def _div(a, b):
-    if a.op == "const" and a.value == 0.0:
-        return const(0.0)
-    if b.op == "const" and b.value == 1.0:
-        return a
-    return binary("div", a, b)
+    return const(0.0) if _zero(a) else binary("div", a, b)
 
 
 def differentiate(e):
@@ -401,12 +391,12 @@ def _derivative(e, d):
     if op == "neg":
         return unary("neg", d(e.args[0]))
     if op == "add":
-        return _add(d(e.args[0]), d(e.args[1]))
+        return binary("add", d(e.args[0]), d(e.args[1]))
     if op == "sub":
         return _sub(d(e.args[0]), d(e.args[1]))
     if op == "mul":
         a, b = e.args
-        return _add(_mul(d(a), b), _mul(a, d(b)))
+        return binary("add", _mul(d(a), b), _mul(a, d(b)))
     if op == "div":
         a, b = e.args
         num = _sub(_mul(d(a), b), _mul(a, d(b)))
@@ -642,6 +632,6 @@ def compile_fn(e):
     return wrapped
 
 
-# Folding and constant_value compile under this private name, so a wrapper
-# put on compile_fn sees only the compiles of its callers.
+# constant_value compiles under this private name, so a wrapper put on
+# compile_fn sees only the compiles of its callers.
 _compile = compile_fn

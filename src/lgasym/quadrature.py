@@ -59,6 +59,10 @@ EVAL_BUDGET = 2 ** 20
 # interior, is far beyond any legitimate plateau and costs the end cell
 # only ~1300 samples in 22 kernel calls.
 _DIVERGENCE_RUN = 40
+# QUADPACK's roundoff floor, 50 epsilon relative (Piessens et al. 1983): an
+# error estimate below it on the pieces' magnitude is rounding, which no
+# refinement reduces, so a tolerance under it stops there.
+_ROUNDOFF = 50.0 * np.finfo(float).eps
 
 # 15-point Kronrod abscissae on [-1, 1]; odd-indexed entries are the
 # embedded 7-point Gauss nodes.
@@ -196,7 +200,8 @@ def _cells(fn, lo, hi):
 def _adapt(fn, edges, tol):
     """Worst-first adaptive refinement of the partition edges[0] < edges[1]
     < ... under one shared error budget -> (per-piece values, total error
-    estimate), within the EVAL_BUDGET samples of the running ledger.  The
+    estimate), within the EVAL_BUDGET samples of the running ledger, until
+    the estimate is at most max(tol, _ROUNDOFF * sum |piece value|).  The
     end cell, the one at edges[-1], is split in four equal cells per call
     (two levels of bisection, two dyadic shells of a mapped tail); every
     other cell is bisected.  The per-cell error estimate is the
@@ -213,7 +218,7 @@ def _adapt(fn, edges, tol):
     end = edges[-1]
     # divergence runs as [shells, last gain]; neither resets the other
     end_run, interior_run = [0, math.inf], [0, math.inf]
-    while total_err > tol:
+    while total_err > max(tol, _ROUNDOFF * sum(map(abs, totals))):
         _, clo, chi, piece, cval, cerr = heapq.heappop(heap)
         mid = 0.5 * (clo + chi)
         if chi == end:

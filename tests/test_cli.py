@@ -4,9 +4,10 @@ import os
 import subprocess
 import sys
 
+import numpy as np
 import pytest
 
-from lgasym.cli import _json_str, json_dumps
+from lgasym.cli import json_dumps
 
 
 def run_cli(*args, env_extra=None):
@@ -26,7 +27,7 @@ def test_json_dumps_is_deterministic_and_parsable():
     s2 = json_dumps(doc)
     assert s1 == s2
     back = json.loads(s1)
-    assert back["b"] == 1.0 / 3.0  # 17 significant digits round-trip
+    assert back["b"] == 1.0 / 3.0  # repr round-trips
     # insertion order is preserved, not sorted
     assert list(back) == ["b", "a", "c"]
 
@@ -36,6 +37,16 @@ def test_json_dumps_nonfinite_becomes_null():
     back = json.loads(s)
     assert back["inf"] is None
     assert back["nan"] is None
+
+
+def test_json_dumps_nested_nonfinite_and_other_objects():
+    doc = {"a": [1.0, (math.inf, [np.float64(-math.inf)])],
+           "b": {"c": np.float64(math.nan)}, "d": 1 + 2j, "e": 1e-06}
+    assert json_dumps(doc) == (
+        '{\n  "a": [\n    1.0,\n    [\n      null,\n      [\n        null\n'
+        '      ]\n    ]\n  ],\n  "b": {\n    "c": null\n  },\n'
+        '  "d": "(1+2j)",\n  "e": 1e-06\n}\n')
+    assert json_dumps({}) == "{}\n" and json_dumps([]) == "[]\n"
 
 
 def test_json_dumps_escapes_strings():
@@ -63,8 +74,8 @@ def _json_str_per_character(s):
                                "\x1f", "\x7f", "\u00e9", "\u03c8",
                                "plain text", "x^-4*(1/x)"])
 def test_json_str_matches_per_character_escaping(s):
-    assert _json_str(s) == _json_str_per_character(s)
-    assert json.loads(_json_str(s)) == s
+    assert json_dumps(s) == _json_str_per_character(s) + "\n"
+    assert json.loads(json_dumps(s)) == s
 
 
 # ------------------------------------------------------------ analyze
@@ -172,7 +183,7 @@ def test_table_plain_and_csv():
 
 
 def test_table_csv_determinism():
-    # leading '-' needs the --opt=value spelling to get past argparse
+    # the --opt=value spelling of values that start with '-'
     args = ("table", "--f=-1", "--g=-1/(4*x^2)", "--csv")
     p1 = run_cli(*args)
     p2 = run_cli(*args)
@@ -241,3 +252,30 @@ def test_cli_tiny_constant_f_exits_without_traceback(f):
     p = run_cli("analyze", "--f=" + f, "--g", "0")
     assert p.returncode in (0, 1)
     assert "Traceback" not in p.stderr
+
+
+@pytest.mark.parametrize("option, value, other", [
+    ("--f", "-x", ("--g", "0")),
+    ("--f", "-1e-300", ("--g", "0")),
+    ("--f", "-(1+1/x)", ("--g", "0")),
+    ("--g", "-3/(4*x^2)", ("--f", "1")),
+])
+def test_expression_starting_with_minus_as_a_separate_argument(
+        option, value, other):
+    # argparse alone reads these values as options and exits 2
+    apart = run_cli("analyze", option, value, *other)
+    joined = run_cli("analyze", option + "=" + value, *other)
+    assert apart.returncode == joined.returncode == 0
+    assert (apart.stdout, apart.stderr) == (joined.stdout, joined.stderr)
+    assert apart.stdout.startswith("regime: ")
+
+
+@pytest.mark.parametrize("args", [
+    ["--f"],                        # no value
+    ["--f", "--json"],              # the next option is not taken as one
+    ["--f", "1", "--interval", "3:2"],
+])
+def test_usage_errors_exit_2(args):
+    p = run_cli("analyze", *args)
+    assert p.returncode == 2
+    assert "usage: lgasym" in p.stderr

@@ -265,6 +265,27 @@ def test_constant_folding_in_constructors():
     assert folded.op == "const" and folded.value == 2.0
 
 
+def _consts(node):
+    if node.op == "const":
+        yield node.value
+    for a in node.args:
+        yield from _consts(a)
+
+
+def test_derivatives_fold_constants_by_the_tape_rule():
+    # 1e200 * 1e200 overflows: the tape keeps the product unfolded, as a
+    # parsed tree does, and the derivative still evaluates to inf
+    d = differentiate(parse("1e200*(1e200*x)"))
+    assert all(math.isfinite(c) for c in _consts(d))
+    assert compile_fn(d)(1.0) == math.inf
+    # the folds a derivative makes beyond binary(): a zero factor or
+    # numerator drops its partner, and 0 - b is -b
+    assert to_string(differentiate(parse("log(-1)*2"))) == "0"
+    assert to_string(differentiate(parse("3 - sin(x)"))) == "-cos(x)"
+    assert to_string(differentiate(parse("x^0 - x^0"))) == "0"
+    assert math.copysign(1.0, differentiate(parse("x^0 - x^0")).value) == 1.0
+
+
 def test_is_constant_and_value():
     assert expr.is_constant(parse("2^3 + 1"))
     assert expr.constant_value(parse("2^3 + 1")) == 9.0

@@ -31,3 +31,22 @@ def test_output_digest_names_every_refusal():
     again = []
     digest.main(["--seeds", "1", "--pools", "refuse"], emit=again.append)
     assert again == lines
+
+
+def test_output_digest_covers_the_certify_and_evaluate_pools():
+    # seed 1: the nine certify templates and the constant-free case, one
+    # SHA-256 line each, and the evaluate pool; nothing raises
+    digest = _load()
+    lines = []
+    assert digest.main(["--seeds", "1", "--pools", "certify", "evaluate"],
+                       emit=lines.append) == 0
+    pools = [line.split(" ", 1)[0] for line in lines]
+    assert set(pools) == {"certify", "evaluate"}
+    assert sum(" sha256 " in line for line in lines) == 10
+    assert len({line.split(" ", 4)[2] for line in lines
+                if line.startswith("certify ")}) == 10
+    assert not any(line.split(" ", 5)[4] == "raises" for line in lines)
+    again = []
+    digest.main(["--seeds", "1", "--pools", "certify", "evaluate"],
+                emit=again.append)
+    assert again == lines

@@ -9,7 +9,8 @@ import warnings
 import numpy as np
 import pytest
 
-from lgasym import cli, expr, pipeline, quadrature, transform, volterra
+from lgasym import (cli, expr, oracle, pipeline, quadrature, transform,
+                    volterra)
 from lgasym.pipeline import AnalysisError, RangeError, analyze
 from lgasym.transform import HypothesisFailed, Regime
 from reference_oracles import (BesselFixture, _series_eval,
@@ -660,6 +661,105 @@ def test_a_missed_prediction_is_predicted_again(monkeypatch):
         <= r.tail_tolerance
     assert r.certificate.passed()
     assert r.march["predicted_residual"] == made[0][1]
+
+
+def test_a_prediction_far_too_low_certifies_in_two_rounds(monkeypatch):
+    # 1e-12x low: the second round's tail quadrature asks for a tolerance
+    # near 1e-21, below float64's resolution of the tail, and stops at the
+    # roundoff floor instead of spending the budget
+    predicted = pipeline._Exponential.predicted_residual
+    monkeypatch.setattr(pipeline._Exponential, "predicted_residual",
+                        lambda self, a, xs, L, tol:
+                        1e-12 * predicted(self, a, xs, L, tol))
+    t0 = time.perf_counter()
+    r = analyze("1", "3/(4*x^2)")
+    assert time.perf_counter() - t0 < 0.5
+    rounds = r.march["rounds"]
+    assert len(rounds) == 2 and rounds[0][1] > r.tail_tolerance
+    assert rounds[1][1] == r.constants["tail_residual_bound"] \
+        <= r.tail_tolerance
+    assert r.certificate.passed()
+
+
+@pytest.mark.parametrize("tail_tol", [1e-13, 1e-14, 1e-15])
+def test_a_tail_tolerance_below_roundoff_is_refused_quickly(tail_tol):
+    # the predicted end needs more steps than the march allows; the
+    # prediction's quadrature stops at its roundoff floor on the way
+    t0 = time.perf_counter()
+    with pytest.raises(AnalysisError, match="level-0 steps"):
+        analyze("1", "3/(4*x^2)", tail_tol=tail_tol)
+    assert time.perf_counter() - t0 < 0.5
+
+
+def _transport_mismatch(r, V, span):
+    """Largest relative mismatch of value and derivative between each
+    solution and the oracle carrying it over span in its stable direction
+    (the dominant forward, the recessive backward from the cutoff + 1)."""
+    a = r.march["cutoff"] + 1.0
+    worst = 0.0
+    for label, x0, x1 in (("dominant", a, a + span),
+                          ("recessive", a + span, a)):
+        s = r.solution(label)
+        c = 1.0 / abs(s.value(x0))
+        traj = oracle.integrate_ivp(V, x0, c * s.value(x0),
+                                    c * s.derivative(x0), x1, tol=1e-12)
+        u, du = traj.at(x1)
+        worst = max(worst, abs(u / (c * s.value(x1)) - 1.0),
+                    abs(du / (c * s.derivative(x1)) - 1.0))
+    return worst
+
+
+@pytest.mark.parametrize("f, g, kw, V", [
+    # find_cutoff asks 1e-10 of a tail near 1e5
+    ("1e-10", "1/x^2", {}, lambda x: 1e-10 + 1.0 / (x * x)),
+    # a tail of about 5e5 from the interval's end at 0.001
+    ("1", "1/x^3", {"interval": (0.001, math.inf)},
+     lambda x: 1.0 + x ** -3.0),
+], ids=["tiny-f", "steep-tail"])
+def test_large_tails_certify_at_the_roundoff_floor(f, g, kw, V):
+    t0 = time.perf_counter()
+    r = analyze(f, g, **kw)
+    assert time.perf_counter() - t0 < 0.5
+    assert r.certificate.passed()
+    assert r.constants["tail_residual_bound"] <= r.tail_tolerance
+    assert _transport_mismatch(r, V, 19.0) <= 5e-12
+
+
+def _failing_march(monkeypatch, failures):
+    """Make volterra.solve_kernel raise EnvelopeError on its first
+    `failures` calls; returns the smallest step of every call."""
+    calls = []
+    solve = volterra.solve_kernel
+
+    def failing(*args, **kwargs):
+        calls.append(float(np.min(args[1])))
+        if len(calls) <= failures:
+            raise volterra.EnvelopeError("forced envelope violation")
+        return solve(*args, **kwargs)
+
+    monkeypatch.setattr(volterra, "solve_kernel", failing)
+    return calls
+
+
+def test_an_envelope_violation_halves_the_step(monkeypatch):
+    plain = analyze("1", "3/(4*x^2)")
+    _failing_march(monkeypatch, 1)
+    r = analyze("1", "3/(4*x^2)")
+    assert plain.march["refinements"] == 0
+    assert r.march["refinements"] == 1
+    assert r.march["coarse_step"] == plain.march["coarse_step"] / 2.0
+    assert r.march["phase_span"] == plain.march["phase_span"]
+    assert r.certificate.passed()
+    assert r.constants["tail_residual_bound"] <= r.tail_tolerance
+
+
+def test_the_step_is_halved_at_most_three_times(monkeypatch):
+    calls = _failing_march(monkeypatch, math.inf)
+    with pytest.raises(volterra.EnvelopeError, match="forced"):
+        analyze("1", "3/(4*x^2)")
+    # the coarse march of each attempt, its smallest step halved each time
+    assert len(calls) == 4
+    assert [a / b for a, b in zip(calls, calls[1:])] == [2.0, 2.0, 2.0]
 
 
 def _predicted_closed_form(reg, a, xs, L, tol):

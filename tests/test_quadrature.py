@@ -153,6 +153,21 @@ def test_slow_tail_error_estimate_is_a_bound():
     assert abs(res.value - 2.0) <= res.error_estimate
 
 
+@pytest.mark.parametrize("call, args, exact", [
+    (integrate_finite, (lambda x: 1.0 / x, 1.0, 2.0), math.log(2.0)),
+    (integrate_to_infinity, (lambda x: x ** -2.0, 1.0), 1.0),
+    (integrate_to_infinity, (lambda x: x ** -3.0, 0.001), 5e5),
+], ids=["log-two", "inverse-square", "steep-tail"])
+@pytest.mark.parametrize("tol", [0.0, 1e-300])
+def test_tolerance_below_roundoff_stops_at_the_floor(call, args, exact, tol):
+    # float64 cannot resolve an integral below about 50 eps of its size:
+    # the run stops there instead of spending the whole budget
+    res, taken = _charged(call, *args, tol=tol)
+    assert abs(res.value - exact) <= 1e-14 * exact
+    assert res.error_estimate <= 50.0 * np.finfo(float).eps * exact
+    assert taken <= 1000
+
+
 def test_divergence_refusal_kernel_calls(monkeypatch):
     # one call for the first cell, then 21 four-way splits of the end
     # cell: the first sets the gain, the next 20 make the 40-shell run
