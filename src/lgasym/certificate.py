@@ -127,7 +127,8 @@ def gronwall_certificate(cutoff, tail_norm, envelope_report, target=DEFAULT_TARG
          "value": envelope_report["l1_q_end"],
          "threshold": envelope_report["l1_q_bound_end"],
          # the march caps |z| by exp(T); its own quadrature of |w z| may
-         # exceed exp(T)-1 only by the scheme's second-order slack
+         # exceed exp(T)-1 only by the slack of its trapezoid sums over
+         # the half cells, second order in their width
          "passed": envelope_report["l1_q_excess"]
          <= 1e-6 + 0.05 * envelope_report["l1_q_bound_end"]},
     ]

@@ -79,7 +79,7 @@ def _add_problem_args(p):
     p.add_argument("--xmax", type=float, default=None,
                    help="resolve at least this far (this small, for zero)")
     p.add_argument("--step", type=float, default=None,
-                   help="set the level-0 coarse marching step (the graded "
+                   help="set the level-0 marching step (the graded "
                         "grid doubles it where the perturbation is small)")
 
 
@@ -256,8 +256,8 @@ def _suite_gronwall(rng):
             worst = max(worst, abs(w / wronskian - 1.0))
         checks.append(("Wronskian %g for %s" % (wronskian, name),
                        worst < 2e-6, "worst relative deviation %.3g" % worst))
-        # spot-check the envelope at random nodes of the raw fine run
-        raw = rep.fine_run
+        # spot-check the envelope at random samples of the march
+        raw = rep.march_run
         worst = 0.0
         for _ in range(16):
             k = rng.randrange(len(raw.z))
@@ -269,9 +269,10 @@ def _suite_gronwall(rng):
 
 def _suite_convergence(rng):
     checks = []
-    # marching order: halving h must cut the error close to fourfold, for
-    # the real and the oscillatory kernel march (w = e^-t from 0) and the
-    # algebraic march (g = s^-4 from 1), on uniform and graded grids
+    # marching order: halving h must cut the error close to sixteenfold,
+    # for the real and the oscillatory kernel march (w = e^-t from 0) and
+    # the algebraic march (g = s^-4 from 1), on uniform and graded grids;
+    # every march samples its cells' nodes and midpoints
     import numpy as np
     marches = (
         ("kernel march, zeta = 1", 0.0,
@@ -281,36 +282,34 @@ def _suite_convergence(rng):
         ("algebraic march", 1.0,
          lambda s, h: volterra.solve_algebraic(s ** -4.0, s[0], h)),
     )
+
+    def end(march, a, steps):
+        half = np.repeat(0.5 * steps, 2)
+        s = a + np.concatenate(([0.0], np.cumsum(half)))
+        return complex(march(s, steps).z[-1])
+
+    def order(errs):
+        r12, r23 = errs[0] / errs[1], errs[1] / errs[2]
+        return (14.0 <= r12 <= 18.0 and 14.0 <= r23 <= 18.0,
+                "ratios %.2f, %.2f" % (r12, r23))
+
     for label, a, march in marches:
-        results = {}
-        for h in (0.08, 0.04, 0.02, 0.0025):
-            n = int(round(6.0 / h))
-            results[h] = complex(march(a + h * np.arange(n + 1), h).z[-1])
-        ref = results[0.0025]
-        e1 = abs(results[0.08] - ref)
-        e2 = abs(results[0.04] - ref)
-        e3 = abs(results[0.02] - ref)
-        r12, r23 = e1 / e2, e2 / e3
-        checks.append(("%s: error drops fourfold per halving" % label,
-                       3.5 <= r12 <= 4.5 and 3.5 <= r23 <= 4.5,
-                       "ratios %.2f, %.2f" % (r12, r23)))
+        ref = end(march, a, np.full(2400, 0.0025))
+        errs = [abs(end(march, a, np.full(int(round(6.0 / h)), h)) - ref)
+                for h in (0.08, 0.04, 0.02)]
+        checks.append(("%s: error drops sixteenfold per halving" % label,
+                       *order(errs)))
     # the same order on a dyadic graded grid of levels 0-3 (cells of 0.08,
     # 0.16, 0.32 and 0.64, each starting at a multiple of its width, over a
     # span of 6.4; the reference is a uniform march at 0.0025): bisecting
-    # every cell must cut the error fourfold too
+    # every cell must cut the error sixteenfold too
     units = np.repeat([1, 2, 4, 8], [8, 4, 2, 7])
     for label, a, march in marches:
-        ref = complex(march(a + 0.0025 * np.arange(2561), 0.0025).z[-1])
-        errs = []
-        for k in range(3):
-            steps = np.repeat(0.08 * units / 2 ** k, 2 ** k)
-            s = a + np.concatenate(([0.0], np.cumsum(steps)))
-            errs.append(abs(complex(march(s, steps).z[-1]) - ref))
-        r12, r23 = errs[0] / errs[1], errs[1] / errs[2]
-        checks.append(("%s: error drops fourfold per bisection of a graded "
-                       "grid" % label,
-                       3.5 <= r12 <= 4.5 and 3.5 <= r23 <= 4.5,
-                       "ratios %.2f, %.2f" % (r12, r23)))
+        ref = end(march, a, np.full(2560, 0.0025))
+        errs = [abs(end(march, a, np.repeat(0.08 * units / 2 ** k, 2 ** k))
+                    - ref) for k in range(3)]
+        checks.append(("%s: error drops sixteenfold per bisection of a "
+                       "graded grid" % label, *order(errs)))
     # integrator order: a tenfold tolerance drop must buy >= ~8x accuracy
     exact = math.cosh(5.0)
     errs = []

@@ -5,19 +5,20 @@ analyze() parses the split, classifies the regime, chooses a cutoff whose
 perturbation tail is certifiably small, predicts the grid end at which the
 tail completion will meet tail_tol (_predict_end: the regime's completion
 bound with z = 1, from tail integrals alone), marches the correction
-equation there on a graded grid at two resolutions (the raw fine run
-carries the hard envelope guarantees; Richardson extrapolation of the pair
-feeds the reported constants and solution callables), completes the
-connection constants across the un-marched tail with a computable residual
-bound, and packages everything into an AnalysisReport.  Only when that
-bound still exceeds tail_tol is the end predicted again, for a target
-lowered by the ratio of the bound to its prediction, and marched.
+equation there once, by a fourth-order block-by-block rule on a graded
+grid (the one run carries the envelope guarantees, the reported constants
+and the solution callables), completes the connection constants across
+the un-marched tail with a computable residual bound, and packages
+everything into an AnalysisReport.  Only when that bound still exceeds
+tail_tol is the end predicted again, for a target lowered by the ratio of
+the bound to its prediction, and marched.
 
-The graded grid (_graded_pair) keeps the level-0 step h_c where the
+The graded grid (_graded_march) keeps the level-0 step h_c where the
 perturbation weight is large and doubles it, up to _STEP_CAP, where the
 weight at and beyond a cell is small: a level-j cell is h_c 2^j long and
 starts at a multiple of its own length, so every node is a node of the
-uniform grid of step h_c and the fine run bisects every coarse cell.
+uniform grid of step h_c.  The march samples every cell at its nodes and
+midpoint.
 
 One object per regime (_Algebraic, _Exponential, _Oscillatory) gives the
 certificate weight, one march attempt, the tail completion, the solution
@@ -78,26 +79,10 @@ def _clip_to_range(x, a, X):
     return np.minimum(np.maximum(xv, a), X)
 
 
-def _extrapolate(coarse, fine):
-    """Richardson-combine two marches of the same span, h and h/2.
-
-    Both schemes are second order, so (4 * fine - coarse) / 3 on the
-    coarse nodes is fourth order.
-    """
-    if len(fine.z) != 2 * len(coarse.z) - 1:
-        raise AnalysisError("resolution pair does not nest")
-
-    z = (4.0 * fine.z[::2] - coarse.z) / 3.0
-    return dataclasses.replace(
-        coarse, z=z, z_deriv=(4.0 * fine.z_deriv[::2] - coarse.z_deriv) / 3.0,
-        envelope_log=fine.envelope_log[::2], l1_q=fine.l1_q[::2],
-        z_max=float(np.max(np.abs(z))), steps=coarse.steps + fine.steps)
-
-
 _H_COARSE_MIN = 0.004
 _H_COARSE_MAX = 0.02
 _TARGET_CELLS = 20000
-# The largest coarse step, in y (in x for the algebraic march): up to this
+# The largest cell step, in y (in x for the algebraic march): up to this
 # width the interpolants of z between nodes (on the oscillatory runs, of
 # its slowly varying parts; see VolterraSolution.z_at) and the 8-point
 # Gauss-Legendre sums of the recessive branch keep their accuracy.
@@ -109,7 +94,7 @@ _MAX_LEVEL0_STEPS = 2 ** 21
 
 
 def _choose_h(y_span, override=None):
-    """The level-0 coarse step and the span in such steps.
+    """The level-0 step and the span in such steps.
 
     Raises ValueError for an override that is not a positive finite
     number, and AnalysisError when the span takes more than
@@ -139,8 +124,8 @@ def _levels(w_hat, W0, top):
     w_hat or W0 gets level 0.
 
     A cell of h = h_c 2^j then has h^4 w_hat <= (2/3)^j h_c^4 W0.  The
-    extrapolated march is fourth order, so the error a region of cells adds
-    goes like its length times h^4 times the weight's scale.  Where the
+    march is fourth order, so the error a region of cells adds goes like
+    its length times h^4 times the weight's scale.  Where the
     weight decays exponentially the regions of the levels are about equally
     long, so each level adds at most 2/3 of the error of the level below it
     and the total stays within three times the uniform grid's.  (Under
@@ -165,22 +150,22 @@ def _cell_units(levels, top, n_c):
                             if rest >> b & 1]]).astype(int)
 
 
-def _graded_pair(pilot, sample, solve, h_c, n_c):
-    """March the coarse/fine pair on the graded grid of level-0 step h_c
-    over n_c such steps.  Returns (coarse, fine), their steps charged.
+def _graded_march(pilot, sample, solve, h_c, n_c):
+    """March once on the graded grid of level-0 step h_c over n_c such
+    steps.  Returns the run, its cells charged as march steps.
 
-    sample(idx) gives (march samples, grading weight |w|, nodes) at the
-    positions idx * h_c / 2; solve(samples, steps, nodes) marches them;
-    pilot(idx) gives the grading weight alone, at points that need only be
-    near those positions.  The pilot samples the weight at the nodes of the
+    sample(idx) gives (march samples, grading weight |w|, positions) at
+    the positions idx * h_c / 2; solve(samples, cell steps, positions)
+    marches them; pilot(idx) gives the grading weight alone, at points
+    that need only be near those positions.  The pilot samples the weight at the nodes of the
     largest cells, which are nodes of every graded grid.  Each pilot
     interval gets the level (_levels) of the largest weight sampled at or
     beyond its start (a suffix max, so a step never grows into a later
-    bump), with W0 the largest weight seen.  Every sample of the fine run
-    (the nodes and midpoints of the coarse cells) is then checked against
-    its cell by the same rule: a sample that breaks it joins the samples
-    and forces a re-grade, which lowers that cell's level.  Levels only
-    fall from one grading to the next, so this ends.
+    bump), with W0 the largest weight seen.  Every sample of the march
+    (the nodes and midpoints of the cells) is then checked against its
+    cell by the same rule: a sample that breaks it joins the samples and
+    forces a re-grade, which lowers that cell's level.  Levels only fall
+    from one grading to the next, so this ends.
 
     Raises AnalysisError, allocating nothing, when n_c exceeds
     _MAX_LEVEL0_STEPS.
@@ -193,7 +178,7 @@ def _graded_pair(pilot, sample, solve, h_c, n_c):
     while h_c * 2 ** (top + 1) <= _STEP_CAP and 2 ** (top + 1) <= n_c:
         top += 1
     full = 2 ** top
-    starts = 2 * full * np.arange(-(-n_c // full))      # in fine steps
+    starts = 2 * full * np.arange(-(-n_c // full))      # in half steps
     seen_at = np.append(starts, 2 * n_c)
     seen = pilot(seen_at)
     W0 = np.max(seen)
@@ -215,10 +200,9 @@ def _graded_pair(pilot, sample, solve, h_c, n_c):
             break
         seen_at = np.concatenate([seen_at, idx])
         seen = np.concatenate([seen, weight])
-    coarse = solve(vals[::2], h_c * units, nodes[::2])
-    fine = solve(vals, 0.5 * h_c * np.repeat(units, 2), nodes)
-    quadrature.charge("march_steps", coarse.steps + fine.steps)
-    return coarse, fine
+    run = solve(vals, h_c * units, nodes)
+    quadrature.charge("march_steps", run.steps)
+    return run
 
 
 # --------------------------------------------------------------------------
@@ -337,9 +321,8 @@ class _Algebraic:
         def solve(g, steps, s):
             return volterra.solve_algebraic(g, a, steps, grid=s)
 
-        coarse, fine = _graded_pair(lambda idx: sample(idx)[1], sample, solve,
-                                    h_c, n_c)
-        self.fine, self.sol = fine, _extrapolate(coarse, fine)
+        self.sol = _graded_march(lambda idx: sample(idx)[1], sample, solve,
+                                 h_c, n_c)
 
     def predicted_residual(self, a, xs, L, tol):
         """complete()'s residual bound with z = 1: then X z'(X) = S2(X) / X,
@@ -352,9 +335,7 @@ class _Algebraic:
         X = self.end
         W0 = quadrature.integrate_to_infinity(self.sg, X, tol=qtol).value
         W0a = quadrature.l1_tail_norm(self.sg, X, tol=qtol).value
-        c, raw = (volterra.complete_algebraic(sol, W0, W0a)
-                  for sol in (self.sol, self.fine))
-        self.completion, self.march_error = c, abs(raw.value - c.value)
+        c = self.completion = volterra.complete_algebraic(self.sol, W0, W0a)
         self.constants = {"z_infinity": c.value}
         return c.residual_bound
 
@@ -444,9 +425,8 @@ class _Phased:
         def solve(w, steps, y):
             return volterra.solve_kernel(w, steps, self.zeta, grid=y)
 
-        coarse, fine = _graded_pair(pilot, sample, solve, h_c, n_c)
-        self.phase_map, self.fine = maps[-1], fine
-        self.sol = _extrapolate(coarse, fine)
+        self.sol = _graded_march(pilot, sample, solve, h_c, n_c)
+        self.phase_map = maps[-1]
 
     def tail_integrals(self, qtol):
         """int psi and int |psi| past the grid end."""
@@ -484,10 +464,8 @@ class _Exponential(_Phased):
         return volterra.real_bound(0.5 * L, 1.0, 0.25 * np.abs(self.w(xs)))
 
     def complete(self, qtol):
-        tails = self.tail_integrals(qtol)
-        c, raw = (volterra.complete_exponential(sol, *tails)
-                  for sol in (self.sol, self.fine))
-        self.completion, self.march_error = c, abs(raw.value - c.value)
+        c = self.completion = volterra.complete_exponential(
+            self.sol, *self.tail_integrals(qtol))
         self.constants = {"z_infinity": c.value}
         return c.residual_bound
 
@@ -590,10 +568,8 @@ class _Oscillatory(_Phased):
         a1X = float(a1(X))
         Gp, Gm = (cmath.exp(2j * sign * Y) * invX
                   * (-psiX / (2j * sign) - a1X / 4.0) for sign in (1, -1))
-        c, raw = (volterra.complete_oscillatory(sol, G0, Gp, Gm, G0a, R2)
-                  for sol in (self.sol, self.fine))
-        self.completion = c
-        self.march_error = max(abs(raw.xi1 - c.xi1), abs(raw.xi2 - c.xi2))
+        c = self.completion = volterra.complete_oscillatory(
+            self.sol, G0, Gp, Gm, G0a, R2)
         self.constants = {"xi1": c.xi1, "xi2": c.xi2, "eta1": c.eta1,
                           "eta2": c.eta2}
         return c.residual_bound
@@ -698,8 +674,8 @@ def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, inverted):
             # predict again for a target that much lower
             target *= r_hat / residual
             x_end, r_hat = _predict_end(reg, a, x0, target)
-        # the coarse/fine march pair, halving the step (and rebuilding
-        # the grid) on envelope violations
+        # the march, halving the step (and rebuilding the grid) on
+        # envelope violations
         span = reg.span(a, x_end)
         h_c, n_c = _choose_h(span, step)
         for attempt in range(4):
@@ -713,7 +689,7 @@ def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, inverted):
                 n_c *= 2
                 refinements += 1
         residual = reg.complete(qtol)
-        history.append([float(x_end), float(residual), reg.fine.steps // 2])
+        history.append([float(x_end), float(residual), reg.sol.steps])
         if residual <= tail_tol:
             break
     else:
@@ -723,19 +699,18 @@ def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, inverted):
             % (tail_tol, history[-1][1]))
 
     cert = certificate_mod.gronwall_certificate(
-        a, tail0, reg.fine.envelope_report())
+        a, tail0, reg.sol.envelope_report())
     verification = certificate_mod.verify_certificate(cert, reg.weight,
                                                       tol=tol)
     reg.solutions()
-    constants = dict(reg.constants, tail_residual_bound=residual,
-                     march_error_estimate=reg.march_error)
+    constants = dict(reg.constants, tail_residual_bound=residual)
     end = reg.end
     if inverted:
         march = {"frame": "inverted (s = 1/x)", "cutoff_s": a,
                  "cutoff_x": 1.0 / a, "s_max": end, "x_min": 1.0 / end}
     else:
         march = {"frame": "direct", "cutoff": a, "x_max": end}
-    # rounds: [x_end, residual bound, coarse cells] per tail round, x_end
+    # rounds: [x_end, residual bound, march cells] per tail round, x_end
     # in the frame of the march (s at the zero endpoint); a second round
     # means the first round's predicted residual missed
     march.update(phase_span=span, coarse_step=h_c, refinements=refinements,
@@ -763,9 +738,10 @@ class AnalysisReport:
     constants: dict
     solutions: list
     work: dict
-    # the raw fine march the certificate's envelope report comes from (the
-    # zeta = +i run for oscillatory regimes; in s = 1/x at the zero endpoint)
-    fine_run: volterra.VolterraSolution = field(repr=False, compare=False)
+    # the march the constants, the solutions and the certificate's envelope
+    # report come from (the zeta = +i run for oscillatory regimes; in s =
+    # 1/x at the zero endpoint)
+    march_run: volterra.VolterraSolution = field(repr=False, compare=False)
     _regime: object = field(repr=False, compare=False)
 
     def solution(self, label):
@@ -847,22 +823,20 @@ def analyze(f_text, g_text, endpoint="infinity", interval=None, tol=1e-10,
     interest; its left edge seeds the cutoff search (for the zero
     endpoint the roles are mirrored through s = 1/x).  x_max forces the
     resolved range to reach at least that far (for 'zero', down to at
-    least that small an x).  step sets the level-0 coarse marching step in
+    least that small an x).  step sets the level-0 marching step in
     the phase variable (in x for f == 0): the graded grid keeps it where
     the perturbation weight is large and doubles it, up to 0.25, where the
-    weight is small.  The default resolves the span with second-order
+    weight is small.  The default resolves the span with fourth-order
     error well under the reported tolerances.  A march that would take
     more than 2^21 level-0 steps is refused with AnalysisError.
 
     The grid end is predicted without a march, where the tail completion's
-    residual bound with z = 1 falls to tail_tol / 10, and the pair is
+    residual bound with z = 1 falls to tail_tol / 10, and the correction is
     marched once there; march["predicted_residual"] is that prediction.
     Only when the completed residual bound still exceeds tail_tol is the
     end predicted again, for the target divided by the ratio of the bound
     to its prediction, and marched: one entry of march["rounds"] per
     march, and AnalysisError when six miss.
-    constants["march_error_estimate"] is how far the same completion of
-    the raw fine run lies from the reported constants.
 
     tol, tail_tol and x_max (when given) must be positive finite numbers,
     and interval must satisfy lo < hi (ValueError).
@@ -905,7 +879,7 @@ def analyze(f_text, g_text, endpoint="infinity", interval=None, tol=1e-10,
                   if cls.psi is not None else None),
         certificate=cert, verification=verification,
         march=march, constants=constants, solutions=solutions,
-        work=dataclasses.asdict(work), fine_run=reg.fine, _regime=reg,
+        work=dataclasses.asdict(work), march_run=reg.sol, _regime=reg,
     )
 
 

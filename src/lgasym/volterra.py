@@ -11,26 +11,29 @@ original variable has the kernel (s - s^2/x):
 
     z(x) = 1 + int_a^x (s - s^2/x) g(s) z(s) ds.
 
-Both are solved by second-order product integration: z is interpolated
-linearly between nodes and every kernel moment over a cell is integrated
-exactly, giving an implicit scalar update per step.  The steps may differ
-from cell to cell: the pipeline marches on a dyadic graded grid, whose
-cells are the level-0 step times a power of two, so the exact moments are
-computed once per distinct step.  The derivative comes for free (z'
-equals the memory integral E in the kernel case, S2/x^2 in the algebraic
-case).  Since z = 1 + (Q - E)/mu, resp. 1 + S1 - S2/x, at every node,
-the running integral Q = int w z, resp. S1 = int s g z, is not marched:
-only zeta = z - 1 and the memory v (E, resp. S2) are, by a step linear
-in (z, v) with coefficients fixed by the samples and steps, evaluated as
-a blocked scan (_scan).
+Both are solved by Linz's block-by-block rule, of fourth order: every cell
+is sampled at its nodes and midpoint, w z is the quadratic through the
+three samples, every kernel moment over the half and the whole cell is
+integrated exactly, and each step solves a 2x2 implicit system for z at
+the midpoint and the end (Linz, Analytical and Numerical Methods for
+Volterra Equations, SIAM 1985).  The steps may differ from cell to cell:
+the pipeline marches on a dyadic graded grid, whose cells are the level-0
+step times a power of two in long runs, so the exact kernel moments are
+computed once per run.  The derivative comes for free (z' equals the memory
+integral E in the kernel case, S2/x^2 in the algebraic case).  Since z =
+1 + (Q - E)/mu, resp. 1 + S1 - S2/x, at every node, the running integral
+Q = int w z, resp. S1 = int s g z, is not marched: only zeta = z - 1 and
+the memory v (E, resp. S2) are, by a step affine in (z, v) with
+coefficients fixed by the samples and steps, evaluated as a blocked scan
+(_scan) over the nodes; the midpoints are read back from the same maps.
 
 The continuous solutions obey |z| <= exp(T) with T the running L1 norm of
 the perturbation weight; the discrete march asserts this envelope at
-every node, allowing only its own discretization slack, the sum of
-h_k^2 times the growth of T over the cells up to that node (h^2 T on a
-uniform grid; it vanishes identically when w == 0).  A violation raises
-EnvelopeError at the first node that breaks it, and is the caller's cue
-to halve the step.
+every sample, node and midpoint, allowing only its own discretization
+slack, the sum of h_k^2 times the growth of T over the half cells (of
+width h_k) up to that sample (h^2 T on a uniform grid; it vanishes
+identically when w == 0).  A violation raises EnvelopeError at the first
+sample that breaks it, and is the caller's cue to halve the step.
 
 Connection constants at infinity are completed past the end of the grid
 by matching (z, z') at the grid end, which fixes every moment of w z the
@@ -104,18 +107,20 @@ def _hermite(u, v0, m0, v1, m1):
 class VolterraSolution:
     kind: str                 # 'exponential' | 'oscillatory' | 'algebraic'
     mu: complex
-    h: float                  # the smallest step: level 0 of a graded grid
-    cell_h: np.ndarray        # the step of every cell
-    grid: np.ndarray          # the nodes (phase variable, or s itself)
+    # The run lives on its samples, the nodes and midpoints of the march's
+    # cells: each interval between two samples is half a cell.
+    h: float                  # the smallest interval: half the level-0 step
+    cell_h: np.ndarray        # the width of every interval
+    grid: np.ndarray          # the samples (phase variable, or s itself)
     w: np.ndarray             # perturbation samples on the grid
     z: np.ndarray
     z_deriv: np.ndarray
     envelope_log: np.ndarray  # running T_k
     l1_q: np.ndarray          # running int |w z|
     z_max: float = 0.0
-    steps: int = 0
+    steps: int = 0            # the march's cells
 
-    # Between nodes.  z_at and deriv_at are cubic Hermite interpolants of z
+    # Between samples.  z_at and deriv_at are cubic Hermite interpolants of z
     # and z', with the slopes of z' from the correction equation itself
     # (_deriv_slopes), except on the oscillatory runs.  There z keeps the
     # oscillation e^{-mu t} at full size once the march has stirred it up
@@ -187,58 +192,97 @@ class VolterraSolution:
         }
 
 
-def _kernel_weights(mu, h):
-    """Exact hat-function moments of the kernel over one cell.
+# 8-point Gauss-Legendre rule on [0, 1] by Golub-Welsch: the nodes are the
+# eigenvalues of the Jacobi matrix of the Legendre recurrence, the weights
+# the squared first components of its unit eigenvectors
+_K = np.arange(1.0, 8.0)
+_GL_NODES, _V = np.linalg.eigh(np.diag(_K / np.sqrt(4 * _K * _K - 1), -1))
+_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), _V[0] ** 2
+# the same rule on each quarter of [0, 1]
+_GL4_NODES = ((np.arange(4.0)[:, None] + _GL_NODES) / 4.0).ravel()
+_GL4_WEIGHTS = np.tile(_GL_WEIGHTS, 4) / 4.0
 
-    Returns (A, B, cL, cR): A and B weight q_k and q_{k+1} in the memory
-    update, and A + B = (1 - e^{-mu h}) / mu; cL and cR are the net
-    (1/mu)(h/2 - .) weights of the implicit z update.  Series forms are
-    used for small mu h where the closed forms cancel.
-    """
-    cd = mu * h
-    if abs(cd) < 0.5:
-        # A/h     = sum (-cd)^m (m+1) / (m+2)!
-        # h/2 - A = -h * sum_{m>=1} (-cd)^m (m+1)/(m+2)!
-        # h/2 - B = -h * sum_{m>=1} (-cd)^m / (m+2)!
-        da = 0.0
-        db = 0.0
-        term = 1.0 + 0j if isinstance(mu, complex) else 1.0
-        fact = 1.0
-        for m in range(0, 18):
-            fact2 = fact * (m + 1)      # (m+1)!
-            fact3 = fact2 * (m + 2)     # (m+2)!
-            if m >= 1:
-                da -= term * (m + 1) / fact3
-                db -= term / fact3
-            term *= -cd
-            fact = fact2
-        half_minus_A = h * da
-        half_minus_B = h * db
-        A = 0.5 * h - half_minus_A
-        B = 0.5 * h - half_minus_B
-    else:
-        D = cmath.exp(-cd) if isinstance(mu, complex) else math.exp(-cd)
-        I0 = (1.0 - D) / mu
-        I1 = (1.0 - D * (1.0 + cd)) / (mu * mu)
-        A = I1 / h
-        B = I0 - A
-        half_minus_A = 0.5 * h - A
-        half_minus_B = 0.5 * h - B
-    return A, B, half_minus_A / mu, half_minus_B / mu
+# (a, b, c) of L_j(u) = a u^2 + b u + c, the quadratics through a cell's
+# samples at u = 0, 1/2, 1, and int_0^rho u^p L_j(u) du for p = 0, 1, 2
+# over the half cell (rho = 1/2) and the whole cell
+_LAGRANGE = np.array([[2.0, -3.0, 1.0], [-4.0, 4.0, 0.0], [2.0, -1.0, 0.0]])
+_HALF_M = np.array([[5 / 24, 1 / 3, -1 / 24], [1 / 32, 5 / 48, -1 / 96],
+                    [7 / 960, 3 / 80, -1 / 320]])
+_CELL_M = np.array([[1 / 6, 2 / 3, 1 / 6], [0.0, 1 / 3, 1 / 6],
+                    [-1 / 60, 1 / 5, 3 / 20]])
+
+
+def _kernel_weights(mu, steps):
+    """The block-by-block weights of cells of the given steps, shape (2, 8,
+    len(steps)): for the half cell and the whole cell, up to Y = h/2 resp.
+    h, the row (z_0, z_1, z_2, v_0, v_1, v_2, lift, decay) with z_j =
+    (1/mu) int_0^Y (1 - e^{-mu (Y - t)}) L_j(t) dt, v_j = int_0^Y
+    e^{-mu (Y - t)} L_j(t) dt, lift = sum v_j and decay = -mu lift, so
+    that e^{-mu Y} is taken as 1 + decay.  Up to |mu| Y = 2 these are
+    8-point Gauss-Legendre sums on four pieces, exact to rounding; past
+    that, closed forms by an upward recurrence, stable there."""
+    h = np.asarray(steps, dtype=float)
+    a, b, c = _LAGRANGE.T[:, :, None]
+    rows = []
+    for rho, moments in ((0.5, _HALF_M), (1.0, _CELL_M)):
+        Y = rho * h
+        mu_s = mu * np.outer(Y, 1.0 - _GL4_NODES)       # mu (Y - t)
+        u = rho * _GL4_NODES
+        basis = (((a * u + b) * u + c) * _GL4_WEIGHTS).T
+        z = Y * (-np.expm1(-mu_s) / mu @ basis).T
+        v = Y * (np.exp(-mu_s) @ basis).T
+        far = np.abs(mu) * Y > 2.0
+        if far.any():
+            # int_0^Y e^{-mu (Y - t)} (t / h)^p dt for p = 0, 1, 2
+            Yf, hf = Y[far], h[far]
+            J0 = -np.expm1(-mu * Yf) / mu
+            J1 = (rho - J0 / hf) / mu
+            J2 = (rho * rho - 2.0 * J1 / hf) / mu
+            v[:, far] = a * J2 + b * J1 + c * J0
+            z[:, far] = (hf * moments[0][:, None] - v[:, far]) / mu
+        lift = v.sum(axis=0)
+        rows.append(np.concatenate([z, v, [lift, -mu * lift]]))
+    return np.array(rows)
+
+
+def _cell_maps(w0, wm, w1, mid, end):
+    """The block-by-block step of cells with samples w_k, w_m, w_{k+1} at
+    start, midpoint and end, from the rows (z_j, v_j, lift, decay) of the
+    half and the whole cell: (z_m, z_{k+1}) solve the 2x2 system
+
+        z_m     = z_k + lift_m v_k + sum_j zm_j w_j z_j,
+        z_{k+1} = z_k + lift   v_k + sum_j z_j  w_j z_j,
+
+    so both are affine in (z_k, v_k), and so is the memory.  Returns the
+    increments (f, b, g, d) of z and v at the end, as _scan takes them,
+    the same (f_m, b_m, g_m, d_m) at the midpoint, and the determinant."""
+    a0, a1, a2, p0, p1, p2, lift_m, decay_m = mid
+    c0, c1, c2, e0, e1, e2, lift, decay = end
+    # a non-finite coefficient only makes z non-finite, which breaks the
+    # envelope (_check_march)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        aw0, aw1, aw2 = a0 * w0, a1 * wm, a2 * w1
+        cw0, cw1, cw2 = c0 * w0, c1 * wm, c2 * w1
+        mid_diag, end_diag = 1.0 - aw1, 1.0 - cw2
+        det = mid_diag * end_diag - aw2 * cw1
+        inv = 1.0 / det
+        f = (mid_diag * (cw0 + cw2) + cw1 * (1.0 + aw0 + aw2)) * inv
+        b = (mid_diag * lift + cw1 * lift_m) * inv
+        fm = (end_diag * (aw0 + aw1) + aw2 * (1.0 + cw0 + cw1)) * inv
+        bm = (end_diag * lift_m + aw2 * lift) * inv
+        zm, ze = wm * (1.0 + fm), w1 * (1.0 + f)
+        vm, ve = wm * bm, w1 * b
+        return (f, b, e0 * w0 + e1 * zm + e2 * ze,
+                decay + e1 * vm + e2 * ve, fm, bm,
+                p0 * w0 + p1 * zm + p2 * ze, decay_m + p1 * vm + p2 * ve,
+                det)
 
 
 def _envelope_bound(T, slack):
     """Admissible |z| at envelope log T: the Gronwall bound exp(T) plus
-    the scheme's own slack, sum h_k^2 dT_k over the cells marched so far
-    (exactly exp(0) = 1 when T == 0)."""
+    the scheme's own slack, sum h_k^2 dT_k over the intervals marched so
+    far (exactly exp(0) = 1 when T == 0)."""
     return np.exp(T) * (1.0 + _ROUNDOFF + slack)
-
-
-def _contracting_steps(denom):
-    """Number of steps before the first implicit update whose
-    denominator falls below the contraction margin."""
-    lost = np.flatnonzero(np.abs(denom) < 0.5)
-    return int(lost[0]) if lost.size else len(denom)
 
 
 def _block_size(m):
@@ -315,34 +359,30 @@ def _running(increments):
     return np.concatenate(([0.0], np.cumsum(increments)))
 
 
-def _cell_steps(h, n):
-    """The steps of the n - 1 cells of an n-node march: n - 1 copies of a
-    scalar h, or h itself when it is an array of n - 1 positive steps."""
+def _inputs(vals, h):
+    """The samples of a march, the nodes and midpoint of every cell (an
+    odd count of at least three, all finite), as floats, and the step of
+    every cell: copies of a scalar h, or an array of positive steps."""
+    w = np.asarray(vals, dtype=float)
+    if not np.all(np.isfinite(w)):
+        raise VolterraError("perturbation samples are not finite")
+    if len(w) < 3 or len(w) % 2 == 0:
+        raise VolterraError("need the samples at the nodes and midpoint of "
+                            "every cell: an odd count, at least three")
     steps = np.asarray(h, dtype=float)
     if steps.ndim == 0:
-        steps = np.full(n - 1, float(steps))
-    if steps.shape != (n - 1,) or not np.all(steps > 0.0):
+        steps = np.full(len(w) // 2, float(steps))
+    if steps.shape != (len(w) // 2,) or not np.all(steps > 0.0):
         raise VolterraError("need one positive step per cell")
-    return steps
+    return w, steps
 
 
-def _per_step(weights, mu, steps):
-    """weights(mu, h), computed once per distinct step, as one array per
-    component with one entry per cell."""
-    # (not np.unique: its first call imports numpy.ma, which takes longer
-    # than a whole march)
-    ordered = np.sort(steps)
-    distinct = ordered[np.concatenate(([True], ordered[1:] != ordered[:-1]))]
-    which = np.searchsorted(distinct, steps)
-    return [c[which] for c in np.array([weights(mu, h) for h in distinct]).T]
-
-
-def _check_march(z, T, dT, steps, lost):
-    """The march's checks in node order: the first node whose |z| breaks
-    its envelope (a non-finite |z| breaks it too) wins over a lost
+def _check_march(az, T, dT, steps, lost):
+    """The march's checks in sample order: the first sample whose |z|
+    breaks its envelope (a non-finite |z| breaks it too) wins over a lost
     contraction, which the caller has already cut the march short at.
-    dT are the cells' increments of T.  Returns max |z|."""
-    az = np.abs(z)
+    dT are the increments of T over the intervals between samples, steps
+    their widths."""
     slack = _running(steps[:len(dT)] ** 2 * dT)
     with np.errstate(over="ignore", invalid="ignore"):
         broken = np.flatnonzero(~(az[1:] <= _envelope_bound(T[1:],
@@ -354,137 +394,120 @@ def _check_march(z, T, dT, steps, lost):
             % (az[k], math.exp(T[k]), k))
     if lost:
         raise StepTooLargeError("implicit update lost contraction")
-    return float(np.max(az))
+
+
+def _march(kind, mu, w, steps, grid, maps, left, right, scale, what):
+    """Check the contraction margin h max|scale| cell by cell, scan the
+    cells' maps (_cell_maps) up to the first cell whose determinant falls
+    below the margin, read the midpoints back, and check the run.  left
+    and right weight |w| at the two samples of every half cell in the
+    increments of T and of l1_q."""
+    margin = float(np.max(np.maximum(np.maximum(
+        scale[:-1:2], scale[1::2]), scale[2::2]) * steps))
+    if margin > 0.5:
+        raise StepTooLargeError(
+            "%s = %.3g exceeds the contraction margin" % (what, margin))
+    f, b, g, d, fm, bm, gm, dm, det = maps
+    lost = np.flatnonzero(np.abs(det) < 0.5)
+    m = int(lost[0]) if lost.size else len(det)
+    z_nodes, v_nodes = _scan(f[:m], b[:m], g[:m], d[:m])
+    z, v = (np.empty(2 * m + 1, z_nodes.dtype) for _ in range(2))
+    z[::2], v[::2] = z_nodes, v_nodes
+    zk, vk = z_nodes[:-1], v_nodes[:-1]
+    with np.errstate(over="ignore", invalid="ignore"):
+        z[1::2] = zk + (fm[:m] * zk + bm[:m] * vk)
+        v[1::2] = vk + (gm[:m] * zk + dm[:m] * vk)
+    half = np.repeat(0.5 * steps, 2)
+    aw, az = np.abs(w[:2 * m + 1]), np.abs(z)
+    dT = left[:2 * m] * aw[:-1] + right[:2 * m] * aw[1:]
+    T = _running(dT)
+    _check_march(az, T, dT, half, m < len(det))
+    aq = aw * az
+    return VolterraSolution(
+        kind=kind, mu=mu, h=float(np.min(half)), cell_h=half, grid=grid,
+        w=w, z=z, z_deriv=v, envelope_log=T,
+        l1_q=_running(left * aq[:-1] + right * aq[1:]),
+        z_max=float(np.max(az)), steps=len(det))
 
 
 def solve_kernel(w_vals, h, zeta, grid=None):
     """March the kernel equation for mu = 2 zeta over the given samples.
 
-    w_vals are the perturbation samples at the nodes; h is the step of
-    every cell (an array of len(w_vals) - 1 steps, or one scalar for a
-    uniform grid) and grid the nodes themselves (by default the running
-    sum of the steps from 0).  zeta is 1 (growing exponential branch) or
-    +-1j (oscillatory branches).
-
-    Each step solves z_{k+1} (1 - w_{k+1} cR) = z_k (1 + w_k cL) + (A + B)
-    E_k and sets E_{k+1} = D E_k + A w_k z_k + B w_{k+1} z_{k+1}, with D =
-    e^{-mu h} taken as 1 - mu (A + B): a D rounded to a modulus other than
-    1 would make E drift over a long oscillatory run.  The exact kernel
-    moments are computed once per distinct step.
+    w_vals are the perturbation samples at the nodes and midpoint of every
+    cell; h is the step of every cell (an array, or one scalar for a
+    uniform grid) and grid the sample positions (by default the running
+    sum of the half steps from 0).  zeta is 1 (growing exponential branch)
+    or +-1j (oscillatory branches).  The memory is E = z', and e^{-mu h}
+    is taken as 1 - mu sum_j v_j (_kernel_weights): a factor rounded to a
+    modulus other than 1 would make E drift over a long oscillatory run.
     """
-    w_arr = np.asarray(w_vals, dtype=float)
-    if not np.all(np.isfinite(w_arr)):
-        raise VolterraError("perturbation samples are not finite")
-    n = len(w_arr)
-    if n < 2:
-        raise VolterraError("need at least two grid nodes")
-    h = _cell_steps(h, n)
+    w, h = _inputs(w_vals, h)
     oscillatory = (complex(zeta).real == 0.0)
     mu = complex(2.0 * zeta) if oscillatory else float(2.0 * zeta)
-    aw = np.abs(w_arr)
-    margin = float(np.max(np.maximum(aw[:-1], aw[1:]) * h))
-    if margin > 0.5:
-        raise StepTooLargeError(
-            "h * max|w| = %.3g exceeds the contraction margin" % margin)
-    A, B, cL, cR = _per_step(_kernel_weights, mu, h)
-    m = _contracting_steps(1.0 - w_arr[1:] * cR)
-    A, B, cL, cR, w0, w1 = (c[:m] for c in (A, B, cL, cR, w_arr[:-1],
-                                            w_arr[1:]))
-    denom = 1.0 - w1 * cR
-    f = (w0 * cL + w1 * cR) / denom
-    I0 = A + B                      # (1 - D) / mu, free of D's rounding
-    b = I0 / denom
-    z, E = _scan(f, b, A * w0 + B * w1 * (1.0 + f), B * w1 * b - mu * I0)
-    half = 0.5 * h
-    dT = half[:m] * (aw[:m] + aw[1:m + 1])
-    T = _running(dT)
-    zmax = _check_march(z, T, dT, h, m < n - 1)
-    aq = np.abs(w_arr * z)
-    if grid is None:
-        grid = _running(h)
-    return VolterraSolution(
-        kind="oscillatory" if oscillatory else "exponential",
-        mu=mu, h=float(np.min(h)), cell_h=h, grid=np.asarray(grid, float),
-        w=w_arr, z=z, z_deriv=E, envelope_log=T,
-        l1_q=_running(half * (aq[:-1] + aq[1:])), z_max=zmax, steps=n - 1)
+    # one _cell_maps call per run of equal steps, with scalar weights;
+    # runs of fewer than 64 cells in a row share a call, with the weights
+    # gathered per cell
+    starts = np.flatnonzero(np.diff(h, prepend=np.nan))
+    weights = _kernel_weights(mu, h[starts])
+    bounds = sorted({0, len(h)}.union(*(
+        (lo, hi) for lo, hi in zip(starts, [*starts[1:], len(h)])
+        if hi - lo >= 64)))
+    maps = np.empty((9, len(h)), np.result_type(mu, w))
+    for lo, hi in zip(bounds, bounds[1:]):
+        run = starts.searchsorted(np.arange(lo, hi), side="right") - 1
+        maps[:, lo:hi] = _cell_maps(
+            w[2 * lo:2 * hi:2], w[2 * lo + 1:2 * hi:2],
+            w[2 * lo + 2:2 * hi + 1:2],
+            *weights[..., run[0] if run[0] == run[-1] else run])
+    trapezoid = np.repeat(0.25 * h, 2)
+    grid = _running(2.0 * trapezoid) if grid is None else np.asarray(grid,
+                                                                     float)
+    return _march("oscillatory" if oscillatory else "exponential", mu, w, h,
+                  grid, maps, trapezoid, trapezoid, np.abs(w), "h * max|w|")
+
+
+def _algebraic_row(rho, moments, sk, h, x):
+    """_cell_maps' row of the algebraic march up to x = sk + rho h, in the
+    local coordinate t = s - sk: z_j = int s (x - s) / x L_j, v_j = int
+    s^2 L_j, and the drop 1/sk - 1/x (0 at sk = 0, where S2 = 0)."""
+    M0, M1, M2 = moments[:, :, None]
+    z = h * h * ((rho * M0 - M1) * sk + (rho * M1 - M2) * h) / x
+    v = h * (M0 * sk * sk + 2.0 * M1 * sk * h + M2 * h * h)
+    drop = np.divide(x - sk, sk * x, out=np.zeros_like(sk), where=sk > 0.0)
+    return (*z, *v, drop, 0.0)
 
 
 def solve_algebraic(g_vals, a, h, grid=None):
     """March z(x) = 1 + int_a^x (s - s^2/x) g z ds over the given samples.
 
-    h is the step of every cell (an array, or one scalar for the uniform
-    nodes a + k h) and grid the nodes (by default a plus the running sum
-    of the steps).  The running moments S1 = int s g z and S2 = int s^2 g z
-    are updated with exact polynomial moments of the hat interpolant of
-    g z over each cell, so the kernel weight at the diagonal vanishes to
-    the same order as the kernel itself.  The envelope uses the same exact
-    first moments of |g|, making T the product-integration value of
-    int s |g| ds.  With 1 + S1 = z + S2/s_k at node s_k, S1 drops out, so
-    the march is one blocked scan (_scan) of z - 1 and S2.
+    g_vals are the samples at the nodes and midpoint of every cell; h is
+    the step of every cell (an array, or one scalar) and grid the sample
+    positions (by default a plus the running sum of the half steps).  With
+    1 + S1 = z + S2/s_k at node s_k, S1 = int s g z drops out and the
+    memory is S2 = int s^2 g z.  T takes the exact first moments of the
+    hat interpolant of |g| on every half cell, the product-integration
+    value of int s |g| ds.
     """
-    g_arr = np.asarray(g_vals, dtype=float)
-    if not np.all(np.isfinite(g_arr)):
-        raise VolterraError("perturbation samples are not finite")
-    n = len(g_arr)
-    if n < 2:
-        raise VolterraError("need at least two grid nodes")
+    g, h = _inputs(g_vals, h)
     a = float(a)
     if a < 0:
         raise VolterraError("algebraic march needs a >= 0")
-    h = _cell_steps(h, n)
-    grid = a + _running(h) if grid is None else np.asarray(grid, float)
-    sg = np.abs(g_arr) * grid
-    margin = float(np.max(np.maximum(sg[:-1], sg[1:]) * h))
-    if margin > 0.5:
-        raise StepTooLargeError(
-            "h * max|s g| = %.3g exceeds the contraction margin" % margin)
-    sk, sk1 = grid[:-1], grid[1:]
-    h2_6 = h * h / 6.0
-    h2_3 = h * h / 3.0
-    h3_12 = h ** 3 / 12.0
-    h3_4 = h ** 3 / 4.0
-    # exact cell moments of s and s^2 against the two hat halves
-    m1L = 0.5 * h * sk + h2_6
-    m1R = 0.5 * h * sk + h2_3
-    m2L = 0.5 * h * sk * sk + h2_3 * sk + h3_12
-    m2R = 0.5 * h * sk * sk + 2.0 * h2_3 * sk + h3_4
-    # the net weights of g_k z_k and g_{k+1} z_{k+1} in the implicit update
-    cL, cR = m1L - m2L / sk1, m1R - m2R / sk1
-    m = _contracting_steps(1.0 - g_arr[1:] * cR)
-    # S2 enters z through the drop of 1/s over the cell, taken from the
-    # nodes themselves so that it telescopes; S2 = 0 at s_k = 0
-    drop = np.divide(sk1 - sk, sk * sk1, out=np.zeros_like(h),
-                     where=sk > 0.0)
-    cL, cR, drop, mL, mR, g0, g1 = (c[:m] for c in (
-        cL, cR, drop, m2L, m2R, g_arr[:-1], g_arr[1:]))
-    denom = 1.0 - g1 * cR
-    f = (g0 * cL + g1 * cR) / denom
-    b = drop / denom
-    # z and S2 at every node
-    z, z_deriv = _scan(f, b, mL * g0 + mR * g1 * (1.0 + f), mR * g1 * b)
-    ag = np.abs(g_arr[:m + 1])
-    dT = m1L[:m] * ag[:-1] + m1R[:m] * ag[1:]
-    T = _running(dT)
-    zmax = _check_march(z, T, dT, h, m < n - 1)
-    ap = np.abs(g_arr * z)
-    z_deriv[1:] /= sk1 * sk1        # z' = S2 / x^2
-    return VolterraSolution(
-        kind="algebraic", mu=0.0, h=float(np.min(h)), cell_h=h, grid=grid,
-        w=g_arr, z=z, z_deriv=z_deriv, envelope_log=T,
-        l1_q=_running(m1L * ap[:-1] + m1R * ap[1:]), z_max=zmax,
-        steps=n - 1)
+    half = np.repeat(0.5 * h, 2)
+    grid = a + _running(half) if grid is None else np.asarray(grid, float)
+    sk, xm, xe = grid[:-1:2], grid[1::2], grid[2::2]
+    maps = _cell_maps(g[:-1:2], g[1::2], g[2::2],
+                      _algebraic_row(0.5, _HALF_M, sk, h, xm),
+                      _algebraic_row(1.0, _CELL_M, sk, h, xe))
+    left = half * (0.5 * grid[:-1] + half / 6.0)
+    right = half * (0.5 * grid[:-1] + half / 3.0)
+    sol = _march("algebraic", 0.0, g, h, grid, maps, left, right,
+                 np.abs(g) * grid, "h * max|s g|")
+    sol.z_deriv[1:] /= sol.grid[1:] ** 2        # z' = S2 / x^2
+    return sol
 
 
 # --------------------------------------------------------------------------
 # reduction of order on the march grid
-
-# 8-point Gauss-Legendre rule on [0, 1] by Golub-Welsch: the nodes are the
-# eigenvalues of the Jacobi matrix of the Legendre recurrence, the weights
-# the squared first components of its unit eigenvectors
-_K = np.arange(1.0, 8.0)
-_GL_NODES, _V = np.linalg.eigh(np.diag(_K / np.sqrt(4 * _K * _K - 1), -1))
-_GL_NODES, _GL_WEIGHTS = 0.5 * (_GL_NODES + 1.0), _V[0] ** 2
-
 
 class InverseSquareIntegral:
     """I(t) = int_t^T e^{-decay (s - t)} z(s)^{-2} dv(s) + e^{-decay (T - t)}

@@ -175,8 +175,8 @@ def test_c05_envelope_property_suite():
         r = analyze(f_text, g_text, interval=interval, tail_tol=tail_tol)
         # oscillatory fixtures: the zeta = -i run is the conjugate of this
         # one, so its envelope arrays are the same
-        violations += _envelope_violations(r.fine_run)
-        checked += len(r.fine_run.z)
+        violations += _envelope_violations(r.march_run)
+        checked += len(r.march_run.z)
         radius = r.certificate.radius
         assert radius < 1.0, (f_text, g_text)
         if "xi1" in r.constants:
@@ -195,8 +195,8 @@ def test_c06_march_convergence_order():
     Y = 6.0
 
     def run(h):
-        n = int(round(Y / h)) + 1
-        t = h * np.arange(n)
+        # the samples at the nodes and midpoint of every cell of step h
+        t = 0.5 * h * np.arange(2 * int(round(Y / h)) + 1)
         return solve_kernel(np.exp(-t), h, 1.0).z[-1]
 
     ref = run(0.0025)
@@ -204,8 +204,8 @@ def test_c06_march_convergence_order():
     r1 = errs[0] / errs[1]
     r2 = errs[1] / errs[2]
     _criterion(
-        "C6", 3.5 <= r1 <= 4.5 and 3.5 <= r2 <= 4.5,
-        "step-halving error ratios %.3f, %.3f (band [3.5, 4.5])" % (r1, r2))
+        "C6", 14.0 <= r1 <= 18.0 and 14.0 <= r2 <= 18.0,
+        "step-halving error ratios %.3f, %.3f (band [14, 18])" % (r1, r2))
 
 
 def test_c07_wronskian_normalization():

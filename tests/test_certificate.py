@@ -55,8 +55,8 @@ def test_find_cutoff_bad_target():
 
 
 def _march_report(mass=0.3):
-    h = 0.005
-    t = h * np.arange(3001)
+    h = 0.01
+    t = 0.5 * h * np.arange(3001)
     sol = solve_kernel(mass * np.exp(-t), h, 1.0)
     return sol.envelope_report()
 

@@ -98,7 +98,7 @@ def test_analyze_json_byte_determinism():
     assert doc["schema"] == 1
     assert doc["regime"] == "constant-exponential"
     assert doc["constants"]["z_infinity"] == pytest.approx(
-        1.3544312649400647, rel=1e-12)
+        1.3544312649478256, rel=1e-12)
     # infinite interval edge serializes as null
     assert doc["input"]["interval"][1] is None
 
@@ -202,9 +202,9 @@ def test_validate_convergence_suite():
         assert line.startswith("PASS")
     # every march: the real and oscillatory kernel and the algebraic one,
     # on a uniform and on a graded grid
-    assert p.stdout.count("error drops fourfold per halving") == 3
+    assert p.stdout.count("error drops sixteenfold per halving") == 3
     assert p.stdout.count(
-        "error drops fourfold per bisection of a graded grid") == 3
+        "error drops sixteenfold per bisection of a graded grid") == 3
 
 
 def test_validate_bessel_half_suite():

@@ -590,7 +590,7 @@ def test_march_rounds_record_the_tail_search():
     assert x_end == pytest.approx(r.march["x_max"], rel=1e-9)
     assert residual == r.constants["tail_residual_bound"] <= r.tail_tolerance
     assert isinstance(cells, int) and cells > 0
-    assert 2 * cells == r.fine_run.steps
+    assert cells == r.march_run.steps
     # the rounds and the prediction are part of the deterministic --json
     # document
     again = analyze("1", "3/(4*x^2)")
@@ -632,7 +632,7 @@ def test_rounds_grow_the_tail_when_the_prediction_misses(monkeypatch):
     assert all(a < b for a, b in zip(ends, ends[1:]))
     assert rounds[-1][1] == r.constants["tail_residual_bound"] \
         <= r.tail_tolerance
-    assert 2 * rounds[-1][2] == r.fine_run.steps
+    assert rounds[-1][2] == r.march_run.steps
     assert r.certificate.passed()
     assert r.verification["tail_consistent"]
 
@@ -757,7 +757,7 @@ def test_the_step_is_halved_at_most_three_times(monkeypatch):
     calls = _failing_march(monkeypatch, math.inf)
     with pytest.raises(volterra.EnvelopeError, match="forced"):
         analyze("1", "3/(4*x^2)")
-    # the coarse march of each attempt, its smallest step halved each time
+    # the one march of each attempt, its smallest step halved each time
     assert len(calls) == 4
     assert [a / b for a, b in zip(calls, calls[1:])] == [2.0, 2.0, 2.0]
 
@@ -812,16 +812,17 @@ def test_tiny_constant_f_is_answered_quickly(f):
     assert time.perf_counter() - t0 < 0.1
 
 
-def test_march_error_estimate_is_the_fine_runs_second_order_error():
-    # the completion of the raw fine run minus the reported (extrapolated)
-    # constant: the fine run's error, which falls 4x when the step halves
-    r = analyze("1", "3/(4*x^2)")
-    half = analyze("1", "3/(4*x^2)", step=r.march["coarse_step"] / 2)
-    est, est_half = (x.constants["march_error_estimate"] for x in (r, half))
-    assert 0.0 < est_half < est
-    assert est / est_half == pytest.approx(4.0, rel=0.05)
-    # g == 0: z == 1 on both runs
-    assert analyze("1", "0").constants["march_error_estimate"] == 0.0
+def test_constants_are_fourth_order_in_the_step():
+    # one march per branch, fourth order: on a fixed range, z_inf moves
+    # about 16x less each time the level-0 step halves
+    runs = [analyze("1", "3/(4*x^2)", x_max=40, step=step)
+            for step in (0.02, 0.01, 0.005)]
+    assert len({r.march["x_max"] for r in runs}) == 1
+    z = [r.constants["z_infinity"] for r in runs]
+    first, second = abs(z[0] - z[1]), abs(z[1] - z[2])
+    assert 0.0 < second < first
+    assert first / second == pytest.approx(16.0, rel=0.2)
+    assert "march_error_estimate" not in runs[0].constants
 
 
 def test_graded_grid_does_not_step_over_a_late_bump():
@@ -830,10 +831,10 @@ def test_graded_grid_does_not_step_over_a_late_bump():
     # the constants agree with a run at a quarter of that step
     f, g = "1", "3/(4*x^2) + 0.5*exp(-(x-60)^2)"
     r = analyze(f, g)
-    fine = r.fine_run
+    run = r.march_run
     y_bump = 60.0 - r.march["cutoff"]
-    assert np.all(fine.cell_h[fine.grid[:-1] < y_bump] == fine.h)
-    assert np.max(fine.cell_h) >= 8 * fine.h
+    assert np.all(run.cell_h[run.grid[:-1] < y_bump] == run.h)
+    assert np.max(run.cell_h) >= 8 * run.h
     small = analyze(f, g, step=r.march["coarse_step"] / 4)
     assert abs(small.constants["z_infinity"] - r.constants["z_infinity"]) \
         <= r.constants["tail_residual_bound"]
@@ -842,7 +843,7 @@ def test_graded_grid_does_not_step_over_a_late_bump():
 def test_graded_pair_regrades_on_a_bump_the_pilot_missed():
     # w = e^-y plus a spike of width 0.03 midway between two pilot nodes
     # (0.16 apart), which the pilot sees at 4e-4: the first grading puts
-    # level-1 cells there, the fine run's samples see the spike, and the
+    # level-1 cells there, the march's samples see the spike, and the
     # re-grade takes every cell up to it back to level 0
     h_c, n_c = 0.01, 1000
 
@@ -859,16 +860,17 @@ def test_graded_pair_regrades_on_a_bump_the_pilot_missed():
     def solve(vals, steps, nodes):
         return volterra.solve_kernel(vals, steps, 1.0, grid=nodes)
 
-    coarse, fine = pipeline._graded_pair(
+    run = pipeline._graded_march(
         lambda idx: w(0.5 * h_c * idx), sample, solve, h_c, n_c)
     assert len(calls) == 2
-    assert coarse.grid[-1] == pytest.approx(h_c * n_c)
-    assert np.all(coarse.cell_h[coarse.grid[:-1] < 5.04] == h_c)
+    assert run.grid[-1] == pytest.approx(h_c * n_c)
+    # the cells, each sampled at its nodes and midpoint
+    starts, steps = run.grid[:-1:2], 2 * run.cell_h[::2]
+    assert np.array_equal(run.cell_h, np.repeat(steps / 2, 2))
+    assert run.steps == len(steps)
+    assert np.all(steps[starts < 5.04] == h_c)
     # e^-10 is 2.2e4 times below the peak: level 3 (24^3 = 13824)
-    assert np.max(coarse.cell_h) == 8 * h_c
-    # the fine run bisects every coarse cell
-    assert np.array_equal(fine.grid[::2], coarse.grid)
-    assert np.array_equal(fine.cell_h, np.repeat(coarse.cell_h / 2, 2))
+    assert np.max(steps) == 8 * h_c
 
 
 # ------------------------------------------------------------ controls
@@ -920,7 +922,7 @@ def test_march_guard_runs_before_the_pilot():
         raise AssertionError("sampled %d points" % len(idx))
 
     with pytest.raises(AnalysisError, match="cap"):
-        pipeline._graded_pair(pilot, pilot, None, 0.01,
+        pipeline._graded_march(pilot, pilot, None, 0.01,
                               pipeline._MAX_LEVEL0_STEPS + 1)
 
 
@@ -947,15 +949,16 @@ def test_tail_tolerance_tradeoff():
 
 
 def test_fine_run_is_what_the_certificate_rests_on():
+    # the one march per branch: the certificate rests on it too
     r = analyze("-1", "-1/(4*x^2)")
-    env = r.fine_run.envelope_report()
+    env = r.march_run.envelope_report()
     check = {c["name"]: c for c in r.certificate.checks}
     assert check["march-envelope"]["value"] == env["z_env_max_ratio"]
     assert check["march-correction-mass"]["value"] == env["l1_q_end"]
     assert check["march-correction-mass"]["threshold"] == env["l1_q_bound_end"]
     # the zeta = +i run is kept; its -i partner is its conjugate
-    assert r.fine_run.mu == 2j
-    assert r.fine_run.grid[-1] == pytest.approx(r.march["phase_span"])
+    assert r.march_run.mu == 2j
+    assert r.march_run.grid[-1] == pytest.approx(r.march["phase_span"])
 
 
 # ------------------------------------------------ recessive branch oracle
