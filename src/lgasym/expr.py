@@ -161,6 +161,30 @@ def constant_value(e):
     return v
 
 
+def monomial(e):
+    """(c, p) when the tree, of const, x, neg, mul, div and pow, is c x^p
+    with c finite and nonzero, else None.  c folds through the tape's
+    operators in float64: it is the tape's value at x = 1, bit for bit."""
+    def read(node):     # a pow's exponent k reads as (k, 0)
+        op = node.op
+        if op in ("const", "var"):
+            return (np.float64(node.value), 0.0) if op == "const" \
+                else (np.float64(1.0), 1.0)
+        parts = [read(a) for a in node.args]
+        if op not in ("neg", "mul", "div", "pow") or None in parts:
+            return None
+        if op == "neg":
+            return -parts[0][0], parts[0][1]
+        (ca, pa), (cb, pb) = parts
+        return (_APPLY[op](ca, cb),
+                {"mul": pa + pb, "div": pa - pb, "pow": pa * cb}[op])
+
+    with np.errstate(all="ignore"):
+        c, p = read(e) or (0.0, 0.0)
+    return (float(c), float(p)) if math.isfinite(c) and c != 0.0 \
+        and math.isfinite(p) else None
+
+
 # --------------------------------------------------------------------------
 # parsing
 

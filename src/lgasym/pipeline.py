@@ -22,10 +22,12 @@ midpoint.
 
 One object per regime (_Algebraic, _Exponential, _Oscillatory) gives the
 certificate weight, one march attempt, the tail completion, the solution
-pair and the table's model and value; the rest is shared.  Constant f is
-an affine phase map with unit amplitude (_ConstantShape), not a regime of
-its own.  For real coefficients the zeta = -i run is the conjugate of the
-zeta = +i run, so only the +i run is marched.
+pair and the table's model and value; the rest is shared.  A single power
+f = c x^p has a closed-form phase map (_PowerShape), and constant f is
+its p = 0 case, with unit amplitude, not a regime of its own; any other f
+tabulates its phase and Newton-steps the nodes (_Shape).  For real
+coefficients the zeta = -i run is the conjugate of the zeta = +i run, so
+only the +i run is marched.
 
 The recessive branch u2 = c u1 int_x^inf u1^{-2} is read off the march
 grid: u1^{-2} dx is a constant times e^{-2y} z(y)^{-2} dy in the phase
@@ -209,7 +211,8 @@ def _graded_march(pilot, sample, solve, h_c, n_c):
 # leading-order shapes: how the phase is tabulated and the amplitude read
 
 class _Shape:
-    """Variable f: amplitude |f|^(-1/4) and phase Phi = int_a^x |f|^(1/2).
+    """f that is not a single power: amplitude |f|^(-1/4) and phase
+    Phi = int_a^x |f|^(1/2).
 
     span() builds one PhaseTable of Phi on [a, x_end] per tail round; the
     span is its total and phase_map() places the march's y nodes inside it
@@ -248,31 +251,32 @@ class _Shape:
         return np.interp(ys, self.table.phi, self.table.edges)
 
 
-class _ConstantShape(_Shape):
-    """Constant f: the affine phase map y = rate (x - a) with unit
-    amplitude; the solutions are normalized to e^{+-rate x}."""
+class _PowerShape(_Shape):
+    """f = c x^p: the closed-form phase map (transform.PhaseMap.closed_form)
+    in place of the table and the Newton steps.  At p = 0 (constant f) the
+    map is affine, y = rate (x - a), the amplitude is 1 and the solutions
+    are normalized to e^{+-rate x}."""
 
-    def __init__(self, rate):
-        self.rate = self.origin_rate = self.norm = rate
-        r_s = "%.12g" % rate
-        one = r_s == "1"
-        self.template = "%s(%s" + ("" if one else r_s + "*") + "x)"
-        self.decay_text = "" if one else " / " + r_s
-
-    def amp(self, x):
-        return np.ones_like(x)
-
-    def amp_deriv(self):
-        return np.zeros_like
+    def __init__(self, psi, c, p):
+        super().__init__(psi)
+        self.c, self.p = c, p
+        if p == 0.0:
+            rate = self.origin_rate = self.norm = math.sqrt(abs(c))
+            r_s = "%.12g" % rate
+            one = r_s == "1"
+            self.template = "%s(%s" + ("" if one else r_s + "*") + "x)"
+            self.decay_text = "" if one else " / " + r_s
+            self.amp = np.ones_like
+            self.amp_deriv = lambda: np.zeros_like
 
     def span(self, a, x_end):
-        return self.rate * (x_end - a)
+        return float(self.phase_map(a, ()).y_of_x(x_end))
 
     def phase_map(self, a, ys):
-        return transform.PhaseMap.affine(a, self.rate, ys)
+        return transform.PhaseMap.closed_form(a, self.c, self.p, ys)
 
     def rough_x(self, a, ys):
-        return a + ys / self.rate
+        return self.phase_map(a, ys).x_nodes
 
 
 # --------------------------------------------------------------------------
@@ -283,8 +287,8 @@ def _regime_for(split, cls):
     regime is consulted."""
     if cls.regime.algebraic:
         return _Algebraic(split.g)
-    if cls.constant_f is not None:
-        shape = _ConstantShape(math.sqrt(abs(cls.constant_f)))
+    if cls.power is not None:
+        shape = _PowerShape(cls.psi, *cls.power)
     else:
         shape = _Shape(cls.psi)
     kind = _Oscillatory if cls.regime.oscillatory else _Exponential

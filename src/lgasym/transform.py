@@ -12,15 +12,16 @@ under which v'' = (zeta^2 + psi/|f|^(1/2) ...) v with the perturbation
     psi = g * |f|^(-1/2) - |f|^(-1/4) * (|f|^(-1/4))''.
 
 psi is built symbolically from the coefficient ASTs so its derivatives
-and L1 norms are available to the rest of the pipeline.  Phi is tabulated
-once per resolved range (PhaseTable, Gauss-Kronrod cells evaluated on
-whole arrays), and the nodes of the map, at whatever phase values the
-march grid asks for, are found from that table by a Hermite start and
-vectorized second-order Newton steps of one Gauss-Kronrod cell each
-(PhaseMap.build).  Problems posed
-at the endpoint 0 are inverted through s = 1/x, v(s) = s * u(1/s), which
-multiplies both coefficients by s^(-4) after substitution; the inverted
-split is classified at infinity.
+and L1 norms are available to the rest of the pipeline.  For f = c x^p,
+Phi, its inverse and the divergence of int |f|^(1/2) have closed forms
+(PhaseMap.closed_form).  Any other f has Phi tabulated once per resolved
+range (PhaseTable, Gauss-Kronrod cells evaluated on whole arrays), and the
+nodes of the map, at whatever phase values the march grid asks for, are
+found from that table by a Hermite start and vectorized second-order
+Newton steps of one Gauss-Kronrod cell each (PhaseMap.build).  Problems
+posed at the endpoint 0 are inverted through s = 1/x, v(s) = s * u(1/s),
+which multiplies both coefficients by s^(-4) after substitution; the
+inverted split is classified at infinity.
 """
 
 from __future__ import annotations
@@ -204,7 +205,7 @@ class Classification:
     regime: Regime
     sign: int
     checks: list
-    constant_f: float | None = None
+    power: tuple | None = None     # (c, p) when f = c x^p
     inverted: CoefficientSplit | None = None
     psi: PsiData | None = None
     inner: "Classification | None" = None  # inverted-problem classification
@@ -222,7 +223,8 @@ def classify_regime(split, endpoint, interval, checks=None):
     endpoint is 'infinity' or 'zero'; interval = (lo, hi) bounds the
     region of interest (hi may be inf for the endpoint at infinity).
     Verifies, in order: a single sign for f, divergence of the phase
-    integral (so the endpoint is at infinite transformed distance), and
+    integral (so the endpoint is at infinite transformed distance; p >= -2
+    when f = c x^p, by expr.monomial, else by quadrature), and
     integrability of the perturbation (psi for nonzero f, the s-weighted
     g for f == 0).  Raises HypothesisFailed (or AmbiguousSignError) as
     soon as a hypothesis fails; the raised error carries the check log.
@@ -258,6 +260,7 @@ def classify_regime(split, endpoint, interval, checks=None):
         raise ValueError("endpoint must be 'infinity' or 'zero'")
 
     probe_lo = max(lo, 1e-8)
+    power = expr.monomial(split.f_ast)
     if expr.is_constant(split.f_ast):
         c = expr.constant_value(split.f_ast)
         sign = 0 if c == 0.0 else (1 if c > 0.0 else -1)
@@ -269,7 +272,6 @@ def classify_regime(split, endpoint, interval, checks=None):
         checks.append({"name": "sign-probe", "passed": True,
                        "detail": "f has constant sign %+d on the probe grid"
                        % sign if sign else "f samples to zero everywhere"})
-        c = None
 
     start = max(lo, 1.0)
     if sign == 0:
@@ -286,19 +288,25 @@ def classify_regime(split, endpoint, interval, checks=None):
         return Classification(Regime.ALGEBRAIC_INFINITY, 0, checks)
 
     psi = compute_psi(split, sign)
-    if c is not None:
+    if power is not None and power[1] == 0.0:
         regime = Regime.CONSTANT_EXP if sign > 0 else Regime.CONSTANT_OSC
     else:
-        # only a detected divergence passes: a burned budget propagates
-        try:
-            quadrature.integrate_to_infinity(psi.sqrt_f, start, tol=1e-8)
-        except quadrature.DivergenceError:
-            _check(checks, "phase-integral-diverges", True,
-                   "int_%g^inf |f|^(1/2) diverges" % start)
+        if power is not None:
+            # int x^(p/2) diverges at infinity exactly when p >= -2
+            diverges = power[1] >= -2.0
+            why = "f = %g x^%g with p >= -2: " % power
         else:
-            _check(checks, "phase-integral-diverges", False,
-                   "int |f|^(1/2) converges at infinity; the endpoint is at "
-                   "finite transformed distance and no normal form applies")
+            why = ""
+            # only a detected divergence passes: a burned budget propagates
+            try:
+                quadrature.integrate_to_infinity(psi.sqrt_f, start, tol=1e-8)
+                diverges = False
+            except quadrature.DivergenceError:
+                diverges = True
+        _check(checks, "phase-integral-diverges", diverges,
+               why + "int_%g^inf |f|^(1/2) diverges" % start if diverges else
+               "int |f|^(1/2) converges at infinity; the endpoint is at "
+               "finite transformed distance and no normal form applies")
         regime = Regime.EXP_INFINITY if sign > 0 else Regime.OSC_INFINITY
 
     try:
@@ -309,7 +317,7 @@ def classify_regime(split, endpoint, interval, checks=None):
                "leading part does not dominate")
     _check(checks, "perturbation-integrable", True,
            "int_%g^inf |psi| = %.6g" % (start, tail.value))
-    return Classification(regime, sign, checks, constant_f=c, psi=psi)
+    return Classification(regime, sign, checks, power=power, psi=psi)
 
 
 # --------------------------------------------------------------------------
@@ -398,7 +406,9 @@ def _inverse_quintic(table, inv_sqrt_f, d_sqrt_f):
 class PhaseMap:
     """The monotone change of variables y = Phi(x) = int_a^x |f|^(1/2).
 
-    Forward values x(y) are tabulated at the march's nodes y_nodes (any
+    For f = c x^p it is exact (closed_form): x(y), y(x) and the slopes
+    are closed forms and take no quadrature.  Otherwise (build) forward
+    values x(y) are tabulated at the march's nodes y_nodes (any
     increasing phase values from 0, graded or not) by second-order Newton
     steps on Phi(x) = y, started inside the cell of a PhaseTable
     (Phi' = |f|^(1/2) and Phi'' are known exactly), with cubic Hermite
@@ -407,13 +417,13 @@ class PhaseMap:
     |f|^(1/2) from the nearest node, so it carries no interpolation error.
     """
 
-    def __init__(self, a, y_nodes, x_nodes, slopes, sqrt_f, affine_rate=None):
+    def __init__(self, a, y_nodes, x_nodes, slopes, sqrt_f, law=None):
         self.a = float(a)
         self.y_nodes = y_nodes
         self.x_nodes = x_nodes
         self.slopes = slopes
         self.sqrt_f = sqrt_f
-        self.affine_rate = affine_rate
+        self.law = law      # (s, q) of a closed-form map
 
     @classmethod
     def build(cls, table, inv_sqrt_f, d_sqrt_f, ys):
@@ -482,30 +492,38 @@ class PhaseMap:
         return cls(table.a, ys, xs, slopes, table.sqrt_f)
 
     @classmethod
-    def affine(cls, a, rate, ys):
-        """Exact map for constant f: y = rate * (x - a), rate = |f|^(1/2),
-        at the phase values ys."""
-        ys = np.asarray(ys, dtype=float)
-        xs = a + ys / rate
-        slopes = np.full(len(ys), 1.0 / rate)
-        return cls(a, ys, xs, slopes, lambda x: np.full_like(
-            np.asarray(x, dtype=float), rate), affine_rate=rate)
+    def closed_form(cls, a, c, p, ys):
+        """Exact map for f = c x^p at the phase values ys: y = s (x^q - a^q)
+        / q, s = |c|^(1/2), q = (p + 2)/2 (y = s log(x / a) at p = -2), its
+        inverse and the slopes dx/dy = x^(-p/2) / s.  At p = 0 it is the
+        affine map y = s (x - a), bit for bit."""
+        s, q = math.sqrt(abs(c)), (p + 2.0) / 2.0
+        pm = cls(a, np.asarray(ys, dtype=float), None, None, None, (s, q))
+        pm.x_nodes = pm.x_of_y(pm.y_nodes)
+        pm.slopes = pm.x_nodes ** (-0.5 * p) / s
+        return pm
 
     @property
     def y_span(self):
         return float(self.y_nodes[-1])
 
     def x_of_y(self, y):
-        if self.affine_rate is not None:
-            return self.a + np.asarray(y, dtype=float) / self.affine_rate
+        if self.law is not None:
+            (s, q), y = self.law, np.asarray(y, dtype=float)
+            if q == 0.0:
+                return self.a * np.exp(y / s)
+            return (self.a ** q + q * y / s) ** (1.0 / q)
         return volterra.hermite(self.y_nodes, self.x_nodes, self.slopes, y)
 
     def y_of_x(self, x):
-        """Phi(x), elementwise: one Gauss-Kronrod cell from the nearest
-        node, whose |K - G| must be within 1e-13."""
-        if self.affine_rate is not None:
-            return self.affine_rate * (np.asarray(x, dtype=float) - self.a)
+        """Phi(x), elementwise: in closed form, or one Gauss-Kronrod cell
+        from the nearest node, whose |K - G| must be within 1e-13."""
         x = np.asarray(x, dtype=float)
+        if self.law is not None:
+            s, q = self.law
+            if q == 0.0:
+                return s * np.log(x / self.a)
+            return s * (x ** q - self.a ** q) / q
         xs, nodes = x.ravel(), self.x_nodes
         i = np.minimum(np.searchsorted(nodes, xs), len(nodes) - 1)
         left = np.maximum(i - 1, 0)

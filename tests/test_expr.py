@@ -386,3 +386,41 @@ def test_differentiate_shares_the_derivative_of_a_shared_subtree():
     # (t t)' = t' t + t t'
     assert d.op == "add"
     assert d.args[0].args[0] is d.args[1].args[1]
+
+
+# ----------------------------------------------------------- monomials
+
+@pytest.mark.parametrize("text, c, p", [
+    ("1.049*x", 1.049, 1.0),
+    ("0.848*x^2", 0.848, 2.0),
+    ("-1.053*x", -1.053, 1.0),
+    ("2/x^3", 2.0, -3.0),
+    ("x^0.5", 1.0, 0.5),
+    # the zero-endpoint f 1/x^2 pulled back through s = 1/x
+    ("x^-4*1/(1/x)^2", 1.0, -2.0),
+    ("-(3*x)^2/x", -9.0, 1.0),
+])
+def test_monomial_reads_c_and_p(text, c, p):
+    e = parse(text)
+    assert expr.monomial(e) == (c, p)
+    # c is the tape's value at x = 1, bit for bit
+    assert expr.monomial(e)[0] == compile_fn(e)(1.0)
+    # and f / x^p is c at every point
+    xs = np.random.default_rng(7).uniform(0.05, 40.0, 50)
+    assert np.max(np.abs(compile_fn(e)(xs) / xs ** p / c - 1.0)) < 1e-15
+
+
+def test_monomial_reads_the_inverted_zero_endpoint_split():
+    from lgasym import transform
+
+    split = transform.CoefficientSplit.from_expressions("1/x^2", "0")
+    assert expr.monomial(transform.invert_split(split).f_ast) == (1.0, -2.0)
+
+
+@pytest.mark.parametrize("text", [
+    "-(1.297+1.025/x)", "x*exp(x)", "sin(x)", "(-2*x)^0.5",
+    # c zero or not finite
+    "0", "0*x", "0/x^2", "x^2/0", "1e300*x*1e300", "(0*x)^-1",
+])
+def test_monomial_rejects(text):
+    assert expr.monomial(parse(text)) is None

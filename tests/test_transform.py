@@ -104,7 +104,7 @@ def test_classify_constant_regimes():
     c = classify_regime(split_of("1", "3/(4*x^2)"), "infinity", (1.0, math.inf))
     assert c.regime is Regime.CONSTANT_EXP
     assert c.sign == 1
-    assert c.constant_f == 1.0
+    assert c.power == (1.0, 0.0)
     c = classify_regime(split_of("-1", "-1/(4*x^2)"), "infinity", (1.0, math.inf))
     assert c.regime is Regime.CONSTANT_OSC
     assert c.sign == -1
@@ -153,6 +153,60 @@ def test_classify_rejects_finite_phase_distance():
         classify_regime(split_of("1/x^4", "0"), "infinity", (1.0, math.inf))
     failed = [c for c in exc.value.checks if not c["passed"]]
     assert failed[-1]["name"] == "phase-integral-diverges"
+
+
+def _phase_verdict(f_text):
+    """Whether classify_regime records int |f|^(1/2) as divergent."""
+    try:
+        checks = classify_regime(split_of(f_text), "infinity",
+                                 (1.0, math.inf)).checks
+    except HypothesisFailed as e:
+        checks = e.checks
+    (verdict,) = [c["passed"] for c in checks
+                  if c["name"] == "phase-integral-diverges"]
+    return verdict
+
+
+@pytest.mark.parametrize("sign", ["", "-"])
+@pytest.mark.parametrize("p", [-3, -2.5, -2, -1, 0.5, 1, 2, 3])
+def test_phase_divergence_from_the_exponent(sign, p):
+    # f = +-x^p: the exponent test agrees with the adaptive quadrature,
+    # which the verdict took before f was read as a power
+    def sqrt_f(x):
+        return np.abs(x) ** (0.5 * p)
+
+    try:
+        quadrature.integrate_to_infinity(sqrt_f, 1.0, tol=1e-8)
+        diverges = False
+    except quadrature.DivergenceError:
+        diverges = True
+    assert _phase_verdict("%sx^%g" % (sign, p)) is diverges
+
+
+def test_convergent_power_phase_is_refused_without_quadrature(monkeypatch):
+    calls = []
+    monkeypatch.setattr(quadrature, "_gk_cell",
+                        lambda *args: calls.append(args))
+    with pytest.raises(HypothesisFailed) as exc:
+        pipeline.analyze("1.234*x^-3", "0")
+    assert str(exc.value) == (
+        "int |f|^(1/2) converges at infinity; the endpoint is at finite "
+        "transformed distance and no normal form applies")
+    assert calls == []
+
+
+@pytest.mark.parametrize("p", [-2.1, -2.2])
+def test_slowly_convergent_power_phase_is_refused_for_its_phase(p):
+    # int x^(p/2) converges, but too slowly for the quadrature's
+    # divergence rule, which calls it divergent; the refusal used to come
+    # one check later, from psi.  The exponent test names the phase.
+    with pytest.raises(quadrature.DivergenceError):
+        quadrature.integrate_to_infinity(lambda x: x ** (0.5 * p), 1.0,
+                                         tol=1e-8)
+    with pytest.raises(HypothesisFailed, match="converges at infinity") as e:
+        pipeline.analyze("x^%g" % p, "0")
+    assert [c["name"] for c in e.value.checks if not c["passed"]] == [
+        "phase-integral-diverges"]
 
 
 def test_classify_rejects_bad_zero_split():
@@ -206,10 +260,74 @@ def _ys(y_span, h):
 
 
 def test_phase_map_affine():
-    pm = PhaseMap.affine(1.0, 2.0, _ys(10.0, 0.01))
+    # constant f = 4 is the p = 0 closed form: the affine map y = 2 (x - 1),
+    # bit for bit
+    ys = _ys(10.0, 0.01)
+    pm = PhaseMap.closed_form(1.0, 4.0, 0.0, ys)
+    assert np.array_equal(pm.x_nodes, 1.0 + ys / 2.0)
+    assert np.array_equal(pm.slopes, np.full(len(ys), 1.0 / 2.0))
+    xs = np.random.default_rng(3).uniform(1.0, 6.0, 40)
+    assert np.array_equal(pm.y_of_x(xs), 2.0 * (xs - 1.0))
+    assert np.array_equal(pm.x_of_y(ys[::7]), 1.0 + ys[::7] / 2.0)
     assert pm.x_of_y(4.0) == pytest.approx(3.0, rel=1e-14)
     assert pm.y_of_x(3.0) == pytest.approx(4.0, rel=1e-14)
     assert pm.y_span == pytest.approx(10.0)
+
+
+# PhaseMap.build as defined, for tests that patch it
+_BUILD = PhaseMap.build.__func__
+
+
+def _numeric_power_map(a, c, p, ys, x_end):
+    """The numeric map (PhaseTable on [a, x_end] and PhaseMap.build) of
+    f = c x^p at the phase values ys."""
+    s = math.sqrt(abs(c))
+    table = PhaseTable(lambda x: s * np.asarray(x, float) ** (0.5 * p), a,
+                       x_end)
+    return _BUILD(PhaseMap, table, lambda x: x ** (-0.5 * p) / s,
+                  lambda x: 0.5 * p * s * x ** (0.5 * p - 1.0), ys)
+
+
+@pytest.mark.parametrize("p", [-2.0, -1.0, 0.5, 1.0, 2.0])
+def test_closed_form_map(p):
+    a, c = 1.3, -1.7
+    pm = PhaseMap.closed_form(a, c, p, _ys(12.0, 0.01))
+    numeric = _numeric_power_map(a, c, p, pm.y_nodes, float(pm.x_nodes[-1]))
+    assert _max_rel(pm.x_nodes, numeric.x_nodes) <= 1e-13
+    assert np.max(np.abs(pm.slopes / numeric.slopes - 1.0)) <= 1e-13
+    rng = np.random.default_rng(11)
+    ys = rng.uniform(0.0, pm.y_span, 200)
+    back = pm.y_of_x(pm.x_of_y(ys))
+    assert np.all(np.abs(back - ys) <= 1e-13 * np.maximum(1.0, ys))
+    xs = rng.uniform(pm.a, pm.x_nodes[-1], 200)
+    want = numeric.y_of_x(xs)
+    assert np.all(np.abs(pm.y_of_x(xs) - want)
+                  <= 1e-13 * np.maximum(1.0, np.abs(want)))
+    # the closed form takes no quadrature sample
+    with quadrature.Work() as work:
+        PhaseMap.closed_form(a, c, p, _ys(12.0, 0.01)).y_of_x(xs)
+    assert work.quadrature_evaluations == 0
+
+
+@pytest.mark.parametrize("f, g, kwargs", [
+    ("1.049*x", "0", {}),
+    ("1/x^2", "1.7 - 1/(4*x^2)", {"endpoint": "zero", "interval": (0, 1)}),
+], ids=["exp-at-inf", "zero-endpoint"])
+def test_power_law_solutions_take_no_quadrature(monkeypatch, f, g, kwargs):
+    r = pipeline.analyze(f, g, **kwargs)
+    m = r.march
+    if r.endpoint == "zero":
+        xs = np.geomspace(m["x_min"], m["cutoff_x"], 102)[1:-1]
+    else:
+        xs = np.linspace(m["cutoff"], m["cutoff"] + 20.0, 100)
+    calls = []
+    monkeypatch.setattr(quadrature, "gk_cells",
+                        lambda *args: calls.append(args))
+    for sol in r.solutions:
+        for fn in (sol.value, sol.derivative):
+            assert np.all(np.isfinite(fn(xs)))
+            assert all(math.isfinite(fn(x)) for x in xs[::9])
+    assert calls == []
 
 
 def _square_map(y_span, h):
@@ -394,29 +512,44 @@ PERFBENCH = pathlib.Path(__file__).resolve().parent.parent / "perfbench"
 
 @pytest.mark.parametrize("seed", range(1, 6))
 def test_phase_map_on_bench_cases(monkeypatch, seed):
-    # every map the bench's variable-f certify templates build: at most
-    # 1.5 Gauss-Kronrod cells per node, nodes as the reference loop's
+    # every map the bench's variable-f certify templates build.  The
+    # numeric map of osc-at-inf: at most 1.5 Gauss-Kronrod cells per node,
+    # nodes as the reference loop's.  The closed-form maps of the four
+    # power-law templates: nodes as PhaseMap.build's at the same phase
+    # values.
     monkeypatch.syspath_prepend(str(PERFBENCH))
     import cases
 
-    build = PhaseMap.build.__func__
+    closed_form = PhaseMap.closed_form.__func__
     checked = []
 
     def checking(cls, table, inv_sqrt_f, d_sqrt_f, ys):
-        pm, samples = _check_against_reference(build, table, inv_sqrt_f,
+        pm, samples = _check_against_reference(_BUILD, table, inv_sqrt_f,
                                                d_sqrt_f, ys)
-        checked.append(pm)
+        checked.append("numeric")
         # the analysis's own ledger still pays for the map
         quadrature.charge("quadrature_evaluations", samples)
         return pm
 
+    def checking_closed(cls, a, c, p, ys):
+        pm = closed_form(cls, a, c, p, ys)
+        if len(pm.y_nodes) > 1:
+            with quadrature.Work():
+                numeric = _numeric_power_map(a, c, p, pm.y_nodes,
+                                             float(pm.x_nodes[-1]))
+            assert _max_rel(pm.x_nodes, numeric.x_nodes) <= 1e-13
+            checked.append("closed")
+        return pm
+
     monkeypatch.setattr(PhaseMap, "build", classmethod(checking))
+    monkeypatch.setattr(PhaseMap, "closed_form", classmethod(checking_closed))
     variable = [t for t in cases.CERTIFY if "x" in t.f]
     assert len(variable) == 5
     for case in cases.draw_pool(variable, seed, "certify", 1):
         checked.clear()
         pipeline.analyze(case.f, case.g, **case.kwargs)
-        assert checked, case.template.name
+        power = case.template.name != "osc-at-inf"
+        assert checked and set(checked) == {"closed" if power else "numeric"}
 
 
 def test_phase_table_budget(monkeypatch):
