@@ -8,16 +8,26 @@ exact.  Evaluation accepts plain floats or numpy arrays.
 
 Grammar (whitespace insignificant)::
 
-    expr     := term (('+'|'-') term)*
-    term     := factor (('*'|'/') factor)*
-    factor   := '-' factor | power
-    power    := atom ('^' exponent)?
+    expr     := term (('+'|'-') term)*             # precedence 1
+    term     := factor (('*'|'/') factor)*         # precedence 2
+    factor   := '-' factor | atom ('^' exponent)?
     exponent := '-'? number ('^' exponent)?      # constants only, right-assoc
     atom     := number | 'x' | func '(' expr ')' | '(' expr ')'
     func     := 'exp' | 'log' | 'sqrt' | 'sin' | 'cos' | 'abs'
 
 '^' binds tighter than unary minus, so ``-x^2`` is ``-(x^2)``.  Exponents
 are restricted to constants; general powers must be spelled via exp/log.
+
+parse() scans the text once, by one regular expression, into a list of
+tokens: operators and parentheses, numbers (decimal digits and '.', then
+an optional e[+-]digits), names (runs of letters and digits) and
+characters that start no token.  A token that cannot be read is kept as
+an error and raised when the parser reaches it, so the first error in
+parse order is the one reported.  The four infix operators sit in one
+table of symbol and precedence (_INFIX): the parser reads expr and term
+as one precedence loop over it, and to_string() prints them by one rule,
+with the left operand in parentheses below the operator's precedence and
+the right one also at equal precedence for '-' and '/'.
 
 Exact derivatives repeat subtrees many times (the oscillatory tail moment
 a2 of ``-(a+b/x)`` has 2256 nodes and 137 distinct subtrees).
@@ -40,6 +50,7 @@ from __future__ import annotations
 
 import math
 import operator
+import re
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -188,63 +199,74 @@ def monomial(e):
 # --------------------------------------------------------------------------
 # parsing
 
-class _Tokenizer:
-    def __init__(self, text):
-        self.text = text
-        self.pos = 0
+# The infix operators: printed symbol and precedence.  Unary minus (3),
+# '^' (4) and atoms (5) bind tighter.
+_INFIX = {"add": (" + ", 1), "sub": (" - ", 1), "mul": ("*", 2),
+          "div": ("/", 2)}
+_BY_SYMBOL = {sym.strip(): (op, prec) for op, (sym, prec) in _INFIX.items()}
 
-    def _skip_ws(self):
-        while self.pos < len(self.text) and self.text[self.pos].isspace():
-            self.pos += 1
+# One match per token, after any whitespace: an operator or parenthesis, a
+# number, a name (a run of letters and digits), any other character (an
+# error), or the end of the text.
+_TOKEN = re.compile(r"\s*(?:(?P<op>[-+*/^()])"
+                    r"|(?P<number>[\d.]+(?:[eE][+-]?\d+)?)"
+                    r"|(?P<name>[^\W_]+)|(?P<bad>\S)|(?P<end>\Z))")
+
+
+def _scan(text):
+    """The tokens of text, (kind, value, offset), from one pass of _TOKEN,
+    up to ("end", "", len(text)) or to the first token that cannot be
+    read, ("bad", message, offset), which the parser raises on reaching."""
+    tokens = []
+    for m in _TOKEN.finditer(text):
+        kind = m.lastgroup
+        lit = value = m[kind]
+        if kind == "op":
+            kind = lit
+        elif kind == "number":
+            try:
+                value = float(lit)
+            except ValueError:
+                kind, value = "bad", "bad numeric literal %r" % lit
+            if kind == "number" and not math.isfinite(value):
+                kind, value = "bad", "numeric literal %r is out of range" % lit
+        # a name starts with a letter: [^\W_] also admits numerals that
+        # are not decimal digits, such as '\u00bd'
+        elif kind == "bad" or kind == "name" and not lit[0].isalpha():
+            kind, value = "bad", "unexpected character %r" % lit[0]
+        tokens.append((kind, value, m.start(m.lastgroup)))
+        if kind in ("end", "bad"):
+            return tokens
+
+
+class _Tokens:
+    """The scanned tokens of one text and the parser's place in them."""
+
+    def __init__(self, text):
+        self.tokens = _scan(text)
+        self.i = 0
 
     def peek(self):
-        """The next token (kind, value, start, end), not consumed."""
-        self._skip_ws()
-        if self.pos >= len(self.text):
-            return ("end", None, self.pos, self.pos)
-        ch = self.text[self.pos]
-        if ch in "+-*/^()":
-            return (ch, ch, self.pos, self.pos + 1)
-        if ch.isdigit() or ch == ".":
-            return self._number()
-        if ch.isalpha():
-            return self._ident()
-        raise ParseError("unexpected character %r" % ch, self.pos)
+        """The next token, not consumed; a bad one raises its ParseError."""
+        tok = self.tokens[self.i]
+        if tok[0] == "bad":
+            raise ParseError(tok[1], tok[2])
+        return tok
 
-    def _number(self):
-        start = self.pos
-        text = self.text
-        i = start
-        while i < len(text) and (text[i].isdigit() or text[i] == "."):
-            i += 1
-        if i < len(text) and text[i] in "eE":
-            j = i + 1
-            if j < len(text) and text[j] in "+-":
-                j += 1
-            if j < len(text) and text[j].isdigit():
-                while j < len(text) and text[j].isdigit():
-                    j += 1
-                i = j
-        lit = text[start:i]
-        try:
-            val = float(lit)
-        except ValueError:
-            raise ParseError("bad numeric literal %r" % lit, start) from None
-        if not math.isfinite(val):
-            raise ParseError("numeric literal %r is out of range" % lit, start)
-        return ("number", val, start, i)
+    def accept(self, kind):
+        """Consume the next token if it is of the kind; whether it was."""
+        if self.peek()[0] != kind:
+            return False
+        self.i += 1
+        return True
 
-    def _ident(self):
-        start = self.pos
-        text = self.text
-        i = start
-        while i < len(text) and text[i].isalnum():
-            i += 1
-        return ("ident", text[start:i], start, i)
-
-    def advance(self):
+    def expect(self, kind, message):
+        """Consume and return the next token, which must be of the kind;
+        ParseError with the message at its offset otherwise."""
         tok = self.peek()
-        self.pos = tok[3]
+        if tok[0] != kind:
+            raise ParseError(message, tok[2])
+        self.i += 1
         return tok
 
 
@@ -256,108 +278,58 @@ def parse(text):
     the float range, and EvalDomainError on an exponent chain without a
     finite value (x^0^-1).
     """
-    tz = _Tokenizer(text)
-    node = _parse_expr(tz)
-    kind, _, off, _ = tz.peek()
-    if kind != "end":
-        raise ParseError("trailing input", off)
+    tokens = _Tokens(text)
+    node = _parse_infix(tokens)
+    tokens.expect("end", "trailing input")
     return node
 
 
-def _parse_expr(tz):
-    node = _parse_term(tz)
+def _parse_infix(tokens, level=1):
+    """Factors joined, left to right, by the infix operators of precedence
+    level and above: expr at level 1, term at level 2."""
+    node = _parse_factor(tokens)
     while True:
-        kind = tz.peek()[0]
-        if kind == "+":
-            tz.advance()
-            node = binary("add", node, _parse_term(tz))
-        elif kind == "-":
-            tz.advance()
-            node = binary("sub", node, _parse_term(tz))
-        else:
+        op, prec = _BY_SYMBOL.get(tokens.peek()[0], (None, 0))
+        if prec < level:
             return node
+        tokens.i += 1
+        node = binary(op, node, _parse_infix(tokens, prec + 1))
 
 
-def _parse_term(tz):
-    node = _parse_factor(tz)
-    while True:
-        kind = tz.peek()[0]
-        if kind == "*":
-            tz.advance()
-            node = binary("mul", node, _parse_factor(tz))
-        elif kind == "/":
-            tz.advance()
-            node = binary("div", node, _parse_factor(tz))
-        else:
-            return node
-
-
-def _parse_factor(tz):
-    kind = tz.peek()[0]
-    if kind == "-":
-        tz.advance()
-        return unary("neg", _parse_factor(tz))
-    return _parse_power(tz)
-
-
-def _parse_power(tz):
-    base = _parse_atom(tz)
-    kind = tz.peek()[0]
-    if kind == "^":
-        tz.advance()
-        expo = _parse_exponent(tz)
-        return binary("pow", base, const(expo))
+def _parse_factor(tokens):
+    if tokens.accept("-"):
+        return unary("neg", _parse_factor(tokens))
+    base = _parse_atom(tokens)
+    if tokens.accept("^"):
+        return binary("pow", base, const(_parse_exponent(tokens)))
     return base
 
 
-def _parse_exponent(tz):
-    kind, val, off, _ = tz.peek()
-    sign = 1.0
-    if kind == "-":
-        tz.advance()
-        sign = -1.0
-        kind, val, off, _ = tz.peek()
-    if kind != "number":
-        raise ParseError("pow exponent must be a numeric constant", off)
-    tz.advance()
-    kind = tz.peek()[0]
-    if kind == "^":
-        tz.advance()
+def _parse_exponent(tokens):
+    sign = -1.0 if tokens.accept("-") else 1.0
+    val = tokens.expect("number", "pow exponent must be a numeric constant")[1]
+    if tokens.accept("^"):
         val = constant_value(
-            ExprNode("pow", 0.0, (const(val), const(_parse_exponent(tz)))))
+            ExprNode("pow", 0.0, (const(val), const(_parse_exponent(tokens)))))
     return sign * val
 
 
-def _parse_atom(tz):
-    kind, val, off, _ = tz.peek()
+def _parse_atom(tokens):
+    kind, val, off = tokens.peek()
+    tokens.i += 1
     if kind == "number":
-        tz.advance()
         return const(val)
-    if kind == "ident":
-        tz.advance()
-        if val == "x":
-            return VAR
-        if val in FUNCTIONS:
-            k2, _, off2, _ = tz.peek()
-            if k2 != "(":
-                raise ParseError("expected '(' after %r" % val, off2)
-            tz.advance()
-            arg = _parse_expr(tz)
-            k3, _, off3, _ = tz.peek()
-            if k3 != ")":
-                raise ParseError("expected ')'", off3)
-            tz.advance()
-            return unary(val, arg)
+    if kind == "name" and val == "x":
+        return VAR
+    if kind == "name" and val not in FUNCTIONS:
         raise ParseError("unknown identifier %r" % val, off)
-    if kind == "(":
-        tz.advance()
-        node = _parse_expr(tz)
-        k2, _, off2, _ = tz.peek()
-        if k2 != ")":
-            raise ParseError("expected ')'", off2)
-        tz.advance()
-        return node
-    raise ParseError("expected a number, 'x', function call or '('", off)
+    if kind == "name":
+        tokens.expect("(", "expected '(' after %r" % val)
+    elif kind != "(":
+        raise ParseError("expected a number, 'x', function call or '('", off)
+    node = _parse_infix(tokens)
+    tokens.expect(")", "expected ')'")
+    return node if kind == "(" else unary(val, node)
 
 
 # --------------------------------------------------------------------------
@@ -463,9 +435,6 @@ def substitute(e, replacement):
 # --------------------------------------------------------------------------
 # printing
 
-_PREC = {"add": 1, "sub": 1, "mul": 2, "div": 2, "neg": 3, "pow": 4}
-
-
 def _fmt_number(v):
     if math.isfinite(v) and v == int(v) and abs(v) < 1e16:
         return str(int(v))
@@ -481,44 +450,36 @@ def to_string(e):
         return _fmt_number(e.value)
     if op == "var":
         return "x"
-    if op in ("add", "sub"):
-        sym = " + " if op == "add" else " - "
-        left = to_string(e.args[0])
-        right = to_string(e.args[1])
-        if _prec_of(e.args[1]) <= 1 and op == "sub":
-            right = "(" + right + ")"
-        return left + sym + right
-    if op in ("mul", "div"):
-        sym = "*" if op == "mul" else "/"
-        left = to_string(e.args[0])
-        right = to_string(e.args[1])
-        if _prec_of(e.args[0]) < 2:
-            left = "(" + left + ")"
-        if _prec_of(e.args[1]) < 2 or (op == "div" and _prec_of(e.args[1]) == 2):
-            right = "(" + right + ")"
-        return left + sym + right
+    if op in _INFIX:
+        # a - (b - c) and a/(b*c): the right operand of - and / keeps its
+        # parentheses at equal precedence too
+        sym, prec = _INFIX[op]
+        return (_operand(e.args[0], prec) + sym
+                + _operand(e.args[1], prec + (op in ("sub", "div"))))
     if op == "neg":
-        inner = to_string(e.args[0])
-        if _prec_of(e.args[0]) < 3:
-            inner = "(" + inner + ")"
-        return "-" + inner
+        return "-" + _operand(e.args[0], 3)
     if op == "pow":
-        base = to_string(e.args[0])
-        if _prec_of(e.args[0]) < 5:
-            base = "(" + base + ")"
         c = e.args[1].value
         expo = _fmt_number(abs(c))
-        return base + "^" + ("-" + expo if c < 0 else expo)
+        return _operand(e.args[0], 5) + "^" + ("-" + expo if c < 0 else expo)
     # function application
     return "%s(%s)" % (op, to_string(e.args[0]))
 
 
+def _operand(e, prec):
+    """to_string(e), in parentheses when it binds less tightly than prec."""
+    text = to_string(e)
+    return "(" + text + ")" if _prec_of(e) < prec else text
+
+
 def _prec_of(e):
-    if e.op in ("const", "var") or e.op in _UNARY_OPS and e.op != "neg":
-        if e.op == "const" and e.value < 0.0:
-            return 3  # prints with a leading minus
-        return 5
-    return _PREC[e.op]
+    """How tightly the printed e binds: its infix precedence, 3 for a
+    leading minus, 4 for a power, 5 for an atom or a call."""
+    if e.op in _INFIX:
+        return _INFIX[e.op][1]
+    if e.op == "neg" or e.op == "const" and e.value < 0.0:
+        return 3
+    return 4 if e.op == "pow" else 5
 
 
 # --------------------------------------------------------------------------
@@ -530,7 +491,7 @@ _APPLY = {
     "exp": np.exp, "log": np.log, "sqrt": np.sqrt, "sin": np.sin,
     "cos": np.cos, "abs": np.abs, "sign": np.sign,
 }
-_SYMBOL = {"add": "+", "sub": "-", "mul": "*", "div": "/", "pow": "**"}
+_SYMBOL = {**{op: sym.strip() for op, (sym, _) in _INFIX.items()}, "pow": "**"}
 
 
 def _tape(e):

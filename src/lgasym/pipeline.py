@@ -106,7 +106,12 @@ def _choose_h(y_span, override=None):
         if not (math.isfinite(h) and h > 0.0):
             raise ValueError("step must be a positive finite number")
     else:
-        h = min(_H_COARSE_MAX, max(_H_COARSE_MIN, y_span / _TARGET_CELLS))
+        h = y_span / _TARGET_CELLS
+        # an unclamped step takes _TARGET_CELLS exactly: y_span / h may
+        # round one ulp above it, and its ceiling would add a step
+        if _H_COARSE_MIN <= h <= _H_COARSE_MAX:
+            return h, _TARGET_CELLS
+        h = min(_H_COARSE_MAX, max(_H_COARSE_MIN, h))
     n = y_span / h
     if not n <= _MAX_LEVEL0_STEPS:
         raise _too_long(y_span, h, n)

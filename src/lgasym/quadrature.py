@@ -184,24 +184,27 @@ def gk_cells(fn, lo, hi):
     return tuple(np.concatenate(part) for part in zip(*blocks))
 
 
-def _cells(fn, lo, hi):
-    """_gk_cell on the cells, as float lists; a non-finite sample raises."""
+def _cells(fn, lo, hi, to_x):
+    """_gk_cell on the cells, as float lists; a non-finite sample raises,
+    naming its cell through to_x, the map from fn's variable to x."""
     k, err = _gk_cell(fn, np.asarray(lo, dtype=float),
                       np.asarray(hi, dtype=float))
     k, err = k.tolist(), err.tolist()
     for i, (v, e) in enumerate(zip(k, err)):
         if not (math.isfinite(v) and math.isfinite(e)):
             raise QuadratureError("non-finite integrand sample in [%r, %r]"
-                                  % (lo[i], hi[i]))
+                                  % (to_x(lo[i]), to_x(hi[i])))
     return k, err
 
 
 @capped
-def _adapt(fn, edges, tol):
+def _adapt(fn, edges, tol, to_x=float):
     """Worst-first adaptive refinement of the partition edges[0] < edges[1]
     < ... under one shared error budget -> (per-piece values, total error
     estimate), within the EVAL_BUDGET samples of the running ledger, until
-    the estimate is at most max(tol, _ROUNDOFF * sum |piece value|).  The
+    the estimate is at most max(tol, _ROUNDOFF * sum |piece value|).  A
+    non-finite sample raises QuadratureError naming its cell through
+    to_x, the map from fn's variable to the caller's.  The
     end cell, the one at edges[-1], is split in four equal cells per call
     (two levels of bisection, two dyadic shells of a mapped tail); every
     other cell is bisected.  The per-cell error estimate is the
@@ -209,7 +212,7 @@ def _adapt(fn, edges, tol):
     smooth integrands, which is what makes it usable as a certified
     bound."""
     los, his = edges[:-1], edges[1:]
-    totals, errs = _cells(fn, los, his)
+    totals, errs = _cells(fn, los, his, to_x)
     # heap entries: (-err, lo, hi, piece, value, err)
     heap = [(-e, lo, hi, piece, k, e) for piece, (lo, hi, k, e)
             in enumerate(zip(los, his, totals, errs))]
@@ -228,7 +231,7 @@ def _adapt(fn, edges, tol):
         else:
             cuts = [clo, mid, chi]
             shells, run = 1, interior_run
-        ks, es = _cells(fn, cuts[:-1], cuts[1:])
+        ks, es = _cells(fn, cuts[:-1], cuts[1:], to_x)
         delta = sum(ks) - cval
         totals[piece] += delta
         total_err += sum(es) - cerr
@@ -336,6 +339,9 @@ def integrate_to_infinity(fn, a, tol=1e-10):
         vals = np.asarray(fn(x), dtype=float) / (ws * ws)
         return np.where(safe, vals, 0.0)
 
+    def to_x(t):
+        return a0 + (span + t) / (1.0 - t) if t < 1.0 else math.inf
+
     # dx/dt = scale/(1-t)^2: the constant scale multiplies the run's sums
     # and error instead of every sample, so the run asks tol/scale
     scale = 1.0 + span
@@ -343,7 +349,7 @@ def integrate_to_infinity(fn, a, tol=1e-10):
     # one errstate for the run, not one per cell: an invalid sample is
     # still caught, as a non-finite one, by _adapt
     with np.errstate(invalid="ignore"):
-        values, err = _adapt(transformed, edges, tol / scale)
+        values, err = _adapt(transformed, edges, tol / scale, to_x)
     if lows.ndim == 0:
         return QuadResult(values[0] * scale, err * scale)
     # the tail from a[i] is the sum of the pieces from t_i on

@@ -330,9 +330,10 @@ def classify_regime(split, endpoint, interval, checks=None):
 _CELL_RTOL = 1e-13
 # The table starts from this many equal cells.  Gauss-Kronrod accepts a
 # polynomial |f|^(1/2) on one cell however wide, so the first cells may
-# span up to 2.6 in phase (f = a x); the map's quintic start is loosest
-# there, and the nodes of those cells take a second step.  On the bench
-# cases the map takes 1.00-1.06 cells per node.
+# be wide in phase, where the map's quintic start is loosest.  Only an f
+# that is not a single power c x^p builds a table (a power maps in closed
+# form): on the benchmark's osc-at-inf, f = -(a + b/x), the first cells
+# span 0.85-0.92 in phase (seeds 1-5) and the map takes one cell a node.
 _FIRST_CELLS = 64
 # Steps a map node may take.  From the quintic start one step settles
 # almost every node, every bench case settles within two, and the

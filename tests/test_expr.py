@@ -3,6 +3,7 @@
 Values are checked against the reference evaluator in reference_eval,
 which raises where the library's float64 tape gives nan or inf."""
 
+import hashlib
 import math
 import random
 
@@ -63,6 +64,107 @@ def test_parse_error_offset_points_at_problem():
     with pytest.raises(ParseError) as err:
         parse("1 + foo(x)")
     assert err.value.offset == 4
+
+
+# (text, error class, message, offset), or (text, None, printed tree,
+# None): what parse gives on the scanner's edge cases
+EDGES = [
+    ("5*3+3(sinabs.", ParseError, "trailing input", 5),
+    ("3..5", ParseError, "bad numeric literal '3..5'", 0),
+    ("x_1", ParseError, "unexpected character '_'", 1),
+    ("1e+5x", ParseError, "trailing input", 4),
+    ("x^(2)", ParseError, "pow exponent must be a numeric constant", 2),
+    ("x^--1", ParseError, "pow exponent must be a numeric constant", 3),
+    ("sin x", ParseError, "expected '(' after 'sin'", 4),
+    ("x^1.2.3", ParseError, "bad numeric literal '1.2.3'", 2),
+    (".", ParseError, "bad numeric literal '.'", 0),
+    ("1e400", ParseError, "numeric literal '1e400' is out of range", 0),
+    ("x^1e999", ParseError, "numeric literal '1e999' is out of range", 2),
+    ("é", ParseError, "unknown identifier 'é'", 0),
+    ("2 **\u201c x", ParseError,
+     "expected a number, 'x', function call or '('", 3),
+    ("", ParseError, "expected a number, 'x', function call or '('", 0),
+    ("(x", ParseError, "expected ')'", 2),
+    ("x $ 1", ParseError, "unexpected character '$'", 2),
+    (" \u00bd", ParseError, "unexpected character '\u00bd'", 1),
+    ("x^0^-1", EvalDomainError, "non-finite value in subexpression '0^-1'",
+     None),
+    ("\u0663*x", None, "3*x", None),       # an Arabic-Indic decimal digit
+    ("x \t\n", None, "x", None),
+]
+
+
+@pytest.mark.parametrize("text, error, message, offset", EDGES)
+def test_parse_edge_cases(text, error, message, offset):
+    if error is None:
+        assert to_string(parse(text)) == message
+        return
+    with pytest.raises(error) as err:
+        parse(text)
+    assert type(err.value) is error
+    if offset is None:
+        assert str(err.value) == message
+    else:
+        assert str(err.value) == "%s (at offset %d)" % (message, offset)
+        assert err.value.offset == offset
+
+
+# The seeded corpus: grammar-shaped text with up to two random edits by
+# the pieces below (the grammar's characters and names, a letter and a
+# decimal digit outside ASCII, '_', and '' for a deletion).
+_PIECES = (list("x0123456789.eE+-*/^() \t") + list(expr.FUNCTIONS)
+           + ["1e5", "1e400", "\u00e9", "\u0663", "_", ""])
+
+
+def _grammar_text(rng, depth):
+    r = rng.random()
+    if depth == 0 or r < 0.3:
+        return rng.choice(["x", "x", "2", "0.5", "1e-3", "1.5E+2", "0",
+                           "\u0663"])
+    if r < 0.55:
+        return (_grammar_text(rng, depth - 1)
+                + rng.choice(["+", " - ", "*", "/", " + ", "-"])
+                + _grammar_text(rng, depth - 1))
+    if r < 0.65:
+        return "-" + _grammar_text(rng, depth - 1)
+    if r < 0.8:
+        return "(%s)^%s" % (_grammar_text(rng, depth - 1), rng.choice(
+            ["2", "-1", "0.5", "2^3", "-2^-1", "0^-1", "3"]))
+    return "%s(%s)" % (rng.choice(expr.FUNCTIONS),
+                       _grammar_text(rng, depth - 1))
+
+
+def _corpus_outcomes(n, seed=22):
+    """One line per seeded text: the printed tree and its printed
+    derivative, or the error's class, message and offset."""
+    rng = random.Random(seed)
+    for _ in range(n):
+        text = _grammar_text(rng, rng.randint(0, 4))
+        for _ in range(rng.choice([0, 1, 1, 2])):
+            i = rng.randrange(len(text) + 1)
+            text = (text[:i] + rng.choice(_PIECES)
+                    + text[i + rng.randint(0, 1):])
+        try:
+            tree = parse(text)
+        except (ParseError, EvalDomainError) as err:
+            yield "%s|%s|%s" % (type(err).__name__, err,
+                                getattr(err, "offset", None))
+        else:
+            yield "%s|%s" % (to_string(tree), to_string(differentiate(tree)))
+
+
+# The SHA-256 of the 20,000 outcomes as the recursive-descent parser that
+# scanned character by character gave them; the scan by one regular
+# expression and the parse by one precedence table must not move a byte.
+CORPUS_SHA256 = ("335b7ffece161481da3515d5695aab664e"
+                 "2170bb486df219294d160367a384d0")
+
+
+def test_seeded_corpus_parses_as_before():
+    digest = hashlib.sha256()
+    for line in _corpus_outcomes(20000):
+        digest.update(line.encode() + b"\n")
+    assert digest.hexdigest() == CORPUS_SHA256
 
 
 @pytest.mark.parametrize("text,x", [

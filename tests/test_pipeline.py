@@ -884,6 +884,18 @@ def test_step_override():
     assert r.march["coarse_step"] == pytest.approx(0.01, rel=1e-3)
 
 
+def test_unclamped_level0_step_takes_the_target_count():
+    # span / (span / 20000) can round one ulp above 20000; its ceiling
+    # must not add a step
+    rng = np.random.default_rng(7)
+    for span in rng.uniform(80.0, 400.0, 100_000).tolist():
+        h, n = pipeline._choose_h(span)
+        assert n == pipeline._TARGET_CELLS and h == span / n
+    # a clamped step keeps its ceiling count
+    assert pipeline._choose_h(10.0)[1] == 2500
+    assert pipeline._choose_h(1000.0)[1] == 50000
+
+
 # Run under a 1.5 GB address-space limit: a march of 1e9 level-0 steps
 # would ask for about 1 GB in its first array.
 _OVERSIZED_MARCHES = """

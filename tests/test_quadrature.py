@@ -1,4 +1,5 @@
 import math
+import re
 
 import numpy as np
 import pytest
@@ -299,3 +300,24 @@ def test_array_divergence_propagates():
     with pytest.raises(DivergenceError):
         integrate_to_infinity(lambda x: x * (2.0 / x ** 2), [1.0, 3.0],
                               tol=1e-10)
+
+
+def _failing_cell(call, *args):
+    with pytest.raises(quadrature.QuadratureError,
+                       match="^non-finite integrand sample in ") as err:
+        call(*args)
+    return [float(v) for v in re.findall(r"[-+\w.]+(?=[],])", str(err.value))]
+
+
+def test_a_non_finite_sample_names_its_cell_in_x():
+    # e^x e^(-2x) is e^-x until e^x overflows past x = 709.78, then nan;
+    # the end cell, from the last limit 5 to infinity, samples it first
+    def fn(x):
+        return np.exp(x) * np.exp(-2.0 * x)
+
+    lo, hi = _failing_cell(l1_tail_norm, fn, [1.0, 2.0, 5.0])
+    assert (lo, hi) == (5.0, math.inf)
+    # a finite cell maps through x = a0 + (D + t)/(1 - t) alike
+    lo, hi = _failing_cell(analyze, "x^40", "0")
+    assert lo == pytest.approx(46587904.0, rel=1e-9)
+    assert hi == pytest.approx(93175808.0, rel=1e-9)
