@@ -17,6 +17,8 @@ Grammar (whitespace insignificant)::
 
 '^' binds tighter than unary minus, so ``-x^2`` is ``-(x^2)``.  Exponents
 are restricted to constants; general powers must be spelled via exp/log.
+Text nested deeper than MAX_DEPTH (40), in the parser or in the folded
+tree, is a ParseError, since every walk over a tree here recurses.
 
 parse() scans the text once, by one regular expression, into a list of
 tokens: operators and parentheses, numbers (decimal digits and '.', then
@@ -48,6 +50,7 @@ everything in this module is safe to share across threads.
 
 from __future__ import annotations
 
+import functools
 import math
 import operator
 import re
@@ -59,6 +62,16 @@ FUNCTIONS = ("exp", "log", "sqrt", "sin", "cos", "abs")
 
 _UNARY_OPS = FUNCTIONS + ("neg", "sign")
 _BINARY_OPS = ("add", "sub", "mul", "div", "pow")
+
+
+# The deepest nesting parse() accepts, of the parser (parentheses, unary
+# minus, '^' chains) and of the folded tree, so that the recursions over
+# trees run within Python's default limit of 1000 frames.  A chain of
+# divisions grows fastest under differentiation: at depth 40 its second
+# derivative, that derivative's tape and its text take at most 461 frames,
+# and analyze() of an oscillatory f of depth 40, which differentiates f
+# four times for the tail moments, takes 746.
+MAX_DEPTH = 40
 
 
 class ParseError(ValueError):
@@ -245,6 +258,7 @@ class _Tokens:
     def __init__(self, text):
         self.tokens = _scan(text)
         self.i = 0
+        self.depth = 0
 
     def peek(self):
         """The next token, not consumed; a bad one raises its ParseError."""
@@ -274,14 +288,42 @@ def parse(text):
     """Parse expression text into an ExprNode tree.
 
     Raises ParseError (with byte offset) on syntax errors, unknown
-    identifiers, a non-constant pow exponent or a numeric literal outside
-    the float range, and EvalDomainError on an exponent chain without a
+    identifiers, a non-constant pow exponent, a numeric literal outside
+    the float range, and nesting deeper than MAX_DEPTH in the text or in
+    the folded tree; EvalDomainError on an exponent chain without a
     finite value (x^0^-1).
     """
     tokens = _Tokens(text)
     node = _parse_infix(tokens)
     tokens.expect("end", "trailing input")
+    if _depth(node) > MAX_DEPTH:
+        raise ParseError("expression nested too deeply", 0)
     return node
+
+
+def _depth(e):
+    """The number of nodes on the longest path from e to a leaf, counted
+    level by level, without recursion."""
+    depth, level = 0, [e]
+    while level:
+        depth += 1
+        level = [arg for node in level for arg in node.args]
+    return depth
+
+
+def _nested(rule):
+    """The parser rule rule, counting the parser's nesting through it: one
+    level deeper than MAX_DEPTH raises ParseError at the token reached."""
+    @functools.wraps(rule)
+    def nested(tokens):
+        tokens.depth += 1
+        if tokens.depth > MAX_DEPTH:
+            raise ParseError("expression nested too deeply",
+                             tokens.tokens[tokens.i][2])
+        node = rule(tokens)
+        tokens.depth -= 1
+        return node
+    return nested
 
 
 def _parse_infix(tokens, level=1):
@@ -296,6 +338,7 @@ def _parse_infix(tokens, level=1):
         node = binary(op, node, _parse_infix(tokens, prec + 1))
 
 
+@_nested
 def _parse_factor(tokens):
     if tokens.accept("-"):
         return unary("neg", _parse_factor(tokens))
@@ -305,6 +348,7 @@ def _parse_factor(tokens):
     return base
 
 
+@_nested
 def _parse_exponent(tokens):
     sign = -1.0 if tokens.accept("-") else 1.0
     val = tokens.expect("number", "pow exponent must be a numeric constant")[1]

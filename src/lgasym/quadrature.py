@@ -12,14 +12,21 @@ error budget, and the per-piece sums returned; a single interval is the
 one-piece case.
 
 Semi-infinite integrals go through the rational substitution
-x = a + t/(1-t), which maps [a, inf) onto [0, 1); the Kronrod nodes are
-interior, so the endpoint itself is never sampled.  The lower limit may
-also be an increasing array a[0] < a[1] < ...: every limit is mapped
-through one substitution of the same form, the pieces between the mapped
-limits and the tail past the last one are integrated in one adaptive run,
-and the tails come back as a reverse cumulative sum.  The run's shared
-error estimate bounds the error of every entry.  A finite integral takes an
-increasing array of upper limits the same way, as a cumulative sum.
+x = a + L t/(1-t) with the length scale L = max(1, a), which maps
+[a, inf) onto [0, 1); the Kronrod nodes are interior, so the endpoint
+itself is never sampled.  On the tail's own scale x = a/(1-t) (a >= 1), so
+c x^-p maps to c a^(1-p) (1-t)^(p-2): a polynomial for integer p >= 2,
+which one cell integrates however far out a is.  A unit scale, as in
+QUADPACK's qagi, would put the mass of such a tail within about 1/a of
+t = 1, for the adaptive run to find by log4(a) splits of the end cell.
+Below a = 1 the unit scale is already the tail's, and L stays 1.  The lower
+limit may also be an increasing array a[0] < a[1] < ...: every limit is
+mapped through one substitution of the same form, the pieces between the
+mapped limits and the tail past the last one are integrated in one
+adaptive run, and the tails come back as a reverse cumulative sum.  The
+run's shared error estimate bounds the error of every entry.  A finite
+integral takes an increasing array of upper limits the same way, as a
+cumulative sum.
 
 Divergence is detected structurally rather than by timeout, from two runs
 that neither resets the other: one over the splits of the end cell, one
@@ -300,17 +307,18 @@ def integrate_finite(fn, a, b, tol=1e-10, singular=None):
 
 
 def integrate_to_infinity(fn, a, tol=1e-10):
-    """Integrate fn over [a, inf) via the substitution x = a + t/(1-t).
+    """Integrate fn over [a, inf) via the substitution x = a + L t/(1-t),
+    L = max(1, a): on the tail's scale, x^-p maps to L^(1-p) (1-t)^(p-2).
 
     a may also be a strictly increasing 1-D array of lower limits.  The
     value is then the array of tails int_{a[i]}^inf fn from one adaptive
     run over the pieces between the mapped limits.  The substitution is
-    x = a[0] + (D + t)/(1 - t) with D = a[-1] - a[0]: it puts a[-1] at
-    t = 0, so the tail past the last limit is the whole cell [0, 1), split
-    (and tested for divergence) as a single tail would be, and the other
-    limits fall at t_i = (a[i] - a[0] - D)/(1 + a[i] - a[0]) < 0.  The
-    error estimate is the run's shared total, so it bounds the error of
-    every entry.
+    x = a[0] + (D + L t)/(1 - t) with D = a[-1] - a[0] and L = max(1, a[0]):
+    it puts a[-1] at t = 0, so the tail past the last limit is the whole
+    cell [0, 1), split (and tested for divergence) as a single tail would
+    be, and the other limits fall at t_i = (a[i] - a[0] - D)/(L + a[i] -
+    a[0]) < 0.  dx/dt = (L + D)/(1 - t)^2.  The error estimate is the run's
+    shared total, so it bounds the error of every entry.
 
     Divergent tails surface as DivergenceError; more than EVAL_BUDGET
     samples on the ledger (one analysis, or this call) as
@@ -326,6 +334,8 @@ def integrate_to_infinity(fn, a, tol=1e-10):
     if not limits:
         return QuadResult(lows, 0.0)
     a0, span = limits[0], limits[-1] - limits[0]
+    # the map's length scale: x^-p past a0 maps to L^(1-p) (1-t)^(p-2)
+    length = max(1.0, a0)
 
     def transformed(t):
         w = 1.0 - t
@@ -335,17 +345,17 @@ def integrate_to_infinity(fn, a, tol=1e-10):
         # a divergent tail still blows up at the interior nodes.
         safe = w > 0.0
         ws = np.where(safe, w, 1.0)
-        x = a0 + (span + t) / ws
+        x = a0 + (span + length * t) / ws
         vals = np.asarray(fn(x), dtype=float) / (ws * ws)
         return np.where(safe, vals, 0.0)
 
     def to_x(t):
-        return a0 + (span + t) / (1.0 - t) if t < 1.0 else math.inf
+        return a0 + (span + length * t) / (1.0 - t) if t < 1.0 else math.inf
 
     # dx/dt = scale/(1-t)^2: the constant scale multiplies the run's sums
     # and error instead of every sample, so the run asks tol/scale
-    scale = 1.0 + span
-    edges = [(x - a0 - span) / (1.0 + (x - a0)) for x in limits] + [1.0]
+    scale = length + span
+    edges = [(x - a0 - span) / (length + (x - a0)) for x in limits] + [1.0]
     # one errstate for the run, not one per cell: an invalid sample is
     # still caught, as a non-finite one, by _adapt
     with np.errstate(invalid="ignore"):

@@ -126,6 +126,13 @@ def test_analyze_parse_error_exits_1():
     assert "error:" in p.stderr
 
 
+def test_analyze_deep_expression_exits_1():
+    p = run_cli("analyze", "--f", "1", "--g", "+".join(["x^-3"] * 3000))
+    assert p.returncode == 1
+    assert p.stderr.startswith("error: expression nested too deeply")
+    assert "Traceback" not in p.stderr
+
+
 @pytest.mark.parametrize("flag", ["--tol", "--tail-tol"])
 def test_analyze_bad_tolerance_exits_1(flag):
     p = run_cli("analyze", "--f", "1", "--g", "3/(4*x^2)", flag, "nan")

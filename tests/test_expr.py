@@ -208,6 +208,40 @@ def test_out_of_range_numbers_are_refused_at_parse(text, error):
         parse(text)
 
 
+# text nested n deep, in the parser (parentheses, unary minus, an
+# exponent chain) or in the folded tree (a sum, a chain of divisions)
+_DEEP = {
+    "parentheses": lambda n: "(" * (n - 1) + "x" + ")" * (n - 1),
+    "minus": lambda n: "-" * (n - 1) + "x",
+    "exponents": lambda n: "x" + "^1" * (n - 1),
+    "sum": lambda n: "+".join(["x"] * n),
+    "quotients": lambda n: "/".join("(x+%d)" % k for k in range(1, n)),
+}
+
+
+@pytest.mark.parametrize("nested", _DEEP.values(), ids=list(_DEEP))
+def test_nesting_past_the_depth_limit_is_a_parse_error(nested):
+    parse(nested(expr.MAX_DEPTH))
+    with pytest.raises(ParseError, match="expression nested too deeply"):
+        parse(nested(expr.MAX_DEPTH + 1))
+
+
+def test_deepest_tree_differentiates_compiles_and_prints():
+    # a chain of divisions grows fastest under differentiation: at the
+    # depth limit its second derivative, that derivative's tape and its
+    # text stay within Python's default recursion limit
+    tree = parse(_DEEP["quotients"](expr.MAX_DEPTH))
+    assert expr._depth(tree) == expr.MAX_DEPTH
+    d2 = differentiate(differentiate(tree))
+    assert compile_fn(d2)(2.0) == pytest.approx(evaluate(d2, 2.0), rel=1e-12)
+    assert to_string(d2).startswith("(")
+
+
+def test_a_long_constant_sum_folds_within_the_depth_limit():
+    assert to_string(parse("(" + "+".join(["1"] * 3000) + ")/x^3")) \
+        == "3000/x^3"
+
+
 def test_pow_exponent_must_be_a_constant_node():
     with pytest.raises(ValueError, match="constant"):
         expr.binary("pow", expr.VAR, parse("2^0.5 + log(-1)"))

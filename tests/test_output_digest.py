@@ -50,3 +50,78 @@ def test_output_digest_covers_the_certify_and_evaluate_pools():
     digest.main(["--seeds", "1", "--pools", "certify", "evaluate"],
                 emit=again.append)
     assert again == lines
+
+
+_OLD = """\
+certify 1 #0 constant-exp sha256 5e0a
+certify 1 #0 constant-exp march.cutoff 1.5
+certify 1 #0 constant-exp march.rounds[0][0] 100.0
+certify 1 #0 constant-exp march.rounds[0][1] 2e-07
+certify 1 #0 constant-exp constants.tail_residual_bound 1e-10
+certify 1 #0 constant-exp constants.z_infinity 1.25
+certify 2 #0 constant-exp march.cutoff 1.5
+certify 2 #0 constant-exp constants.tail_residual_bound 1e-10
+certify 2 #0 constant-exp constants.z_infinity 2.0
+evaluate 1 #0 constant-exp dominant value(2.0) 4.0
+evaluate 1 #0 constant-exp dominant value(3.0) 9.0
+evaluate 1 #0 constant-exp dominant value(array) [4.0, 9.0]
+evaluate 1 #0 constant-exp row 0 [('envelope_bound', 0.5), ('ratio', inf)]
+refuse 1 #0 ref-parse raises ParseError: bad token (at offset 0)
+refuse 1 #1 ref-parse raises ParseError: bad token (at offset 1)
+"""
+
+# seed 1's z_infinity moves past its bound, seed 2's within it; one point
+# of the dominant value moves, and a round, a row cell, the hash and a
+# refusal's message; one line is only in each digest
+_NEW = """\
+certify 1 #0 constant-exp sha256 77b1
+certify 1 #0 constant-exp march.cutoff 1.5
+certify 1 #0 constant-exp march.rounds[0][0] 100.0
+certify 1 #0 constant-exp march.rounds[0][1] 3e-07
+certify 1 #0 constant-exp constants.tail_residual_bound 1e-10
+certify 1 #0 constant-exp constants.z_infinity 1.250000001
+certify 1 #0 constant-exp march.refinements 1
+certify 2 #0 constant-exp march.cutoff 1.5
+certify 2 #0 constant-exp constants.tail_residual_bound 1e-10
+certify 2 #0 constant-exp constants.z_infinity 2.00000000001
+evaluate 1 #0 constant-exp dominant value(2.0) 4.0
+evaluate 1 #0 constant-exp dominant value(3.0000000000000004) 9.000000000000002
+evaluate 1 #0 constant-exp dominant value(array) [4.0, 9.000000000000002]
+evaluate 1 #0 constant-exp row 0 [('envelope_bound', 0.4), ('ratio', inf)]
+refuse 1 #0 ref-parse raises ParseError: bad token (at offset 0)
+refuse 1 #1 ref-parse raises ParseError: unexpected character (at offset 1)
+"""
+
+
+def test_compare_names_what_moved(tmp_path):
+    digest = _load()
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text(_OLD)
+    new.write_text(_NEW)
+    lines = []
+    assert digest.main(["--compare", str(old), str(new)],
+                       emit=lines.append) == 0
+    moved = {line.split(": ")[0]: line.split(": ", 1)[1] for line in lines
+             if not line.startswith(("only in", "beyond bound"))
+             and ": " in line}
+    assert moved == {
+        "certify constant-exp sha256": "1 of 1 lines moved, in text",
+        "certify constant-exp march.rounds[][]":
+            "1 of 2 lines moved, largest relative move 0.333",
+        "certify constant-exp constants.z_infinity":
+            "2 of 2 lines moved, largest relative move 8e-10",
+        "evaluate constant-exp dominant value":
+            "2 of 3 lines moved, largest relative move 1.97e-16",
+        "evaluate constant-exp row envelope_bound":
+            "1 of 1 lines moved, largest relative move 0.2",
+        "refuse ref-parse raises": "1 of 2 lines moved, in text",
+    }
+    assert "3 of 9 fields unmoved" in lines
+    assert [line for line in lines if line.startswith("only in")] == [
+        "only in NEW: certify 1 #0 constant-exp march.refinements 1"]
+    assert [line for line in lines if line.startswith("beyond bound")] == [
+        "beyond bound: certify 1 #0 constant-exp constants.z_infinity "
+        "moved by 1e-09 > tail_residual_bound 1e-10"]
+    same = []
+    digest.main(["--compare", str(old), str(old)], emit=same.append)
+    assert same == ["9 of 9 fields unmoved"]

@@ -335,9 +335,9 @@ def test_burned_budget_passes_no_check(monkeypatch):
 
 
 @pytest.mark.parametrize("f, g, kwargs, budget", [
-    ("1", "3/(4*x^2)", {}, 1000),
+    ("1", "3/(4*x^2)", {}, 900),
     ("-(1+1/x)", "0", {}, 20000),
-    ("1/x^2", "1.5 - 1/(4*x^2)", {"endpoint": "zero"}, 1000),
+    ("1/x^2", "1.5 - 1/(4*x^2)", {"endpoint": "zero"}, 900),
     BURN + ({}, None),
 ], ids=["constant-exp", "osc", "zero-endpoint", "burn-default-budget"])
 def test_no_sample_past_the_cap(monkeypatch, f, g, kwargs, budget):
@@ -447,6 +447,19 @@ def test_analyze_rejects_bad_hypotheses():
         analyze("1", "foo(x)")
 
 
+@pytest.mark.parametrize("f, g", [
+    ("(" * 340 + "1 + x" + ")" * 340, "0"),
+    ("1", "+".join(["x^-3"] * 3000)),
+    ("-" * 3000 + "1", "1/x^3"),
+    ("1", "x" + "^1" * 3000 + "^-3"),
+], ids=["parentheses", "sum", "minus", "exponents"])
+def test_deep_expressions_are_refused_with_a_parse_error(f, g):
+    # each once ran the recursions of the parser or of the tree walks past
+    # Python's recursion limit
+    with pytest.raises(expr.ParseError, match="nested too deeply"):
+        analyze(f, g)
+
+
 def test_divergent_perturbation_with_bump_is_refused():
     # psi ~ 1/x is not integrable; the kinked bump's splits must not hide
     # that from the divergence test (it once burned the whole budget)
@@ -544,6 +557,15 @@ def test_table_columns_match_the_row_by_row_table(table_reports):
 
 
 def test_table_tails_share_one_quadrature(table_reports, monkeypatch):
+    # the nine tails of a table come from one adaptive run, against nine
+    # run row by row, and that run takes no more samples than the nine
+    adapt, runs = quadrature._adapt, [0]
+
+    def counted_adapt(*args, **kwargs):
+        runs[0] += 1
+        return adapt(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_adapt", counted_adapt)
     for r in table_reports:
         reg = r._regime
         weight, samples = reg.weight, [0]
@@ -553,11 +575,14 @@ def test_table_tails_share_one_quadrature(table_reports, monkeypatch):
             return weight(x)
 
         monkeypatch.setattr(reg, "weight", counting)
+        runs[0] = 0
         r.sample_rows(9)
-        joint, samples[0] = samples[0], 0
+        assert runs[0] == 1
+        joint, samples[0], runs[0] = samples[0], 0, 0
         for s in _table_limits(r):
             quadrature.l1_tail_norm(reg.weight, s, tol=1e-8)
-        assert 0 < 3 * joint <= samples[0]
+        assert runs[0] == 9
+        assert 0 < joint <= samples[0]
 
 
 # -------------------------------------------------------- determinism

@@ -169,6 +169,97 @@ def test_tolerance_below_roundoff_stops_at_the_floor(call, args, exact, tol):
     assert taken <= 1000
 
 
+# ------------------------------------------ the map on the tail's scale
+
+# int_a^inf fn to 40 digits (mpmath 1.3.0 at 50 digits), for a = 0.5, 10,
+# 1e3 and 1e6: 1/a, 1/(3 a^3), e^-a and E_2(a/50)/a.  The last two
+# underflow to 0 from 1e3 and 1e6 on.
+_TAIL_A = [0.5, 10.0, 1e3, 1e6]
+_TAILS = {
+    "x^-2": (lambda x: x ** -2.0, ["2.0", "0.1", "0.001", "0.000001"]),
+    "x^-4": (lambda x: x ** -4.0, [
+        "2.666666666666666666666666666666666666667",
+        "0.0003333333333333333333333333333333333333333",
+        "3.333333333333333333333333333333333333333e-10",
+        "3.333333333333333333333333333333333333333e-19"]),
+    "e^-x": (lambda x: np.exp(-x), [
+        "0.6065306597126334236037995349911804534419",
+        "0.00004539992976248485153559151556055061023792",
+        "5.075958897549456765291809479574336919306e-435",
+        "3.296831478088558578968907969107724208561e-434295"]),
+    "x^-2 e^(-x/50)": (lambda x: np.exp(-x / 50.0) / x ** 2, [
+        "1.899341075967573830512078316530985895365",
+        "0.05742006442412032410029809931041548695467",
+        "9.404856430858148988654295837686576150454e-14",
+        "6.445973476826209303528709180726593109438e-8697"]),
+}
+
+
+def _kernel_calls(monkeypatch, call, *args, **kwargs):
+    """(result, kernel calls) of one call."""
+    cell, calls = quadrature._gk_cell, [0]
+
+    def counted(fn, lo, hi):
+        calls[0] += 1
+        return cell(fn, lo, hi)
+
+    monkeypatch.setattr(quadrature, "_gk_cell", counted)
+    try:
+        return call(*args, **kwargs), calls[0]
+    finally:
+        monkeypatch.setattr(quadrature, "_gk_cell", cell)
+
+
+@pytest.mark.parametrize("name", list(_TAILS))
+@pytest.mark.parametrize("a", _TAIL_A)
+def test_tails_are_within_their_error_estimate(name, a):
+    fn, values = _TAILS[name]
+    res = integrate_to_infinity(fn, a, tol=1e-12)
+    assert abs(res.value - float(values[_TAIL_A.index(a)])) \
+        <= res.error_estimate <= 1e-12
+
+
+def test_array_tails_on_the_first_limits_scale():
+    limits = [10.0, 20.0, 1e3]
+    res = integrate_to_infinity(lambda x: x ** -2.0, limits, tol=1e-12)
+    assert np.all(np.abs(res.value - [0.1, 0.05, 0.001])
+                  <= res.error_estimate)
+    fn, values = _TAILS["x^-2 e^(-x/50)"]
+    res = integrate_to_infinity(fn, limits, tol=1e-12)
+    # E_2(20/50)/20, to 40 digits as above
+    want = [float(values[1]),
+            0.01946839992446871546556106637715840762702, float(values[2])]
+    assert np.all(np.abs(res.value - want) <= res.error_estimate)
+
+
+@pytest.mark.parametrize("p", [2.0, 4.0])
+@pytest.mark.parametrize("a", [10.0, 1e3, 1e6, 1e21])
+def test_an_inverse_power_tail_takes_one_kernel_call(monkeypatch, p, a):
+    # x^-p past a maps to a^(1-p) (1-t)^(p-2): a polynomial on one cell
+    res, calls = _kernel_calls(monkeypatch, integrate_to_infinity,
+                               lambda x: x ** -p, a, tol=1e-12)
+    assert calls == 1
+    assert res.value == pytest.approx(a ** (1.0 - p) / (p - 1.0),
+                                      rel=1e-14, abs=0.0)
+
+
+def test_a_slow_tail_far_out_takes_few_kernel_calls(monkeypatch):
+    # 237 calls on the unit scale, which left the mass within 1e-3 of t=1.
+    # The mass past the last representable cell is still dropped (as in
+    # test_slow_tail_error_estimate_is_a_bound), so the value misses by
+    # 7e-10, where the unit scale missed by 2.1e-8.
+    res, calls = _kernel_calls(monkeypatch, integrate_to_infinity,
+                               lambda x: x ** -1.5, 1e3, tol=1e-12)
+    assert calls <= 40
+    assert abs(res.value - 2.0 / math.sqrt(1e3)) <= 1e-9
+
+
+@pytest.mark.parametrize("a", [1e3, [1e3, 2e3]], ids=["scalar", "array"])
+def test_a_harmonic_tail_far_out_still_diverges(a):
+    with pytest.raises(DivergenceError):
+        integrate_to_infinity(lambda x: 1.0 / x, a, tol=1e-10)
+
+
 def test_divergence_refusal_kernel_calls(monkeypatch):
     # one call for the first cell, then 21 four-way splits of the end
     # cell: the first sets the gain, the next 20 make the 40-shell run
@@ -317,7 +408,8 @@ def test_a_non_finite_sample_names_its_cell_in_x():
 
     lo, hi = _failing_cell(l1_tail_norm, fn, [1.0, 2.0, 5.0])
     assert (lo, hi) == (5.0, math.inf)
-    # a finite cell maps through x = a0 + (D + t)/(1 - t) alike
+    # a finite cell maps through x = a0 + (D + L*t)/(1 - t), L = max(1, a0),
+    # alike
     lo, hi = _failing_cell(analyze, "x^40", "0")
     assert lo == pytest.approx(46587904.0, rel=1e-9)
     assert hi == pytest.approx(93175808.0, rel=1e-9)

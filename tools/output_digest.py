@@ -20,6 +20,14 @@ standard output.  Per seed:
 A case that raises prints its error class and message in place of its
 outputs.  Floats print as repr, which round-trips, so equal lines mean
 bit-identical values.
+
+    python tools/output_digest.py --compare OLD NEW
+
+reads two saved digests and prints, per field (a template's field path
+with list indices and evaluation points collapsed), how many lines moved
+and the largest relative move of their numbers; every line whose field
+is in only one digest; and every certify constant that moved by more than
+its case's constants.tail_residual_bound in NEW.
 """
 
 from __future__ import annotations
@@ -27,6 +35,8 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
+import re
 import sys
 from pathlib import Path
 
@@ -107,6 +117,106 @@ def refuse_lines(seed, emit):
 POOLS = {"certify": certify_lines, "evaluate": evaluate_lines,
          "refuse": refuse_lines}
 
+# a number as repr prints it, not inside a word (a hash, a name)
+_NUMBER = re.compile(r"(?<![\w.])[-+]?(?:(?:\d+\.?\d*|\.\d+)(?:e[-+]?\d+)?"
+                     r"|inf|nan)(?![\w.])")
+
+
+def _pairs(line):
+    """(key, value) pairs of a digest line: the key is the pool, seed,
+    case, template and field, the value the rest.  An evaluation point
+    belongs to the value, so a point that moved is a move, not a new
+    line; a table row gives one pair per column."""
+    words = line.split(" ")
+    n = 6 if words[0] == "evaluate" and words[4] != "raises" else 5
+    key, paren, point = " ".join(words[:n]).partition("(")
+    value = " ".join(words[n:])
+    if paren:
+        value = "(%s %s" % (point, value)
+    if words[4] != "row":
+        return [(key, value)]
+    return [("%s %s" % (key, column), cell)
+            for column, cell in re.findall(r"\('(\w+)', ([^)]*)\)", value)]
+
+
+def _field(key):
+    """The key without seed, case and occurrence, list indices and row
+    numbers collapsed: the lines of one field across cases."""
+    pool, _, _, rest = key.split(" ", 3)
+    rest = re.sub(r"\[\d+\]", "[]", rest.split("@")[0])
+    return "%s %s" % (pool, re.sub(r" row \d+ ", " row ", rest))
+
+
+def _move(old, new):
+    """The largest relative move between the numbers of two values of the
+    same shape; None when they differ in anything but their numbers."""
+    if _NUMBER.sub("#", old) != _NUMBER.sub("#", new):
+        return None
+    worst = 0.0
+    for a, b in zip(map(float, _NUMBER.findall(old)),
+                    map(float, _NUMBER.findall(new))):
+        if a == b or math.isnan(a) and math.isnan(b):
+            continue
+        move = abs(a - b) / max(abs(a), abs(b))
+        worst = max(worst, move if math.isfinite(move) else math.inf)
+    return worst
+
+
+def _read(path):
+    """{key: value} of a digest file, in file order; a repeated key (the
+    points of one solution) gets @ and its occurrence number."""
+    values, seen = {}, {}
+    with open(path) as lines:
+        for line in lines:
+            for key, value in _pairs(line.rstrip("\n")):
+                seen[key] = seen.get(key, 0) + 1
+                values["%s@%d" % (key, seen[key]) if seen[key] > 1
+                       else key] = value
+    return values
+
+
+def compare(old_path, new_path, emit):
+    """Print what moved between two digests (see the module docstring)."""
+    old, new = _read(old_path), _read(new_path)
+    both = [key for key in new if key in old]
+    fields = {}     # field: [lines, moved, largest move, text moves]
+    for key in both:
+        stat = fields.setdefault(_field(key), [0, 0, 0.0, 0])
+        stat[0] += 1
+        if old[key] != new[key]:
+            move = _move(old[key], new[key])
+            stat[1] += 1
+            if move is None:
+                stat[3] += 1
+            else:
+                stat[2] = max(stat[2], move)
+    for field, (lines, moved, move, text) in sorted(fields.items()):
+        if moved:
+            emit("%s: %d of %d lines moved, %s" % (
+                field, moved, lines, "in text" if text == moved else
+                "largest relative move %.3g%s" % (
+                    move, ", %d in text" % text if text else "")))
+    emit("%d of %d fields unmoved" % (sum(not stat[1] for stat
+                                          in fields.values()), len(fields)))
+    for name, mine, other in (("OLD", old, new), ("NEW", new, old)):
+        for key in mine:
+            if key not in other:
+                emit("only in %s: %s %s" % (name, key, mine[key]))
+    for key in both:
+        words = key.split(" ")
+        bound_key = " ".join(words[:4] + ["constants.tail_residual_bound"])
+        if (words[0] != "certify" or key == bound_key
+                or not words[4].startswith("constants.")):
+            continue
+        bound = new.get(bound_key, "None")
+        if not all(map(_NUMBER.fullmatch, (old[key], new[key], bound))):
+            continue
+        delta = abs(float(new[key]) - float(old[key]))
+        if delta > float(bound):
+            emit("beyond bound: %s moved by %.3g > tail_residual_bound %s"
+                 % (key, delta, bound))
+    return 0
+
 
 def main(argv=None, emit=print):
     parser = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
@@ -114,7 +224,11 @@ def main(argv=None, emit=print):
                         default=[1, 2, 3, 4, 5])
     parser.add_argument("--pools", nargs="+", choices=sorted(POOLS),
                         default=["certify", "evaluate", "refuse"])
+    parser.add_argument("--compare", nargs=2, metavar=("OLD", "NEW"),
+                        help="compare two saved digests instead")
     args = parser.parse_args(argv)
+    if args.compare:
+        return compare(*args.compare, emit)
     for seed in args.seeds:
         for pool in args.pools:
             POOLS[pool](seed, emit)
