@@ -29,6 +29,10 @@ tabulates its phase and Newton-steps the nodes (_Shape).  For real
 coefficients the zeta = -i run is the conjugate of the zeta = +i run, so
 only the +i run is marched.
 
+Every function of x sampled here is a tape of transform.CoefficientSplit
+or transform.PsiData, compiled when first read; this module compiles
+none, and the solutions read theirs only when called.
+
 The recessive branch u2 = c u1 int_x^inf u1^{-2} is read off the march
 grid: u1^{-2} dx is a constant times e^{-2y} z(y)^{-2} dy in the phase
 variable (the amplitude cancels the Jacobian) and z^{-2} dx / x^2 in the
@@ -44,7 +48,6 @@ from __future__ import annotations
 
 import cmath
 import dataclasses
-import functools
 import math
 from dataclasses import dataclass, field
 
@@ -221,8 +224,8 @@ class _Shape:
 
     span() builds one PhaseTable of Phi on [a, x_end] per tail round; the
     span is its total and phase_map() places the march's y nodes inside it
-    by second-order Newton steps, which take (|f|^(1/2))' from
-    d_sqrt_f, compiled on first use and kept for the analysis."""
+    by second-order Newton steps, which take (|f|^(1/2))' from the owner's
+    d_sqrt_f.  amp and amp_d read the owner's tapes only when called."""
 
     template = "|f(x)|^(-1/4) * %s(%sPhi(x))"   # % (function, sign)
     decay_text = ""
@@ -233,14 +236,12 @@ class _Shape:
 
     def __init__(self, psi):
         self.psi = psi
-        self.amp = psi.amplitude
 
-    def amp_deriv(self):
-        return expr.compile_fn(expr.differentiate(self.psi.amplitude_ast))
+    def amp(self, x):
+        return self.psi.amplitude(x)
 
-    @functools.cached_property
-    def d_sqrt_f(self):
-        return expr.compile_fn(expr.differentiate(self.psi.sqrt_f_ast))
+    def amp_d(self, x):
+        return self.psi.amp_deriv(x)
 
     def span(self, a, x_end):
         self.table = transform.PhaseTable(self.psi.sqrt_f, a, x_end)
@@ -248,7 +249,7 @@ class _Shape:
 
     def phase_map(self, a, ys):
         return transform.PhaseMap.build(self.table, self.psi.inv_sqrt_f,
-                                        self.d_sqrt_f, ys)
+                                        self.psi.d_sqrt_f, ys)
 
     def rough_x(self, a, ys):
         """x at the phase values ys, interpolated linearly in the table:
@@ -271,8 +272,7 @@ class _PowerShape(_Shape):
             one = r_s == "1"
             self.template = "%s(%s" + ("" if one else r_s + "*") + "x)"
             self.decay_text = "" if one else " / " + r_s
-            self.amp = np.ones_like
-            self.amp_deriv = lambda: np.zeros_like
+            self.amp, self.amp_d = np.ones_like, np.zeros_like
 
     def span(self, a, x_end):
         return float(self.phase_map(a, ()).y_of_x(x_end))
@@ -291,7 +291,7 @@ def _regime_for(split, cls):
     """The regime object for a classified split: the one place the
     regime is consulted."""
     if cls.regime.algebraic:
-        return _Algebraic(split.g)
+        return _Algebraic(split)
     if cls.power is not None:
         shape = _PowerShape(cls.psi, *cls.power)
     else:
@@ -304,14 +304,8 @@ class _Algebraic:
     """f == 0: solutions like x and 1; z is marched in x itself and the
     table follows the dominant branch against x."""
 
-    def __init__(self, g):
-        self.g = g
-
-    def sg(self, x):
-        with np.errstate(all="ignore"):
-            return np.asarray(x, dtype=float) * self.g(x)
-
-    weight = sg
+    def __init__(self, split):
+        self.split, self.weight = split, split.sg
 
     @property
     def end(self):
@@ -324,7 +318,7 @@ class _Algebraic:
         def sample(idx):
             s = a + 0.5 * h_c * idx
             with np.errstate(all="ignore"):
-                g = np.asarray(self.g(s), dtype=float)
+                g = self.split.g(s)
                 return g, np.abs(s * g), s
 
         def solve(g, steps, s):
@@ -336,14 +330,14 @@ class _Algebraic:
     def predicted_residual(self, a, xs, L, tol):
         """complete()'s residual bound with z = 1: then X z'(X) = S2(X) / X,
         S2(X) = int_a^X s^2 g."""
-        S2 = quadrature.integrate_finite(lambda s: s * self.sg(s), a, xs,
+        S2 = quadrature.integrate_finite(lambda s: s * self.weight(s), a, xs,
                                          tol=tol).value
         return volterra.real_bound(L, 1.0, np.abs(S2) / xs)
 
     def complete(self, qtol):
         X = self.end
-        W0 = quadrature.integrate_to_infinity(self.sg, X, tol=qtol).value
-        W0a = quadrature.l1_tail_norm(self.sg, X, tol=qtol).value
+        W0 = quadrature.integrate_to_infinity(self.weight, X, tol=qtol).value
+        W0a = quadrature.l1_tail_norm(self.weight, X, tol=qtol).value
         c = self.completion = volterra.complete_algebraic(self.sol, W0, W0a)
         self.constants = {"z_infinity": c.value}
         return c.residual_bound
@@ -412,23 +406,17 @@ class _Phased:
     def end(self):
         return float(self.phase_map.x_nodes[-1])
 
-    def w(self, x):
-        """The march's weight psi |f|^(-1/2) at x."""
-        with np.errstate(all="ignore"):
-            return (np.asarray(self.psi.psi(x), dtype=float)
-                    * np.asarray(self.psi.inv_sqrt_f(x), dtype=float))
-
     def march(self, a, y_span, h_c, n_c):
         maps = []
 
         def pilot(idx):
-            return np.abs(self.w(self.shape.rough_x(a, 0.5 * h_c * idx)))
+            return np.abs(self.psi.w(self.shape.rough_x(a, 0.5 * h_c * idx)))
 
         def sample(idx):
             pmap = self.shape.phase_map(a, 0.5 * h_c * idx)
             quadrature.charge("map_nodes", len(idx))
             maps.append(pmap)
-            w = self.w(pmap.x_nodes)
+            w = self.psi.w(pmap.x_nodes)
             return w, np.abs(w), pmap.y_nodes
 
         def solve(w, steps, y):
@@ -470,7 +458,8 @@ class _Exponential(_Phased):
     def predicted_residual(self, a, xs, L, tol):
         """complete()'s residual bound with z = 1, whose memory term z' is
         then about w / 2."""
-        return volterra.real_bound(0.5 * L, 1.0, 0.25 * np.abs(self.w(xs)))
+        return volterra.real_bound(0.5 * L, 1.0,
+                                   0.25 * np.abs(self.psi.w(xs)))
 
     def complete(self, qtol):
         c = self.completion = volterra.complete_exponential(
@@ -482,7 +471,7 @@ class _Exponential(_Phased):
         sol, shape, phase = self.sol, self.shape, self.phase_fn()
         zhat = float(np.real(self.completion.value))
         scale = math.exp(shape.origin_rate * self.phase_map.a) / zhat
-        amp, amp_d, sqrt_f = shape.amp, shape.amp_deriv(), self.psi.sqrt_f
+        amp, amp_d, psi = shape.amp, shape.amp_d, self.psi
         # In the phase variable u1^{-2} dx = scale^{-2} kappa e^{-2y} z^{-2} dy
         # exactly: the amplitude |f|^{-1/4} cancels the Jacobian |f|^{-1/2},
         # and kappa = 1 / norm is the constant map's 1 / rate.  Past the grid
@@ -501,7 +490,8 @@ class _Exponential(_Phased):
             x, y = phase(x)
             z = sol.z_at(y)
             with np.errstate(over="ignore"):
-                return scale * np.exp(y) * (amp_d(x) * z + amp(x) * sqrt_f(x)
+                return scale * np.exp(y) * (amp_d(x) * z + amp(x)
+                                            * psi.sqrt_f(x)
                                             * (z + sol.deriv_at(y)))
 
         def u2(x):
@@ -513,7 +503,7 @@ class _Exponential(_Phased):
             # (u1'/u1) u2 - 2/u1
             x, y = phase(x)
             z, ax = sol.z_at(y), amp(x)
-            core = amp_d(x) * z + ax * sqrt_f(x) * (z + sol.deriv_at(y))
+            core = amp_d(x) * z + ax * psi.sqrt_f(x) * (z + sol.deriv_at(y))
             return 2.0 / scale * np.exp(-y) * (
                 core * rest(y) / shape.norm - 1.0 / (ax * z))
 
@@ -547,34 +537,22 @@ class _Oscillatory(_Phased):
 
     zeta = 1j
 
-    @functools.cached_property
-    def tail_moments(self):
-        """(a1, a2) = ((psi |f|^{-1/2})', (a1 |f|^{-1/2})'), differentiated
-        symbolically and compiled once, for all tail rounds."""
-        psi = self.psi
-        a1_ast = expr.differentiate(
-            expr.binary("mul", psi.psi_ast, psi.inv_sqrt_f_ast))
-        a2_ast = expr.differentiate(
-            expr.binary("mul", a1_ast, psi.inv_sqrt_f_ast))
-        return expr.compile_fn(a1_ast), expr.compile_fn(a2_ast)
-
     def predicted_residual(self, a, xs, L, tol):
         """complete()'s residual bound with z = 1, so |xi1| + |xi2| + |eta1|
         + |eta2| = 2."""
-        R2 = quadrature.l1_tail_norm(self.tail_moments[1], xs, tol=tol).value
+        R2 = quadrature.l1_tail_norm(self.psi.a2, xs, tol=tol).value
         return volterra.oscillatory_bound(L, 1.0, R2, 2.0)
 
     def complete(self, qtol):
         # the e^{+-2iy} tail moments via two integrations by parts in x
         psi = self.psi
         G0, G0a = self.tail_integrals(qtol)
-        a1, a2 = self.tail_moments
         X = self.end
-        R2 = quadrature.l1_tail_norm(a2, X, tol=qtol).value
+        R2 = quadrature.l1_tail_norm(psi.a2, X, tol=qtol).value
         Y = self.phase_map.y_span
         invX = float(psi.inv_sqrt_f(X))
         psiX = float(psi.psi(X))
-        a1X = float(a1(X))
+        a1X = float(psi.a1(X))
         Gp, Gm = (cmath.exp(2j * sign * Y) * invX
                   * (-psiX / (2j * sign) - a1X / 4.0) for sign in (1, -1))
         c = self.completion = volterra.complete_oscillatory(
@@ -593,7 +571,7 @@ class _Oscillatory(_Phased):
         # the zeta = -i run is the conjugate of the +i run, so its z and z'
         # are the conjugates of the interpolated z1 and z1'
         fwd = self.sol
-        amp, amp_d, sqrt_f = shape.amp, shape.amp_deriv(), self.psi.sqrt_f
+        amp, amp_d, psi = shape.amp, shape.amp_d, self.psi
 
         def U(x):
             x, y = phase(x)
@@ -607,7 +585,7 @@ class _Oscillatory(_Phased):
             z1, d1 = fwd.z_at(y), fwd.deriv_at(y)
             z2 = np.conj(z1)
             core = p * (1j * z1 + d1) + m * (-1j * z2 + np.conj(d1))
-            return (amp(x) * sqrt_f(x) * core
+            return (amp(x) * psi.sqrt_f(x) * core
                     + amp_d(x) * (p * z1 + m * z2))
 
         self.U = U

@@ -12,7 +12,9 @@ under which v'' = (zeta^2 + psi/|f|^(1/2) ...) v with the perturbation
     psi = g * |f|^(-1/2) - |f|^(-1/4) * (|f|^(-1/4))''.
 
 psi is built symbolically from the coefficient ASTs so its derivatives
-and L1 norms are available to the rest of the pipeline.  For f = c x^p,
+and L1 norms are available to the rest of the pipeline.  CoefficientSplit
+and PsiData own every tree the analysis samples and compile each tape when
+it is first read, so an analysis compiles only what it runs.  For f = c x^p,
 Phi, its inverse and the divergence of int |f|^(1/2) have closed forms
 (PhaseMap.closed_form).  Any other f has Phi tabulated once per resolved
 range (PhaseTable, Gauss-Kronrod cells evaluated on whole arrays), and the
@@ -27,8 +29,9 @@ inverted split is classified at infinity.
 from __future__ import annotations
 
 import enum
+import functools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -75,18 +78,23 @@ class Regime(enum.Enum):
         return self in (Regime.EXP_SINGULAR, Regime.OSC_SINGULAR)
 
 
+def _tape(tree):
+    """A cached attribute: the tape of the tree tree(self), compiled through
+    expr.compile_fn when the attribute is first read and then kept."""
+    return functools.cached_property(lambda self: expr.compile_fn(tree(self)))
+
+
 @dataclass
 class CoefficientSplit:
+    """The trees of f and g, and their tapes f, g and the algebraic weight
+    sg = s g (one tape, bit for bit the product s * g(s))."""
+
     f_ast: expr.ExprNode
     g_ast: expr.ExprNode
-    f: object = field(repr=False, default=None)
-    g: object = field(repr=False, default=None)
 
-    def __post_init__(self):
-        if self.f is None:
-            self.f = expr.compile_fn(self.f_ast)
-        if self.g is None:
-            self.g = expr.compile_fn(self.g_ast)
+    f = _tape(lambda split: split.f_ast)
+    g = _tape(lambda split: split.g_ast)
+    sg = _tape(lambda split: expr.binary("mul", expr.VAR, split.g_ast))
 
     @classmethod
     def from_expressions(cls, f_text, g_text):
@@ -113,26 +121,34 @@ def invert_split(split):
 
 @dataclass
 class PsiData:
-    """The symbolic perturbation psi and the pieces it is built from."""
+    """The symbolic perturbation psi, the pieces it is built from and their
+    tapes (_tape), with the march weight w = psi |f|^(-1/2) (one tape, bit
+    for bit the product) and its tail moments a1 = w' and
+    a2 = (a1 |f|^(-1/2))'."""
 
     psi_ast: expr.ExprNode
     amplitude_ast: expr.ExprNode     # |f|^(-1/4)
     sqrt_f_ast: expr.ExprNode        # |f|^(1/2)
     inv_sqrt_f_ast: expr.ExprNode    # |f|^(-1/2)
-    psi: object = field(repr=False, default=None)
-    amplitude: object = field(repr=False, default=None)
-    sqrt_f: object = field(repr=False, default=None)
-    inv_sqrt_f: object = field(repr=False, default=None)
 
-    def __post_init__(self):
-        if self.psi is None:
-            self.psi = expr.compile_fn(self.psi_ast)
-        if self.amplitude is None:
-            self.amplitude = expr.compile_fn(self.amplitude_ast)
-        if self.sqrt_f is None:
-            self.sqrt_f = expr.compile_fn(self.sqrt_f_ast)
-        if self.inv_sqrt_f is None:
-            self.inv_sqrt_f = expr.compile_fn(self.inv_sqrt_f_ast)
+    psi = _tape(lambda d: d.psi_ast)
+    amplitude = _tape(lambda d: d.amplitude_ast)
+    sqrt_f = _tape(lambda d: d.sqrt_f_ast)
+    inv_sqrt_f = _tape(lambda d: d.inv_sqrt_f_ast)
+    amp_deriv = _tape(lambda d: expr.differentiate(d.amplitude_ast))
+    d_sqrt_f = _tape(lambda d: expr.differentiate(d.sqrt_f_ast))
+    w = _tape(lambda d: d.w_ast)
+    a1 = _tape(lambda d: d.a1_ast)
+    a2 = _tape(lambda d: expr.differentiate(
+        expr.binary("mul", d.a1_ast, d.inv_sqrt_f_ast)))
+
+    @functools.cached_property
+    def w_ast(self):
+        return expr.binary("mul", self.psi_ast, self.inv_sqrt_f_ast)
+
+    @functools.cached_property
+    def a1_ast(self):
+        return expr.differentiate(self.w_ast)
 
 
 def compute_psi(split, sign):
@@ -217,6 +233,17 @@ def _check(checks, name, passed, detail):
         raise HypothesisFailed(detail, checks)
 
 
+def _check_integrable(checks, name, tape, start, what, failure):
+    """Record whether int_start^inf |tape| converges: the check name passes
+    with the tail's value, or fails with the detail failure."""
+    try:
+        tail = quadrature.l1_tail_norm(tape, start, tol=1e-8)
+    except quadrature.DivergenceError:
+        _check(checks, name, False, failure)
+    _check(checks, name, True, "int_%g^inf %s = %.6g" % (start, what,
+                                                         tail.value))
+
+
 def classify_regime(split, endpoint, interval, checks=None):
     """Decide the asymptotic regime of u'' = (f+g) u at an endpoint.
 
@@ -228,6 +255,8 @@ def classify_regime(split, endpoint, interval, checks=None):
     integrability of the perturbation (psi for nonzero f, the s-weighted
     g for f == 0).  Raises HypothesisFailed (or AmbiguousSignError) as
     soon as a hypothesis fails; the raised error carries the check log.
+    At the endpoint 0 they run on the inverted split, logged inverted:<name>,
+    and a failure keeps its class, its message prefixed "in s = 1/x: ".
     An f that is not finite at a probe point raises expr.EvalDomainError.
     """
     if checks is None:
@@ -243,10 +272,11 @@ def classify_regime(split, endpoint, interval, checks=None):
             sub = classify_regime(inverted, "infinity", (1.0 / hi, math.inf),
                                   checks=inner)
         except HypothesisFailed as e:
-            checks.extend(
-                dict(c, name="inverted:" + c["name"]) for c in e.checks)
-            raise HypothesisFailed(str(e), checks) from None
-        checks.extend(dict(c, name="inverted:" + c["name"]) for c in sub.checks)
+            # any range the message names is in s; the error carries
+            # checks, which the finally clause extends before it propagates
+            raise type(e)("in s = 1/x: %s" % e, checks) from None
+        finally:
+            checks.extend(dict(c, name="inverted:" + c["name"]) for c in inner)
         if sub.sign == 0:
             _check(checks, "leading-part-at-zero", False,
                    "f vanishes identically near 0; substitute s = 1/x and "
@@ -276,15 +306,10 @@ def classify_regime(split, endpoint, interval, checks=None):
     start = max(lo, 1.0)
     if sign == 0:
         # algebraic regime: need the first moment of g near infinity
-        try:
-            tail = quadrature.l1_tail_norm(lambda x: x * split.g(x), start,
-                                           tol=1e-8)
-        except quadrature.DivergenceError:
-            _check(checks, "weighted-perturbation-integrable", False,
-                   "int s*|g(s)| ds diverges at infinity, so solutions need "
-                   "not behave like a + b*x there")
-        _check(checks, "weighted-perturbation-integrable", True,
-               "int_%g^inf s*|g| = %.6g" % (start, tail.value))
+        _check_integrable(checks, "weighted-perturbation-integrable",
+                          split.sg, start, "s*|g|",
+                          "int s*|g(s)| ds diverges at infinity, so solutions "
+                          "need not behave like a + b*x there")
         return Classification(Regime.ALGEBRAIC_INFINITY, 0, checks)
 
     psi = compute_psi(split, sign)
@@ -309,14 +334,9 @@ def classify_regime(split, endpoint, interval, checks=None):
                "finite transformed distance and no normal form applies")
         regime = Regime.EXP_INFINITY if sign > 0 else Regime.OSC_INFINITY
 
-    try:
-        tail = quadrature.l1_tail_norm(psi.psi, start, tol=1e-8)
-    except quadrature.DivergenceError:
-        _check(checks, "perturbation-integrable", False,
-               "the perturbation psi is not integrable at infinity; the "
-               "leading part does not dominate")
-    _check(checks, "perturbation-integrable", True,
-           "int_%g^inf |psi| = %.6g" % (start, tail.value))
+    _check_integrable(checks, "perturbation-integrable", psi.psi, start,
+                      "|psi|", "the perturbation psi is not integrable at "
+                      "infinity; the leading part does not dominate")
     return Classification(regime, sign, checks, power=power, psi=psi)
 
 

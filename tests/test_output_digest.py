@@ -100,7 +100,7 @@ def test_compare_names_what_moved(tmp_path):
     new.write_text(_NEW)
     lines = []
     assert digest.main(["--compare", str(old), str(new)],
-                       emit=lines.append) == 0
+                       emit=lines.append) == 1
     moved = {line.split(": ")[0]: line.split(": ", 1)[1] for line in lines
              if not line.startswith(("only in", "beyond bound"))
              and ": " in line}
@@ -123,5 +123,33 @@ def test_compare_names_what_moved(tmp_path):
         "beyond bound: certify 1 #0 constant-exp constants.z_infinity "
         "moved by 1e-09 > tail_residual_bound 1e-10"]
     same = []
-    digest.main(["--compare", str(old), str(old)], emit=same.append)
+    assert digest.main(["--compare", str(old), str(old)],
+                       emit=same.append) == 0
     assert same == ["9 of 9 fields unmoved"]
+
+
+def _exit_code(tmp_path, old_text, new_text):
+    old, new = tmp_path / "old.txt", tmp_path / "new.txt"
+    old.write_text(old_text)
+    new.write_text(new_text)
+    return _load().main(["--compare", str(old), str(new)],
+                        emit=lambda line: None)
+
+
+def test_compare_exits_with_1_on_what_breaks_identity(tmp_path):
+    head = _OLD.splitlines(keepends=True)
+    # numbers that move within their bounds: a round, a point, a row
+    # cell and seed 2's z_infinity (1e-11 against its bound of 1e-10)
+    within = _OLD.replace("100.0", "100.5").replace(
+        "value(3.0) 9.0", "value(3.0) 9.000000000000002").replace(
+        "0.5), ('ratio'", "0.4), ('ratio'").replace(
+        "z_infinity 2.0", "z_infinity 2.00000000001")
+    assert _exit_code(tmp_path, _OLD, within) == 0
+    # a field that moved in text
+    assert _exit_code(tmp_path, _OLD, _OLD.replace("bad token", "bad")) == 1
+    # a line in only one digest, either way
+    assert _exit_code(tmp_path, _OLD, "".join(head[:-1])) == 1
+    assert _exit_code(tmp_path, "".join(head[:-1]), _OLD) == 1
+    # a certify constant beyond its bound
+    assert _exit_code(tmp_path, _OLD, _OLD.replace(
+        "z_infinity 1.25", "z_infinity 1.250000001")) == 1

@@ -793,12 +793,12 @@ def _predicted_closed_form(reg, a, xs, L, tol):
     """Each regime's end prediction written out as a closed form, apart
     from volterra's bound functions."""
     if isinstance(reg, pipeline._Algebraic):
-        S2 = quadrature.integrate_finite(lambda s: s * reg.sg(s), a, xs,
-                                         tol=tol).value
+        S2 = quadrature.integrate_finite(lambda s: s * reg.split.sg(s), a,
+                                         xs, tol=tol).value
         return L * (2.0 * L + np.abs(S2) / xs) / (1.0 - L)
     if isinstance(reg, pipeline._Exponential):
-        return 0.5 * L * (L + 0.25 * np.abs(reg.w(xs))) / (1.0 - 0.5 * L)
-    R2 = quadrature.l1_tail_norm(reg.tail_moments[1], xs, tol=tol).value
+        return 0.5 * L * (L + 0.25 * np.abs(reg.psi.w(xs))) / (1.0 - 0.5 * L)
+    R2 = quadrature.l1_tail_norm(reg.psi.a2, xs, tol=tol).value
     return (0.5 * L * L + 0.75 * R2) / (1.0 - L)
 
 
@@ -821,6 +821,59 @@ def test_predicted_residual_is_the_closed_form(f, g, kw):
         np.testing.assert_array_equal(
             reg.predicted_residual(a, xs, L, tol),
             _predicted_closed_form(reg, a, xs, L, tol))
+
+
+def _compiled_tapes(monkeypatch):
+    """Wrap expr.compile_fn: every tape compiled from now on appends its
+    [text, runs] to the returned list, runs counting its calls."""
+    tapes, compile_fn = [], expr.compile_fn
+
+    def counting(tree):
+        fn, entry = compile_fn(tree), [expr.to_string(tree), 0]
+
+        def run(x):
+            entry[1] += 1
+            return fn(x)
+
+        tapes.append(entry)
+        return run
+
+    monkeypatch.setattr(expr, "compile_fn", counting)
+    return tapes
+
+
+@pytest.mark.parametrize("f, g, kw", [
+    ("1", "3/(4*x^2)", {}),                 # constant f
+    ("1.1*x", "0", {}),                     # power-law f
+    ("-(1.2+1/x)", "0", {}),                # oscillatory, not a power
+    ("0", "1.5*x^-4", {}),                  # algebraic
+    ("1/x^2", "1.75 - 1/(4*x^2)", {"endpoint": "zero", "interval": (0, 1)}),
+])
+def test_every_tape_an_analysis_compiles_runs(monkeypatch, f, g, kw):
+    # the split and psi compile a tape when it is first read, so what an
+    # analysis and its --json never sample is never compiled
+    tapes = _compiled_tapes(monkeypatch)
+    cli.json_dumps(analyze(f, g, **kw).to_json_dict())
+    assert tapes
+    assert [text for text, runs in tapes if not runs] == []
+
+
+@pytest.mark.parametrize("f, g, kw, error", [
+    ("0", "3/x^2", {}, HypothesisFailed),           # s g not integrable
+    ("1", "1/x", {}, HypothesisFailed),             # psi not integrable
+    ("x^-3", "0", {}, HypothesisFailed),            # phase converges, p < -2
+    ("1.5/(x^3 + 1)", "0", {}, HypothesisFailed),   # ... by quadrature
+    ("sin(x)", "0", {}, transform.AmbiguousSignError),
+    ("exp(-x)", "0", {}, transform.AmbiguousSignError),
+    ("(x", "0", {}, expr.ParseError),
+    ("sin(1/x)", "0", {"endpoint": "zero"}, transform.AmbiguousSignError),
+    ("0", "exp(-1/x)/x^6", {"endpoint": "zero"}, HypothesisFailed),
+])
+def test_every_tape_a_refusal_compiles_runs(monkeypatch, f, g, kw, error):
+    tapes = _compiled_tapes(monkeypatch)
+    with pytest.raises(error):
+        analyze(f, g, **kw)
+    assert [text for text, runs in tapes if not runs] == []
 
 
 @pytest.mark.parametrize("f", ["1e-40", "1e-300", "-1e-300"])

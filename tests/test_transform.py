@@ -224,6 +224,25 @@ def test_classify_vanishing_f_at_zero_guides_substitution():
     assert "s = 1/x" in str(exc.value)
 
 
+def test_zero_endpoint_failure_keeps_its_class():
+    # sin(1/x) at 0 is sin(s) s^-4 in s = 1/x: its sign changes, as sin(x)
+    # does at infinity, and the range in the message is one in s
+    with pytest.raises(AmbiguousSignError) as at_inf:
+        pipeline.analyze("sin(x)", "0")
+    with pytest.raises(AmbiguousSignError) as exc:
+        pipeline.analyze("sin(1/x)", "0", endpoint="zero")
+    assert str(exc.value) == "in s = 1/x: %s" % at_inf.value
+    assert "[1, 1e+06]" in str(exc.value)
+    exc = pytest.raises(HypothesisFailed, classify_regime,
+                        split_of("3/(4*x^2)", "1"), "zero", (0.0, 10.0))
+    assert type(exc.value) is HypothesisFailed
+    assert str(exc.value).startswith("in s = 1/x: the perturbation psi")
+    names = [c["name"] for c in exc.value.checks]
+    assert names == ["inverted:sign-probe",
+                     "inverted:phase-integral-diverges",
+                     "inverted:perturbation-integrable"]
+
+
 def test_classify_rejects_algebraic_with_heavy_tail():
     with pytest.raises(HypothesisFailed) as exc:
         classify_regime(split_of("0", "2/x^2"), "zero", (0.0, 10.0))

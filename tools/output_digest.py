@@ -27,7 +27,10 @@ reads two saved digests and prints, per field (a template's field path
 with list indices and evaluation points collapsed), how many lines moved
 and the largest relative move of their numbers; every line whose field
 is in only one digest; and every certify constant that moved by more than
-its case's constants.tail_residual_bound in NEW.
+its case's constants.tail_residual_bound in NEW.  It exits with 1 when a
+line moved in text (more than its numbers changed), when a line is in
+only one digest, or when a certify constant moved beyond its bound, and
+with 0 otherwise: equal digests, or numbers that moved within bounds.
 """
 
 from __future__ import annotations
@@ -176,7 +179,9 @@ def _read(path):
 
 
 def compare(old_path, new_path, emit):
-    """Print what moved between two digests (see the module docstring)."""
+    """Print what moved between two digests; 1 when a line moved in text,
+    a line is in only one digest or a constant moved beyond its bound,
+    else 0 (see the module docstring)."""
     old, new = _read(old_path), _read(new_path)
     both = [key for key in new if key in old]
     fields = {}     # field: [lines, moved, largest move, text moves]
@@ -198,10 +203,12 @@ def compare(old_path, new_path, emit):
                     move, ", %d in text" % text if text else "")))
     emit("%d of %d fields unmoved" % (sum(not stat[1] for stat
                                           in fields.values()), len(fields)))
+    failed = any(stat[3] for stat in fields.values())
     for name, mine, other in (("OLD", old, new), ("NEW", new, old)):
         for key in mine:
             if key not in other:
                 emit("only in %s: %s %s" % (name, key, mine[key]))
+                failed = True
     for key in both:
         words = key.split(" ")
         bound_key = " ".join(words[:4] + ["constants.tail_residual_bound"])
@@ -215,7 +222,8 @@ def compare(old_path, new_path, emit):
         if delta > float(bound):
             emit("beyond bound: %s moved by %.3g > tail_residual_bound %s"
                  % (key, delta, bound))
-    return 0
+            failed = True
+    return int(failed)
 
 
 def main(argv=None, emit=print):
