@@ -344,9 +344,10 @@ def classify_regime(split, endpoint, interval, checks=None):
 # phase map
 
 # A table cell is accepted when |K - G| <= _CELL_RTOL |K|.  The test is
-# relative because |K - G| bottoms out near 4e-15 |K|, the precision of the
-# 15-digit Gauss-Kronrod weights: an absolute target on a phase of size
-# ~500 lies below that floor and would bisect until the budget ran out.
+# relative because |K - G| bottoms out at the rounding of the rules' sums,
+# up to about 5e-16 |K| on smooth |f|^(1/2): an absolute target on a phase
+# of size ~500 lies below that floor and would bisect until the budget
+# ran out.
 _CELL_RTOL = 1e-13
 # The table starts from this many equal cells.  Gauss-Kronrod accepts a
 # polynomial |f|^(1/2) on one cell however wide, so the first cells may

@@ -1,5 +1,6 @@
 import math
 import re
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -31,6 +32,29 @@ def test_polynomials_exact():
         res = integrate_finite(lambda x, d=deg: x ** d, 0.0, 1.0, tol=1e-12)
         want = 1.0 / (deg + 1)
         assert res.value == pytest.approx(want, rel=5e-15, abs=1e-15)
+
+
+def _worst_moment(xs, ws, kmax):
+    """The largest |sum w x^k - int_-1^1 x^k| for k <= kmax, in exact
+    rational arithmetic on the stored doubles."""
+    xs, ws = [Fraction(v) for v in xs], [Fraction(v) for v in ws]
+    return max(abs(sum(w * x ** k for x, w in zip(xs, ws))
+                   - (Fraction(2, k + 1) if k % 2 == 0 else 0))
+               for k in range(kmax + 1))
+
+
+def test_rule_constants_are_exact_to_their_last_bits():
+    # the Kronrod rule is exact for degree <= 22, the Gauss rule for <= 13;
+    # 15-digit constants missed by 6.0e-15 and 1.1e-15
+    assert _worst_moment(quadrature._XK, quadrature._WK, 22) <= 4e-16
+    assert _worst_moment(quadrature._XK[1::2], quadrature._WG, 13) <= 4e-16
+
+
+def test_one_cell_tail_is_within_one_ulp():
+    # x^-2 from 10 is one cell of the scaled map; weights summing to
+    # 2 - 6e-15 read 0.0999999999999997
+    value = integrate_to_infinity(lambda x: x ** -2.0, 10.0).value
+    assert abs(value - 0.1) <= math.ulp(0.1)
 
 
 def test_oscillatory_value():
