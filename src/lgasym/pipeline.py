@@ -160,22 +160,20 @@ def _cell_units(levels, top, n_c):
                             if rest >> b & 1]]).astype(int)
 
 
-def _graded_march(pilot, sample, solve, h_c, n_c):
-    """March once on the graded grid of level-0 step h_c over n_c such
-    steps.  Returns the run, its cells charged as march steps.
+def _graded_march(sample, h_c, n_c):
+    """Grade and sample the grid of level-0 step h_c over n_c such steps.
+    Returns (march samples, cell steps, positions) of the graded grid.
 
     sample(idx) gives (march samples, grading weight |w|, positions) at
-    the positions idx * h_c / 2; solve(samples, cell steps, positions)
-    marches them; pilot(idx) gives the grading weight alone, at points
-    that need only be near those positions.  The pilot samples the weight at the nodes of the
-    largest cells, which are nodes of every graded grid.  Each pilot
-    interval gets the level (_levels) of the largest weight sampled at or
-    beyond its start (a suffix max, so a step never grows into a later
-    bump), with W0 the largest weight seen.  Every sample of the march
-    (the nodes and midpoints of the cells) is then checked against its
-    cell by the same rule: a sample that breaks it joins the samples and
-    forces a re-grade, which lowers that cell's level.  Levels only fall
-    from one grading to the next, so this ends.
+    the positions idx * h_c / 2.  The pilot is sample's weight at the
+    nodes of the largest cells, which are nodes of every graded grid.
+    Each pilot interval gets the level (_levels) of the largest weight
+    sampled at or beyond its start (a suffix max, so a step never grows
+    into a later bump), with W0 the largest weight seen.  Every sample of
+    the march (the nodes and midpoints of the cells) is then checked
+    against its cell by the same rule: a sample that breaks it joins the
+    samples and forces a re-grade, which lowers that cell's level.  Levels
+    only fall from one grading to the next, so this ends.
 
     Raises AnalysisError, allocating nothing, when n_c exceeds
     _MAX_LEVEL0_STEPS.
@@ -190,7 +188,7 @@ def _graded_march(pilot, sample, solve, h_c, n_c):
     full = 2 ** top
     starts = 2 * full * np.arange(-(-n_c // full))      # in half steps
     seen_at = np.append(starts, 2 * n_c)
-    seen = pilot(seen_at)
+    seen = sample(seen_at)[1]
     W0 = np.max(seen)
     levels = np.full(len(starts), top)
     while True:
@@ -210,9 +208,7 @@ def _graded_march(pilot, sample, solve, h_c, n_c):
             break
         seen_at = np.concatenate([seen_at, idx])
         seen = np.concatenate([seen, weight])
-    run = solve(vals, h_c * units, nodes)
-    quadrature.charge("march_steps", run.steps)
-    return run
+    return vals, h_c * units, nodes
 
 
 # --------------------------------------------------------------------------
@@ -251,11 +247,6 @@ class _Shape:
         return transform.PhaseMap.build(self.table, self.psi.inv_sqrt_f,
                                         self.psi.d_sqrt_f, ys)
 
-    def rough_x(self, a, ys):
-        """x at the phase values ys, interpolated linearly in the table:
-        where the march's pilot samples the weight."""
-        return np.interp(ys, self.table.phi, self.table.edges)
-
 
 class _PowerShape(_Shape):
     """f = c x^p: the closed-form phase map (transform.PhaseMap.closed_form)
@@ -279,9 +270,6 @@ class _PowerShape(_Shape):
 
     def phase_map(self, a, ys):
         return transform.PhaseMap.closed_form(a, self.c, self.p, ys)
-
-    def rough_x(self, a, ys):
-        return self.phase_map(a, ys).x_nodes
 
 
 # --------------------------------------------------------------------------
@@ -321,11 +309,8 @@ class _Algebraic:
                 g = self.split.g(s)
                 return g, np.abs(s * g), s
 
-        def solve(g, steps, s):
-            return volterra.solve_algebraic(g, a, steps, grid=s)
-
-        self.sol = _graded_march(lambda idx: sample(idx)[1], sample, solve,
-                                 h_c, n_c)
+        g, steps, s = _graded_march(sample, h_c, n_c)
+        self.sol = volterra.solve_algebraic(g, a, steps, grid=s)
 
     def predicted_residual(self, a, xs, L, tol):
         """complete()'s residual bound with z = 1: then X z'(X) = S2(X) / X,
@@ -407,23 +392,15 @@ class _Phased:
         return float(self.phase_map.x_nodes[-1])
 
     def march(self, a, y_span, h_c, n_c):
-        maps = []
-
-        def pilot(idx):
-            return np.abs(self.psi.w(self.shape.rough_x(a, 0.5 * h_c * idx)))
-
+        # the last grid sampled is the one marched, so its map is kept
         def sample(idx):
-            pmap = self.shape.phase_map(a, 0.5 * h_c * idx)
-            quadrature.charge("map_nodes", len(idx))
-            maps.append(pmap)
+            pmap = self.phase_map = self.shape.phase_map(a, 0.5 * h_c * idx)
             w = self.psi.w(pmap.x_nodes)
             return w, np.abs(w), pmap.y_nodes
 
-        def solve(w, steps, y):
-            return volterra.solve_kernel(w, steps, self.zeta, grid=y)
-
-        self.sol = _graded_march(pilot, sample, solve, h_c, n_c)
-        self.phase_map = maps[-1]
+        w, steps, y = _graded_march(sample, h_c, n_c)
+        quadrature.charge("map_nodes", len(y))
+        self.sol = volterra.solve_kernel(w, steps, self.zeta, grid=y)
 
     def tail_integrals(self, qtol):
         """int psi and int |psi| past the grid end."""
@@ -668,6 +645,7 @@ def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, inverted):
         for attempt in range(4):
             try:
                 reg.march(a, span, h_c, n_c)
+                quadrature.charge("march_steps", reg.sol.steps)
                 break
             except (volterra.EnvelopeError, volterra.StepTooLargeError):
                 if attempt == 3:

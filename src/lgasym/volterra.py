@@ -444,21 +444,15 @@ def solve_kernel(w_vals, h, zeta, grid=None):
     w, h = _inputs(w_vals, h)
     oscillatory = (complex(zeta).real == 0.0)
     mu = complex(2.0 * zeta) if oscillatory else float(2.0 * zeta)
-    # one _cell_maps call per run of equal steps, with scalar weights;
-    # runs of fewer than 64 cells in a row share a call, with the weights
-    # gathered per cell
+    # one _cell_maps call per run of equal steps, with that run's scalar
+    # weights
     starts = np.flatnonzero(np.diff(h, prepend=np.nan))
     weights = _kernel_weights(mu, h[starts])
-    bounds = sorted({0, len(h)}.union(*(
-        (lo, hi) for lo, hi in zip(starts, [*starts[1:], len(h)])
-        if hi - lo >= 64)))
     maps = np.empty((9, len(h)), np.result_type(mu, w))
-    for lo, hi in zip(bounds, bounds[1:]):
-        run = starts.searchsorted(np.arange(lo, hi), side="right") - 1
+    for r, (lo, hi) in enumerate(zip(starts, [*starts[1:], len(h)])):
         maps[:, lo:hi] = _cell_maps(
             w[2 * lo:2 * hi:2], w[2 * lo + 1:2 * hi:2],
-            w[2 * lo + 2:2 * hi + 1:2],
-            *weights[..., run[0] if run[0] == run[-1] else run])
+            w[2 * lo + 2:2 * hi + 1:2], *weights[..., r])
     trapezoid = np.repeat(0.25 * h, 2)
     grid = _running(2.0 * trapezoid) if grid is None else np.asarray(grid,
                                                                      float)

@@ -937,12 +937,11 @@ def test_graded_pair_regrades_on_a_bump_the_pilot_missed():
         y = 0.5 * h_c * idx
         return w(y), w(y), y
 
-    def solve(vals, steps, nodes):
-        return volterra.solve_kernel(vals, steps, 1.0, grid=nodes)
-
-    run = pipeline._graded_march(
-        lambda idx: w(0.5 * h_c * idx), sample, solve, h_c, n_c)
-    assert len(calls) == 2
+    vals, steps, nodes = pipeline._graded_march(sample, h_c, n_c)
+    run = volterra.solve_kernel(vals, steps, 1.0, grid=nodes)
+    # the pilot, on the nodes 0.16 apart, then the two gradings
+    assert calls[0] == n_c // 16 + 2
+    assert len(calls) == 3
     assert run.grid[-1] == pytest.approx(h_c * n_c)
     # the cells, each sampled at its nodes and midpoint
     starts, steps = run.grid[:-1:2], 2 * run.cell_h[::2]
@@ -951,6 +950,45 @@ def test_graded_pair_regrades_on_a_bump_the_pilot_missed():
     assert np.all(steps[starts < 5.04] == h_c)
     # e^-10 is 2.2e4 times below the peak: level 3 (24^3 = 13824)
     assert np.max(steps) == 8 * h_c
+
+
+def test_graded_march_reads_the_weight_only_at_map_nodes(monkeypatch):
+    # osc-at-inf's f is not a single power, so its map is built by Newton
+    # steps: the pilot reads psi.w where the march itself does, at nodes of
+    # a PhaseMap.build result, not at points interpolated in the table
+    nodes, reads, marching = [], [], [False]
+    build, graded = transform.PhaseMap.build, pipeline._graded_march
+    tape = transform.PsiData.__dict__["w"]
+
+    def built(*args):
+        pmap = build(*args)
+        nodes.append(pmap.x_nodes)
+        return pmap
+
+    def graded_march(*args):
+        marching[0] = True
+        try:
+            return graded(*args)
+        finally:
+            marching[0] = False
+
+    def w(psi):
+        fn = tape.__get__(psi, type(psi))
+
+        def read(x):
+            if marching[0]:
+                reads.append(np.array(x, dtype=float))
+            return fn(x)
+        return read
+
+    monkeypatch.setattr(transform.PhaseMap, "build", built)
+    monkeypatch.setattr(pipeline, "_graded_march", graded_march)
+    monkeypatch.setattr(transform.PsiData, "w", property(w))
+    analyze("-(1.2+1/x)", "0")
+    assert reads and nodes
+    known = np.concatenate(nodes)
+    for x in reads:
+        assert np.all(np.isin(x, known))
 
 
 # ------------------------------------------------------------ controls
@@ -1014,8 +1052,7 @@ def test_march_guard_runs_before_the_pilot():
         raise AssertionError("sampled %d points" % len(idx))
 
     with pytest.raises(AnalysisError, match="cap"):
-        pipeline._graded_march(pilot, pilot, None, 0.01,
-                              pipeline._MAX_LEVEL0_STEPS + 1)
+        pipeline._graded_march(pilot, 0.01, pipeline._MAX_LEVEL0_STEPS + 1)
 
 
 @pytest.mark.parametrize("step, error", [

@@ -874,6 +874,25 @@ def test_uniform_step_array_is_bitwise_the_scalar_step(kind):
         assert np.array_equal(a, b), field.name
 
 
+@pytest.mark.parametrize("zeta", (1.0, 1j))
+def test_one_cell_map_call_per_run_of_equal_steps(zeta, monkeypatch):
+    # three runs of 10 cells each: one _cell_maps call per run, each with
+    # that run's scalar weights
+    steps = np.repeat([0.01, 0.02, 0.04], 10)
+    grid = np.concatenate(([0.0], np.cumsum(np.repeat(0.5 * steps, 2))))
+    calls = []
+    cell_maps = volterra._cell_maps
+
+    def counted(w0, wm, w1, mid, end):
+        calls.append((len(w0), np.ndim(mid[0])))
+        return cell_maps(w0, wm, w1, mid, end)
+
+    monkeypatch.setattr(volterra, "_cell_maps", counted)
+    sol = solve_kernel(np.exp(-grid), steps, zeta, grid=grid)
+    assert calls == [(10, 0)] * 3
+    assert sol.steps == 30
+
+
 def _long_double_march(sol):
     """z and z' at the samples of a march, marched again one cell at a time
     in long double on the first form of the scheme, which carries z next
