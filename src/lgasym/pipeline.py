@@ -447,41 +447,45 @@ class _Exponential(_Phased):
     def solutions(self):
         sol, shape, phase = self.sol, self.shape, self.phase_fn()
         zhat = float(np.real(self.completion.value))
-        scale = math.exp(shape.origin_rate * self.phase_map.a) / zhat
+        # the solutions are normalized at the phase origin_rate * a, which
+        # goes inside each exponential, e^{+-(origin + y)}: the dominant
+        # branch overflows to inf and the recessive one underflows to 0
+        # only where their values leave the float range
+        origin = shape.origin_rate * self.phase_map.a
         amp, amp_d, psi = shape.amp, shape.amp_d, self.psi
-        # In the phase variable u1^{-2} dx = scale^{-2} kappa e^{-2y} z^{-2} dy
-        # exactly: the amplitude |f|^{-1/4} cancels the Jacobian |f|^{-1/2},
-        # and kappa = 1 / norm is the constant map's 1 / rate.  Past the grid
-        # end Y the closed tail u1(Y)^{-2} / (2 |f|^{1/2}), exact for any
-        # pure shape |f|^{-1/4} e^{Phi}, is e^{-2Y} / (2 z(Y)^2) in these
-        # units.  So u2 = 2 u1 int_x^inf u1^{-2} is a constant times
-        # amp z e^{-y} rest(y), and no factor in it overflows.
+        # In the phase variable u1^{-2} dx = zhat^2 e^{-2 origin} kappa
+        # e^{-2y} z^{-2} dy exactly: the amplitude |f|^{-1/4} cancels the
+        # Jacobian |f|^{-1/2}, and kappa = 1 / norm is the constant map's
+        # 1 / rate.  Past the grid end Y the closed tail u1(Y)^{-2} / (2
+        # |f|^{1/2}), exact for any pure shape |f|^{-1/4} e^{Phi}, is
+        # e^{-2Y} / (2 z(Y)^2) in these units.  So u2 = 2 u1 int_x^inf
+        # u1^{-2} is a constant times amp z e^{-(origin + y)} rest(y).
         rest = volterra.InverseSquareIntegral(sol, 2.0, 0.5 / sol.z[-1] ** 2)
 
         def u1(x):
             x, y = phase(x)
             with np.errstate(over="ignore"):
-                return scale * amp(x) * np.exp(y) * sol.z_at(y)
+                return amp(x) * np.exp(origin + y) * sol.z_at(y) / zhat
 
         def u1d(x):
             x, y = phase(x)
             z = sol.z_at(y)
             with np.errstate(over="ignore"):
-                return scale * np.exp(y) * (amp_d(x) * z + amp(x)
-                                            * psi.sqrt_f(x)
-                                            * (z + sol.deriv_at(y)))
+                return np.exp(origin + y) / zhat * (
+                    amp_d(x) * z + amp(x) * psi.sqrt_f(x)
+                    * (z + sol.deriv_at(y)))
 
         def u2(x):
             x, y = phase(x)
-            return 2.0 / (scale * shape.norm) * amp(x) * sol.z_at(y) \
-                * np.exp(-y) * rest(y)
+            return 2.0 * zhat / shape.norm * amp(x) * sol.z_at(y) \
+                * np.exp(-(origin + y)) * rest(y)
 
         def u2d(x):
             # (u1'/u1) u2 - 2/u1
             x, y = phase(x)
             z, ax = sol.z_at(y), amp(x)
             core = amp_d(x) * z + ax * psi.sqrt_f(x) * (z + sol.deriv_at(y))
-            return 2.0 / scale * np.exp(-y) * (
+            return 2.0 * zhat * np.exp(-(origin + y)) * (
                 core * rest(y) / shape.norm - 1.0 / (ax * z))
 
         self.pair = [

@@ -49,6 +49,39 @@ def test_exponential_connection_constant():
     assert r.verification["tail_consistent"]
 
 
+@pytest.mark.parametrize("f, lo", [("4", 400.0), ("1", 800.0)])
+def test_far_cutoff_of_constant_f_is_not_an_overflow(f, lo):
+    # the solutions are normalized at the phase sqrt(f) * cutoff, past 709:
+    # the dominant branch overflows to inf, the recessive one to 0, and
+    # analyze returns
+    r = analyze(f, "1/x^2", interval=(lo, math.inf))
+    assert r.certificate.passed() and r.march["cutoff"] == lo
+    x = 1.01 * lo
+    dom, rec = r.solution("dominant"), r.solution("recessive")
+    assert dom.value(x) == math.inf and dom.derivative(x) == math.inf
+    assert rec.value(x) == 0.0 and rec.derivative(x) == 0.0
+
+
+def test_exponential_values_keep_their_normalization():
+    # u1, u1', u2 and u2' of 1, 3/(4 x^2), as the solutions gave them with
+    # the origin phase outside the exponentials
+    r = analyze("1", "3/(4*x^2)")
+    xs = np.array([1.5, 4.0, 20.0])
+    want = {"dominant": ([3.362573014247429, 48.952340622710054,
+                          475919493.9345728],
+                         [3.6656417615917083, 50.51746993954222,
+                          476389582.74026465]),
+            "recessive": ([0.27106475890080467, 0.019920782551904062,
+                           2.0992211725207814e-09],
+                          [-0.2992867947887986, -0.020298364769121023,
+                           -2.101096749108505e-09])}
+    for label, (value, deriv) in want.items():
+        sol = r.solution(label)
+        np.testing.assert_allclose(sol.value(xs), value, rtol=1e-13, atol=0)
+        np.testing.assert_allclose(sol.derivative(xs), deriv, rtol=1e-13,
+                                   atol=0)
+
+
 def test_exponential_wronskian_is_exact():
     r = analyze("1", "3/(4*x^2)")
     for x in (3.0, 20.0, 150.0):
