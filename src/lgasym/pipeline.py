@@ -73,15 +73,26 @@ class NormalizedSolution:
     derivative: object = field(repr=False)
 
 
-def _clip_to_range(x, a, X):
-    """x clipped to [a, X], which no element may leave beyond roundoff."""
+def _clip_to_range(x, lo, hi, toward_zero=False):
+    """x clipped to [lo, hi], which no element may leave beyond roundoff.
+    The cutoff is lo and the far end hi, or the other way round toward
+    zero (x = 1/s of a march in s).  The RangeError names the first element
+    outside and the end it left: --xmax moves only the far end."""
     xv = np.asarray(x, dtype=float)
-    inside = (xv <= X * (1 + 1e-12)) & (xv >= a - 1e-12 * max(1.0, abs(a)))
+    inside = (xv <= hi * (1 + 1e-12)) & (xv >= lo - 1e-12 * max(1.0,
+                                                                abs(lo)))
     if not np.all(inside):
+        bad = np.extract(~inside, xv)[0]
+        if bad > hi if toward_zero else bad < lo:
+            raise RangeError(
+                "x=%g lies %s the certified cutoff %g; --xmax extends only "
+                "the far end" % (bad, "above" if toward_zero else "below",
+                                 hi if toward_zero else lo))
         raise RangeError(
-            "x=%g outside the resolved range [%g, %g]; rerun with a larger "
-            "--xmax to extend it" % (np.extract(~inside, xv)[0], a, X))
-    return np.minimum(np.maximum(xv, a), X)
+            "x=%g outside the resolved range [%g, %g]; rerun with a %s "
+            "--xmax to extend it"
+            % (bad, lo, hi, "smaller" if toward_zero else "larger"))
+    return np.minimum(np.maximum(xv, lo), hi)
 
 
 _H_COARSE_MIN = 0.004
@@ -838,7 +849,8 @@ def analyze(f_text, g_text, endpoint="infinity", interval=None, tol=1e-10,
             frame = (split, cls, float(interval[0]), x_max)
         reg, march, cert, verification, constants = _analyze_infinity(
             *frame, tol, tail_tol, step, inverted)
-    solutions = [_pull_back(s) for s in reg.pair] if inverted else reg.pair
+    solutions = ([_pull_back(s, march["x_min"], march["cutoff_x"])
+                  for s in reg.pair] if inverted else reg.pair)
     return AnalysisReport(
         f_text=f_text, g_text=g_text, endpoint=endpoint,
         interval=(float(interval[0]), float(interval[1])),
@@ -852,16 +864,17 @@ def analyze(f_text, g_text, endpoint="infinity", interval=None, tol=1e-10,
     )
 
 
-def _pull_back(sol):
-    """Map an s-domain solution v to x through u(x) = x * v(1/x)."""
+def _pull_back(sol, lo, hi):
+    """Map an s-domain solution v to x through u(x) = x * v(1/x); x may not
+    leave the resolved range [lo, hi], which is checked in x."""
     v, vd = sol.value, sol.derivative
 
     def value(x):
-        x = np.asarray(x, dtype=float)
+        x = _clip_to_range(x, lo, hi, toward_zero=True)
         return x * v(1.0 / x)
 
     def deriv(x):
-        x = np.asarray(x, dtype=float)
+        x = _clip_to_range(x, lo, hi, toward_zero=True)
         return v(1.0 / x) - vd(1.0 / x) / x
 
     asym = "x * [%s at s=1/x]" % sol.asymptotic

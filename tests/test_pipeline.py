@@ -513,6 +513,36 @@ def test_solution_range_guard():
         rec.value(r.march["cutoff"] * 0.5)
 
 
+_ZERO_FRAME = ("1/x^2", "1.75 - 1/(4*x^2)",
+               {"endpoint": "zero", "interval": (0, 1)})
+_DIRECT_FRAME = ("1", "3/(4*x^2)", {})
+
+
+@pytest.mark.parametrize("case, label, x, words", [
+    (_DIRECT_FRAME, "dominant", 0.5,
+     "x=0.5 lies below the certified cutoff {cutoff:g}; --xmax extends only "
+     "the far end"),
+    (_DIRECT_FRAME, "recessive", 1e6,
+     "x=1e+06 outside the resolved range [{cutoff:g}, {x_max:g}]; rerun "
+     "with a larger --xmax"),
+    (_ZERO_FRAME, "dominant-at-zero", 0.9,
+     "x=0.9 lies above the certified cutoff {cutoff_x:g}; --xmax extends "
+     "only the far end"),
+    (_ZERO_FRAME, "recessive-at-zero", 0.01,
+     "x=0.01 outside the resolved range [{x_min:g}, {cutoff_x:g}]; rerun "
+     "with a smaller --xmax"),
+], ids=["direct-cutoff", "direct-far", "zero-cutoff", "zero-far"])
+def test_range_error_names_x_and_the_end_it_left(case, label, x, words):
+    # the message is in the caller's frame x, also where the march ran in
+    # s = 1/x, and --xmax is offered only past the far end
+    f, g, kw = case
+    r = analyze(f, g, **kw)
+    sol = r.solution(label)
+    for fn in (sol.value, sol.derivative):
+        with pytest.raises(RangeError) as exc:
+            fn(np.array([x]))
+        assert str(exc.value).startswith(words.format(**r.march))
+
 def test_sample_rows():
     r = analyze("1", "3/(4*x^2)")
     rows = r.sample_rows(9)
