@@ -209,6 +209,18 @@ def test_zero_endpoint_solutions():
     assert u2.value(1e-3) / 1e-3 ** 1.5 == pytest.approx(1.0, abs=1e-5)
 
 
+@pytest.mark.xfail(strict=True, raises=quadrature.QuadratureError, reason=(
+    "ROADMAP item 11: the inverted trees are never simplified, so psi of an "
+    "oscillatory problem at zero reads roundoff (+-1e-35 to 1e-25 for "
+    "-1/x^4, whose inverted f is the constant -1) and its tail moment a2 "
+    "turns NaN far out, where the tail prediction samples it"))
+@pytest.mark.parametrize("f, g", [("-1/x^4", "0"), ("-1/x^3", "0"),
+                                  ("-1/x^2", "1 - 1/(4*x^2)")])
+def test_oscillatory_at_zero_certifies(f, g):
+    r = analyze(f, g, endpoint="zero")
+    assert r.regime is Regime.OSC_SINGULAR
+    assert r.certificate.passed()
+
 # ------------------------------------------------------------- Airy
 
 def _airy(x):
