@@ -313,7 +313,7 @@ class _Algebraic:
     def span(self, a, x_end):
         return float(x_end - a)
 
-    def march(self, a, span, h_c, n_c):
+    def march(self, a, h_c, n_c):
         def sample(idx):
             s = a + 0.5 * h_c * idx
             with np.errstate(all="ignore"):
@@ -402,7 +402,7 @@ class _Phased:
     def end(self):
         return float(self.phase_map.x_nodes[-1])
 
-    def march(self, a, y_span, h_c, n_c):
+    def march(self, a, h_c, n_c):
         # the last grid sampled is the one marched, so its map is kept
         def sample(idx):
             pmap = self.phase_map = self.shape.phase_map(a, 0.5 * h_c * idx)
@@ -659,7 +659,7 @@ def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, inverted):
         h_c, n_c = _choose_h(span, step)
         for attempt in range(4):
             try:
-                reg.march(a, span, h_c, n_c)
+                reg.march(a, h_c, n_c)
                 quadrature.charge("march_steps", reg.sol.steps)
                 break
             except (volterra.EnvelopeError, volterra.StepTooLargeError):
