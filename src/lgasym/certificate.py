@@ -6,8 +6,8 @@ a ball of radius exp(tail) - 1 around 1, and keeping that radius below 1
 (tail < log 2) separates the two connection constants from zero and from
 each other.  find_cutoff locates the smallest cutoff (to three
 significant digits) whose tail mass is at or below a target, by
-geometric growth followed by bisection; the default target keeps a 10%
-margin under log 2.
+geometric growth followed by bisection on exact tails where the weight
+is a power; the default target keeps a 10% margin under log 2.
 
 A Certificate records the cutoff, the measured tail, the implied radius
 and the envelope diagnostics of the actual march, as a list of named
@@ -23,7 +23,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import quadrature
-from .transform import HypothesisFailed
+from .transform import HypothesisFailed, Tails
 
 LOG2 = math.log(2.0)
 DEFAULT_TARGET = 0.9 * LOG2
@@ -60,7 +60,7 @@ class Certificate:
 
 def _tail(weight, a, tol):
     try:
-        return quadrature.l1_tail_norm(weight, a, tol=tol).value
+        return weight.l1(a, tol)
     except quadrature.DivergenceError:
         raise NotIntegrableError(
             "weighted perturbation is not integrable beyond %g"
@@ -68,7 +68,7 @@ def _tail(weight, a, tol):
 
 
 def find_cutoff(weight, left, target=DEFAULT_TARGET, tol=1e-10):
-    """Smallest cutoff a >= left with int_a^inf weight <= target.
+    """Smallest cutoff a >= left with weight.l1(a) <= target (Tails).
 
     Resolved to three significant digits by bisection; the returned
     cutoff is always on the certified side (its tail is <= target).
@@ -139,14 +139,13 @@ def gronwall_certificate(cutoff, tail_norm, envelope_report, target=DEFAULT_TARG
 def verify_certificate(cert, weight, tol=1e-10):
     """Independently recompute the tail mass and report the discrepancy.
 
-    The fresh quadrature is the first tail of a two-limit run, whose cells
-    differ from those of find_cutoff's single-limit runs.  Purely
-    diagnostic: the returned dict states whether the stored tail agrees
-    with it to a relative 1e-6 and whether all recorded checks pass.
-    Nothing is raised on mismatch.
+    The fresh quadrature of weight, a function of x, is the first tail of
+    a two-limit run, never a closed form.  Purely diagnostic: the returned
+    dict states whether the stored tail agrees with it to a relative 1e-6
+    and whether all recorded checks pass.  Nothing is raised on mismatch.
     """
     a = cert.cutoff
-    recomputed = float(_tail(weight, [a, a + 1.0 + abs(a)], tol)[0])
+    recomputed = float(_tail(Tails(weight), [a, a + 1.0 + abs(a)], tol)[0])
     denom = max(abs(cert.tail_norm), abs(recomputed), 1e-300)
     rel = abs(recomputed - cert.tail_norm) / denom
     return {

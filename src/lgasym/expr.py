@@ -37,6 +37,11 @@ differentiate() differentiates each shared subtree once and shares the
 result; compile_fn() value-numbers the tree into an evaluation tape with
 one entry per distinct subtree and runs it without generating code.
 
+power_terms() reads a tree of sums, products, quotients and constant
+powers of x as the sum of its powers {p: c}, cancelling only exactly;
+monomial() is its one-term case, which the closed-form phase map and the
+closed-form tails read.
+
 The tape is the only evaluator, with one IEEE float64 rule: input outside
 the real domain (log/sqrt of a negative, x/0, a negative base under a
 fractional power, overflow) gives nan or inf and never raises.  Every
@@ -185,28 +190,75 @@ def constant_value(e):
     return v
 
 
-def monomial(e):
-    """(c, p) when the tree, of const, x, neg, mul, div and pow, is c x^p
-    with c finite and nonzero, else None.  c folds through the tape's
-    operators in float64: it is the tape's value at x = 1, bit for bit."""
-    def read(node):     # a pow's exponent k reads as (k, 0)
-        op = node.op
-        if op in ("const", "var"):
-            return (np.float64(node.value), 0.0) if op == "const" \
-                else (np.float64(1.0), 1.0)
-        parts = [read(a) for a in node.args]
-        if op not in ("neg", "mul", "div", "pow") or None in parts:
-            return None
-        if op == "neg":
-            return -parts[0][0], parts[0][1]
-        (ca, pa), (cb, pb) = parts
-        return (_APPLY[op](ca, cb),
-                {"mul": pa + pb, "div": pa - pb, "pow": pa * cb}[op])
+def power_terms(e):
+    """{p: c}, the tree as the sum of the powers c x^p, when it is made of
+    const, x, neg, add, sub, mul, div and pow alone, else None.
+
+    Every coefficient folds through the tape's operators in float64, and a
+    term drops only when its coefficient sums to exactly 0, so {} reads the
+    tree 0.  The reading stops at the first node it cannot fold: any other
+    operator (exp, sqrt, ...), a division by a sum or by 0, a power of a
+    sum, or a coefficient or exponent that is not finite (a negative base
+    under a fractional power).  On x > 0 the sum is the tree's value; a
+    shared subtree is read once."""
+    memo = {}
+
+    def read(node):
+        key = id(node)
+        if key not in memo:
+            memo[key] = _terms(node, read)
+        return memo[key]
 
     with np.errstate(all="ignore"):
-        c, p = read(e) or (0.0, 0.0)
-    return (float(c), float(p)) if math.isfinite(c) and c != 0.0 \
-        and math.isfinite(p) else None
+        return read(e)
+
+
+def _terms(node, read):
+    """power_terms of one node, with read reading its operands."""
+    op = node.op
+    if op in ("const", "var"):
+        c, p = (node.value, 0.0) if op == "const" else (1.0, 1.0)
+        return {p: np.float64(c)} if c != 0.0 else {}
+    if op not in ("neg", "add", "sub", "mul", "div", "pow"):
+        return None
+    a = read(node.args[0])
+    if a is None:
+        return None
+    if op == "neg":
+        return {p: -c for p, c in a.items()}
+    if op == "pow":
+        k = node.args[1].value
+        if len(a) != 1:
+            return {} if not a and k > 0.0 else None
+        pairs = [(p * k, c ** np.float64(k)) for p, c in a.items()]
+    else:
+        b = read(node.args[1])
+        if b is None or op == "div" and len(b) != 1:
+            return None
+        if op in ("add", "sub"):
+            pairs = [*a.items(), *((p, -c if op == "sub" else c)
+                                   for p, c in b.items())]
+        else:
+            pairs = [(pa + pb if op == "mul" else pa - pb, _APPLY[op](ca, cb))
+                     for pa, ca in a.items() for pb, cb in b.items()]
+    terms = {}
+    for p, c in pairs:
+        terms[p] = terms[p] + c if p in terms else c
+    if not all(math.isfinite(p) and math.isfinite(c)
+               for p, c in terms.items()):
+        return None
+    return {p: c for p, c in terms.items() if c != 0.0}
+
+
+def monomial(e):
+    """(c, p) when the tree reads as the one power c x^p (power_terms), with
+    c finite and nonzero, else None.  On a tree without add or sub, c is
+    the tape's value at x = 1, bit for bit."""
+    terms = power_terms(e)
+    if terms is None or len(terms) != 1:
+        return None
+    ((p, c),) = terms.items()
+    return float(c), float(p)
 
 
 # --------------------------------------------------------------------------

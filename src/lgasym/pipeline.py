@@ -299,12 +299,23 @@ def _regime_for(split, cls):
     return kind(cls.psi, shape)
 
 
-class _Algebraic:
+class _Regime:
+    """What every regime's table shares: its end and its columns at s."""
+
+    def table_end(self):
+        return self.end * (1 - 1e-6)
+
+    def table(self, s):
+        value, model = self.value(s), self.model(s)
+        return value, model, value / model
+
+
+class _Algebraic(_Regime):
     """f == 0: solutions like x and 1; z is marched in x itself and the
     table follows the dominant branch against x."""
 
     def __init__(self, split):
-        self.split, self.weight = split, split.sg
+        self.split, self.weight, self.tails = split, split.sg, split.sg_tails
 
     @property
     def end(self):
@@ -326,15 +337,13 @@ class _Algebraic:
     def predicted_residual(self, a, xs, L, tol):
         """complete()'s residual bound with z = 1: then X z'(X) = S2(X) / X,
         S2(X) = int_a^X s^2 g."""
-        S2 = quadrature.integrate_finite(lambda s: s * self.weight(s), a, xs,
-                                         tol=tol).value
+        S2 = self.tails.moment(a, xs, tol)
         return volterra.real_bound(L, 1.0, np.abs(S2) / xs)
 
     def complete(self, qtol):
-        X = self.end
-        W0 = quadrature.integrate_to_infinity(self.weight, X, tol=qtol).value
-        W0a = quadrature.l1_tail_norm(self.weight, X, tol=qtol).value
-        c = self.completion = volterra.complete_algebraic(self.sol, W0, W0a)
+        X, tails = self.end, self.tails
+        c = self.completion = volterra.complete_algebraic(
+            self.sol, tails.signed(X, qtol), tails.l1(X, qtol))
         self.constants = {"z_infinity": c.value}
         return c.residual_bound
 
@@ -379,9 +388,6 @@ class _Algebraic:
                      NormalizedSolution("recessive", "1", u2, u2d)]
         return self.pair
 
-    def table_end(self):
-        return self.end * (1 - 1e-6)
-
     def value(self, s):
         return self.pair[0].value(s)
 
@@ -389,14 +395,14 @@ class _Algebraic:
         return np.asarray(s, dtype=float)
 
 
-class _Phased:
+class _Phased(_Regime):
     """What the exponential and oscillatory regimes share: the weight
     psi, the march of the branch e^{zeta y} in the phase variable y and
     the tail integrals of psi."""
 
     def __init__(self, psi, shape):
         self.psi, self.shape, self.span = psi, shape, shape.span
-        self.weight = psi.psi
+        self.weight, self.tails = psi.psi, psi.psi_tails
 
     @property
     def end(self):
@@ -415,9 +421,7 @@ class _Phased:
 
     def tail_integrals(self, qtol):
         """int psi and int |psi| past the grid end."""
-        X, psi = self.end, self.psi.psi
-        return (quadrature.integrate_to_infinity(psi, X, tol=qtol).value,
-                quadrature.l1_tail_norm(psi, X, tol=qtol).value)
+        return self.tails.signed(self.end, qtol), self.tails.l1(self.end, qtol)
 
     def phase_fn(self):
         # (x, y(x)) on the resolved range, which x may not leave; a plain
@@ -431,9 +435,6 @@ class _Phased:
             return x, np.minimum(pmap.y_of_x(x), y_end)
 
         return phase
-
-    def table_end(self):
-        return self.end * (1 - 1e-6)
 
 
 class _Exponential(_Phased):
@@ -486,10 +487,14 @@ class _Exponential(_Phased):
                     amp_d(x) * z + amp(x) * psi.sqrt_f(x)
                     * (z + sol.deriv_at(y)))
 
-        def u2(x):
+        def recessive(x):
+            # u2 and its ratio to the model, which leaves out the factor
+            # e^{-(origin + y)} of both, so it stays finite where they
+            # underflow (a far cutoff)
             x, y = phase(x)
-            return 2.0 * zhat / shape.norm * amp(x) * sol.z_at(y) \
-                * np.exp(-(origin + y)) * rest(y)
+            z, r = sol.z_at(y), rest(y)
+            return (2.0 * zhat / shape.norm * amp(x) * z
+                    * np.exp(-(origin + y)) * r, 2.0 * zhat * z * r)
 
         def u2d(x):
             # (u1'/u1) u2 - 2/u1
@@ -499,11 +504,14 @@ class _Exponential(_Phased):
             return 2.0 * zhat * np.exp(-(origin + y)) * (
                 core * rest(y) / shape.norm - 1.0 / (ax * z))
 
+        self.recessive = recessive
+
         self.pair = [
             NormalizedSolution("dominant", shape.template % ("exp", "+"),
                                u1, u1d),
             NormalizedSolution("recessive", shape.template % ("exp", "-")
-                               + shape.decay_text, u2, u2d)]
+                               + shape.decay_text,
+                               lambda x: recessive(x)[0], u2d)]
         return self.pair
 
     def table_end(self):
@@ -513,8 +521,9 @@ class _Exponential(_Phased):
             return float(self.phase_map.x_of_y(300.0))
         return super().table_end()
 
-    def value(self, s):
-        return self.pair[1].value(s)
+    def table(self, s):
+        value, ratio = self.recessive(s)
+        return value, self.model(s), ratio
 
     def model(self, s):
         pmap, shape = self.phase_map, self.shape
@@ -532,15 +541,13 @@ class _Oscillatory(_Phased):
     def predicted_residual(self, a, xs, L, tol):
         """complete()'s residual bound with z = 1, so |xi1| + |xi2| + |eta1|
         + |eta2| = 2."""
-        R2 = quadrature.l1_tail_norm(self.psi.a2, xs, tol=tol).value
+        R2 = self.psi.a2_tails.l1(xs, tol)
         return volterra.oscillatory_bound(L, 1.0, R2, 2.0)
 
     def complete(self, qtol):
         # the e^{+-2iy} tail moments via two integrations by parts in x
-        psi = self.psi
+        psi, X = self.psi, self.end
         G0, G0a = self.tail_integrals(qtol)
-        X = self.end
-        R2 = quadrature.l1_tail_norm(psi.a2, X, tol=qtol).value
         Y = self.phase_map.y_span
         invX = float(psi.inv_sqrt_f(X))
         psiX = float(psi.psi(X))
@@ -548,7 +555,7 @@ class _Oscillatory(_Phased):
         Gp, Gm = (cmath.exp(2j * sign * Y) * invX
                   * (-psiX / (2j * sign) - a1X / 4.0) for sign in (1, -1))
         c = self.completion = volterra.complete_oscillatory(
-            self.sol, G0, Gp, Gm, G0a, R2)
+            self.sol, G0, Gp, Gm, G0a, psi.a2_tails.l1(X, qtol))
         self.constants = {"xi1": c.xi1, "xi2": c.xi2, "eta1": c.eta1,
                           "eta2": c.eta2}
         return c.residual_bound
@@ -615,7 +622,7 @@ def _predict_end(reg, a, x0, target):
     interpolating log r_hat in log x."""
     tol = 0.01 * target
     xs = x0 * 2.0 ** np.arange(_PREDICT_POINTS)
-    L = quadrature.l1_tail_norm(reg.weight, xs, tol=tol).value
+    L = reg.tails.l1(xs, tol)
     # the completions refuse a tail mass of 1/2 and more
     with np.errstate(all="ignore"):
         r_hat = np.where(L < 0.5, reg.predicted_residual(a, xs, L, tol),
@@ -636,7 +643,7 @@ def _analyze_infinity(split, cls, lo, x_floor, tol, tail_tol, step, inverted):
     object marched and completed, the march summary in the caller's
     frame, the certificate, its verification and the constants."""
     reg = _regime_for(split, cls)
-    a, tail0 = certificate_mod.find_cutoff(reg.weight, lo, tol=tol)
+    a, tail0 = certificate_mod.find_cutoff(reg.tails, lo, tol=tol)
     reg.cutoff = a
 
     x0 = max(x_floor if x_floor is not None else a, a + 10.0)
@@ -758,27 +765,26 @@ class AnalysisReport:
 
     def sample_rows(self, count=9):
         """Rows (x, value, approximant, ratio, envelope bound) along the
-        certified branch.  The envelope bound column is the remaining
-        correction radius exp(tail |w| past x) - 1, non-increasing toward
-        the endpoint.  All its tails come from one adaptive run over the
-        pieces between the rows (quadrature.l1_tail_norm with an array of
-        limits), so every entry is within the run's shared tolerance."""
+        certified branch.  The ratio leaves out the factors value and
+        approximant share, so it stays finite where both underflow.  The
+        envelope bound is the remaining correction radius exp(tail |w| past
+        x) - 1, non-increasing toward the endpoint, its tails one reading of
+        the weight's Tails at all rows, within one shared tolerance."""
         reg = self._regime
         s_hi = reg.table_end()
         s_lo = reg.cutoff + (s_hi - reg.cutoff) * 0.05
         ss = np.linspace(s_lo, s_hi, count)
-        tails = quadrature.l1_tail_norm(reg.weight, ss, tol=1e-8).value
         rows = []
-        for s, val, m, tail in zip(ss.tolist(), reg.value(ss).tolist(),
-                                   reg.model(ss).tolist(), tails.tolist()):
+        columns = [c.tolist() for c in reg.table(ss)]
+        for s, val, m, ratio, tail in zip(ss.tolist(), *columns,
+                                          reg.tails.l1(ss, 1e-8).tolist()):
             # u(x) = x v(1/x) at the zero endpoint
             x, k = (1.0 / s, 1.0 / s) if self.endpoint == "zero" else (s, 1.0)
-            val, m = k * val, k * m
             rows.append({
                 "x": x,
-                "value": val,
-                "approximant": m,
-                "ratio": val / m if m != 0 else math.inf,
+                "value": k * val,
+                "approximant": k * m,
+                "ratio": ratio,
                 "envelope_bound": math.expm1(tail),
             })
         return rows

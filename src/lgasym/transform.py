@@ -14,7 +14,10 @@ under which v'' = (zeta^2 + psi/|f|^(1/2) ...) v with the perturbation
 psi is built symbolically from the coefficient ASTs so its derivatives
 and L1 norms are available to the rest of the pipeline.  CoefficientSplit
 and PsiData own every tree the analysis samples and compile each tape when
-it is first read, so an analysis compiles only what it runs.  For f = c x^p,
+it is first read, so an analysis compiles only what it runs.  Each weight
+whose tails the analysis takes (psi, a2 and s g) has one Tails beside its
+tape: closed forms when its tree is one power c x^p with p < -1, else
+adaptive quadratures of the tape.  For f = c x^p,
 Phi, its inverse and the divergence of int |f|^(1/2) have closed forms
 (PhaseMap.closed_form).  Any other f has Phi tabulated once per resolved
 range (PhaseTable, Gauss-Kronrod cells evaluated on whole arrays), and the
@@ -73,10 +76,6 @@ class Regime(enum.Enum):
     def algebraic(self):
         return self is Regime.ALGEBRAIC_INFINITY
 
-    @property
-    def at_zero(self):
-        return self in (Regime.EXP_SINGULAR, Regime.OSC_SINGULAR)
-
 
 def _tape(tree):
     """A cached attribute: the tape of the tree tree(self), compiled through
@@ -84,17 +83,79 @@ def _tape(tree):
     return functools.cached_property(lambda self: expr.compile_fn(tree(self)))
 
 
+class Tails:
+    """The tails of one weight w: int_a^inf |w|, int_a^inf w and the moment
+    int_a^X s w(s) ds.
+
+    When the tree reads as the one power c x^p with p < -1 (expr.monomial)
+    and the limits are positive, each is a closed form, which charges no
+    samples, and an array of limits costs no more than one; otherwise each
+    is the adaptive quadrature of fn, the weight's tape, to absolute
+    tolerance tol.
+    """
+
+    def __init__(self, fn, tree=None):
+        self.fn = fn
+        power = expr.monomial(tree) if tree is not None else None
+        self.power = power if power is not None and power[1] < -1.0 else None
+
+    def _exact(self, a):
+        return self.power is not None and np.min(a) > 0.0
+
+    def _closed(self, c, a):
+        """c int_a^inf x^p, elementwise."""
+        p = self.power[1]
+        v = c / (-p - 1.0) * np.asarray(a, dtype=float) ** (p + 1.0)
+        return v if v.ndim else float(v)
+
+    def l1(self, a, tol):
+        """int_a^inf |w| at a limit a or an increasing array of limits; a
+        tail that diverges raises quadrature.DivergenceError."""
+        if self._exact(a):
+            return self._closed(abs(self.power[0]), a)
+        return quadrature.l1_tail_norm(self.fn, a, tol=tol).value
+
+    def signed(self, a, tol):
+        """int_a^inf w at a limit a."""
+        if self._exact(a):
+            return self._closed(self.power[0], a)
+        return quadrature.integrate_to_infinity(self.fn, a, tol=tol).value
+
+    def moment(self, a, xs, tol):
+        """int_a^X s w(s) ds at every X of the increasing array xs > a."""
+        if self._exact(a):
+            (c, p), r = self.power, np.log(np.asarray(xs) / a)
+            q = p + 2.0
+            return c * a ** q * (np.expm1(q * r) / q if q else r)
+        return quadrature.integrate_finite(lambda s: s * self.fn(s), a, xs,
+                                           tol=tol).value
+
+
+def _tails(tape, tree):
+    """A cached attribute: the Tails of the weight whose tape is the
+    attribute named tape and whose tree is tree(self).  The tape is read
+    only when a quadrature samples it, so a closed form compiles nothing."""
+    return functools.cached_property(lambda self: Tails(
+        lambda x: getattr(self, tape)(x), tree(self)))
+
+
 @dataclass
 class CoefficientSplit:
     """The trees of f and g, and their tapes f, g and the algebraic weight
-    sg = s g (one tape, bit for bit the product s * g(s))."""
+    sg = s g (one tape, bit for bit the product s * g(s)), with sg's
+    Tails."""
 
     f_ast: expr.ExprNode
     g_ast: expr.ExprNode
 
     f = _tape(lambda split: split.f_ast)
     g = _tape(lambda split: split.g_ast)
-    sg = _tape(lambda split: expr.binary("mul", expr.VAR, split.g_ast))
+    sg = _tape(lambda split: split.sg_ast)
+    sg_tails = _tails("sg", lambda split: split.sg_ast)
+
+    @functools.cached_property
+    def sg_ast(self):
+        return expr.binary("mul", expr.VAR, self.g_ast)
 
     @classmethod
     def from_expressions(cls, f_text, g_text):
@@ -124,7 +185,7 @@ class PsiData:
     """The symbolic perturbation psi, the pieces it is built from and their
     tapes (_tape), with the march weight w = psi |f|^(-1/2) (one tape, bit
     for bit the product) and its tail moments a1 = w' and
-    a2 = (a1 |f|^(-1/2))'."""
+    a2 = (a1 |f|^(-1/2))', and the Tails of psi and a2."""
 
     psi_ast: expr.ExprNode
     amplitude_ast: expr.ExprNode     # |f|^(-1/4)
@@ -139,8 +200,9 @@ class PsiData:
     d_sqrt_f = _tape(lambda d: expr.differentiate(d.sqrt_f_ast))
     w = _tape(lambda d: d.w_ast)
     a1 = _tape(lambda d: d.a1_ast)
-    a2 = _tape(lambda d: expr.differentiate(
-        expr.binary("mul", d.a1_ast, d.inv_sqrt_f_ast)))
+    a2 = _tape(lambda d: d.a2_ast)
+    psi_tails = _tails("psi", lambda d: d.psi_ast)
+    a2_tails = _tails("a2", lambda d: d.a2_ast)
 
     @functools.cached_property
     def w_ast(self):
@@ -149,6 +211,11 @@ class PsiData:
     @functools.cached_property
     def a1_ast(self):
         return expr.differentiate(self.w_ast)
+
+    @functools.cached_property
+    def a2_ast(self):
+        return expr.differentiate(
+            expr.binary("mul", self.a1_ast, self.inv_sqrt_f_ast))
 
 
 def compute_psi(split, sign):

@@ -3,7 +3,7 @@ import math
 import numpy as np
 import pytest
 
-from lgasym import quadrature
+from lgasym import expr, quadrature
 from lgasym.certificate import (
     DEFAULT_TARGET,
     LOG2,
@@ -14,6 +14,7 @@ from lgasym.certificate import (
     gronwall_certificate,
     verify_certificate,
 )
+from lgasym.transform import Tails
 from lgasym.volterra import solve_kernel
 
 
@@ -23,35 +24,51 @@ def inverse_square(x):
 
 def test_find_cutoff_inverse_square():
     # int_a^inf x^-2 = 1/a, so the cutoff for target log 2 is 1/log 2
-    a, tail = find_cutoff(inverse_square, 0.5, target=LOG2)
+    a, tail = find_cutoff(Tails(inverse_square), 0.5, target=LOG2)
     assert a == pytest.approx(1.0 / LOG2, rel=2e-3)
     assert tail <= LOG2
     assert tail == pytest.approx(1.0 / a, rel=1e-8)
 
 
+def test_find_cutoff_on_exact_tails_moves_no_cutoff():
+    # the tree x^-2 gives the closed form 1/a: the same growth and bisection
+    # stop at the same cutoff, with the exact tail and no sample taken
+    exact = Tails(inverse_square, expr.parse("x^-2"))
+    with quadrature.Work() as work:
+        for target in (LOG2, 0.3, 0.1, 0.03):
+            a, tail = find_cutoff(exact, 0.5, target=target)
+            assert (a, pytest.approx(tail, rel=1e-8)) == find_cutoff(
+                Tails(inverse_square), 0.5, target=target)
+            assert tail == pytest.approx(1.0 / a, rel=1e-15)
+    assert work.quadrature_evaluations > 0
+    with quadrature.Work() as work:
+        find_cutoff(exact, 0.5)
+    assert work.quadrature_evaluations == 0
+
+
 def test_find_cutoff_certified_side():
     # bisection must stop on the side whose tail is at or under target
     for target in (0.3, 0.1, 0.03):
-        a, tail = find_cutoff(inverse_square, 0.5, target=target)
+        a, tail = find_cutoff(Tails(inverse_square), 0.5, target=target)
         assert tail <= target * (1 + 1e-9)
         # and not absurdly deep: 1% above the ideal cutoff at most
         assert a <= (1.0 / target) * 1.01
 
 
 def test_find_cutoff_immediate_return():
-    a, tail = find_cutoff(inverse_square, 10.0, target=LOG2)
+    a, tail = find_cutoff(Tails(inverse_square), 10.0, target=LOG2)
     assert a == 10.0
     assert tail == pytest.approx(0.1, rel=1e-8)
 
 
 def test_find_cutoff_divergent():
     with pytest.raises(NotIntegrableError):
-        find_cutoff(lambda x: 1.0 / x, 1.0)
+        find_cutoff(Tails(lambda x: 1.0 / x), 1.0)
 
 
 def test_find_cutoff_bad_target():
     with pytest.raises(ValueError):
-        find_cutoff(inverse_square, 1.0, target=0.0)
+        find_cutoff(Tails(inverse_square), 1.0, target=0.0)
 
 
 def _march_report(mass=0.3):
@@ -97,7 +114,7 @@ def test_default_target_margin():
 
 
 def test_verify_certificate_consistent():
-    a, tail = find_cutoff(inverse_square, 0.5, target=DEFAULT_TARGET)
+    a, tail = find_cutoff(Tails(inverse_square), 0.5, target=DEFAULT_TARGET)
     rep = _march_report(0.2)
     cert = gronwall_certificate(a, tail, rep)
     out = verify_certificate(cert, inverse_square)
@@ -107,7 +124,7 @@ def test_verify_certificate_consistent():
 
 
 def test_verify_certificate_detects_corruption():
-    a, tail = find_cutoff(inverse_square, 0.5, target=DEFAULT_TARGET)
+    a, tail = find_cutoff(Tails(inverse_square), 0.5, target=DEFAULT_TARGET)
     rep = _march_report(0.2)
     cert = gronwall_certificate(a, tail * 1.01, rep)  # stored tail is off 1%
     out = verify_certificate(cert, inverse_square)
@@ -129,7 +146,7 @@ def test_verify_certificate_does_not_repeat_the_search_quadrature(
         return r
 
     monkeypatch.setattr(quadrature, "l1_tail_norm", biased)
-    a, tail = find_cutoff(inverse_square, 0.5, target=DEFAULT_TARGET)
+    a, tail = find_cutoff(Tails(inverse_square), 0.5, target=DEFAULT_TARGET)
     out = verify_certificate(gronwall_certificate(a, tail, _march_report(0.2)),
                              inverse_square)
     assert not out["tail_consistent"]

@@ -560,3 +560,104 @@ def test_monomial_reads_the_inverted_zero_endpoint_split():
 ])
 def test_monomial_rejects(text):
     assert expr.monomial(parse(text)) is None
+
+
+# ----------------------------------------------------------- power sums
+
+@pytest.mark.parametrize("text, terms", [
+    ("3", {0.0: 3.0}),
+    ("x", {1.0: 1.0}),
+    ("-x", {1.0: -1.0}),
+    ("x + 2", {1.0: 1.0, 0.0: 2.0}),
+    ("x - x^2", {1.0: 1.0, 2.0: -1.0}),
+    ("2*x*(x + 1)", {2.0: 2.0, 1.0: 2.0}),
+    ("(x + 1)/x^2", {-1.0: 1.0, -2.0: 1.0}),
+    ("(4*x)^-0.5", {-0.5: 0.5}),
+    ("x^2*x^-2 - 1", {}),       # cancels exactly
+    ("0*sin(x)^0", None),       # sin stops the reading, whatever multiplies it
+])
+def test_power_terms_read_every_operator(text, terms):
+    e = parse(text)
+    assert expr.power_terms(e) == terms
+    if terms:
+        xs = np.random.default_rng(3).uniform(0.05, 40.0, 50)
+        total = sum(c * xs ** p for p, c in terms.items())
+        assert np.max(np.abs(compile_fn(e)(xs) / total - 1.0)) < 1e-14
+
+
+@pytest.mark.parametrize("text", [
+    "sqrt(x + 1)", "exp(x)", "(-2*x)^0.5", "1/(x + 1)", "(x + 1)^2", "x/0",
+    "x*exp(x) - x*exp(x)",
+])
+def test_power_terms_stop_at_what_is_not_a_power(text):
+    assert expr.power_terms(parse(text)) is None
+
+
+def test_inverted_zero_endpoint_psi_cancels_exactly():
+    # psi = 1.889 s^-3 - s^-1/4 + s^-1/4: the curvature term cancels the
+    # s^-1 part of g |f|^(-1/2) to exactly 0
+    from lgasym import transform
+
+    split = transform.CoefficientSplit.from_expressions("1/x^2",
+                                                        "1.889 - 1/(4*x^2)")
+    psi = transform.compute_psi(transform.invert_split(split), 1)
+    assert expr.power_terms(psi.psi_ast) == {-3.0: 1.889}
+    assert expr.monomial(psi.psi_ast) == (1.889, -3.0)
+
+
+def _monomial_by_products(e):
+    """The reading of c x^p from a tree of const, x, neg, mul, div and pow
+    alone, by products of np.float64 coefficients: the reader monomial
+    replaced, which every tree without add or sub must still match."""
+    def read(node):     # a pow's exponent k reads as (k, 0)
+        op = node.op
+        if op in ("const", "var"):
+            return (np.float64(node.value), 0.0) if op == "const" \
+                else (np.float64(1.0), 1.0)
+        parts = [read(a) for a in node.args]
+        if op not in ("neg", "mul", "div", "pow") or None in parts:
+            return None
+        if op == "neg":
+            return -parts[0][0], parts[0][1]
+        (ca, pa), (cb, pb) = parts
+        return (expr._APPLY[op](ca, cb),
+                {"mul": pa + pb, "div": pa - pb, "pow": pa * cb}[op])
+
+    with np.errstate(all="ignore"):
+        c, p = read(e) or (0.0, 0.0)
+    return (float(c), float(p)) if math.isfinite(c) and c != 0.0 \
+        and math.isfinite(p) else None
+
+
+def test_monomial_matches_the_product_reading_on_the_bench_trees(
+        monkeypatch):
+    # f and g of every template, direct and pulled back through s = 1/x,
+    # seeds 1 to 5: where products alone read c x^p, monomial reads the
+    # same c and p bit for bit, and it is the one-term power_terms
+    import pathlib
+
+    from lgasym import transform
+
+    monkeypatch.syspath_prepend(str(pathlib.Path(__file__).resolve().parent
+                                    .parent / "perfbench"))
+    import cases
+
+    read = 0
+    for seed in range(1, 6):
+        for templates, name in ((cases.CERTIFY + (cases.FREE,), "certify"),
+                                (cases.REFUSE[:-1], "refuse")):
+            for case in cases.draw_pool(templates, seed, name, 1):
+                split = transform.CoefficientSplit.from_expressions(case.f,
+                                                                    case.g)
+                inverted = transform.invert_split(split)
+                for tree in (split.f_ast, split.g_ast, inverted.f_ast,
+                             inverted.g_ast):
+                    old, new = _monomial_by_products(tree), expr.monomial(tree)
+                    terms = expr.power_terms(tree)
+                    assert new == (None if terms is None or len(terms) != 1
+                                   else (float(*terms.values()),
+                                         float(*terms)))
+                    if old is not None:
+                        assert new == old
+                        read += 1
+    assert read > 100

@@ -4,6 +4,7 @@ import pathlib
 import subprocess
 import sys
 import time
+import traceback
 import warnings
 
 import numpy as np
@@ -210,16 +211,39 @@ def test_zero_endpoint_solutions():
 
 
 @pytest.mark.xfail(strict=True, raises=quadrature.QuadratureError, reason=(
-    "ROADMAP item 11: the inverted trees are never simplified, so psi of an "
-    "oscillatory problem at zero reads roundoff (+-1e-35 to 1e-25 for "
-    "-1/x^4, whose inverted f is the constant -1) and its tail moment a2 "
-    "turns NaN far out, where the tail prediction samples it"))
-@pytest.mark.parametrize("f, g", [("-1/x^4", "0"), ("-1/x^3", "0"),
-                                  ("-1/x^2", "1 - 1/(4*x^2)")])
+    "ROADMAP item 11: the inverted trees are never simplified, so psi of "
+    "-1/x^4 at zero, whose inverted f is the constant -1, reads roundoff "
+    "(+-1e-35 to 1e-25) where it is 0, and the classification's "
+    "integrability quadrature samples it"))
+@pytest.mark.parametrize("f, g", [("-1/x^4", "0")])
 def test_oscillatory_at_zero_certifies(f, g):
     r = analyze(f, g, endpoint="zero")
     assert r.regime is Regime.OSC_SINGULAR
     assert r.certificate.passed()
+
+
+@pytest.mark.parametrize("f, g, potential", [
+    ("-1/x^3", "0", lambda x: -x ** -3.0),
+    ("-1/x^2", "1 - 1/(4*x^2)", lambda x: 1.0 - 1.25 / (x * x)),
+])
+def test_oscillatory_at_zero_solutions(f, g, potential):
+    # psi and a2 of the inverted split are single powers, so every tail is
+    # exact and the tape of a2, NaN far out, is never sampled
+    r = analyze(f, g, endpoint="zero")
+    assert r.regime is Regime.OSC_SINGULAR
+    assert r.certificate.passed() and r.verification["tail_consistent"]
+    bound = r.constants["tail_residual_bound"]
+    assert bound <= r.tail_tolerance
+    xs = np.geomspace(1.01 * r.march["x_min"], 0.99, 15)
+    w = [wronskian(r, "cos-like-at-zero", "sin-like-at-zero", x) for x in xs]
+    assert np.max(np.abs(np.add(w, 1.0))) <= bound
+    # the oracle's ODE integrator carries each solution from 0.9 toward 0
+    points = [0.5, 0.1, 0.05, 0.02, 0.01]
+    for sol in r.solutions:
+        traj = oracle.integrate_ivp(potential, 0.9, sol.value(0.9),
+                                    sol.derivative(0.9), 0.01, tol=1e-12,
+                                    samples=points)
+        assert max(abs(traj.at(x)[0] - sol.value(x)) for x in points) <= 1e-9
 
 # ------------------------------------------------------------- Airy
 
@@ -379,10 +403,13 @@ def test_burned_budget_passes_no_check(monkeypatch):
     assert "phase-integral-diverges" not in [c["name"] for c in checks]
 
 
+# the power-law weights of constant-exp and zero-endpoint take exact tails:
+# both analyses sample 45 times, a one-cell classification run and the
+# certificate's two-cell verification, which a budget of 30 refuses
 @pytest.mark.parametrize("f, g, kwargs, budget", [
-    ("1", "3/(4*x^2)", {}, 900),
+    ("1", "3/(4*x^2)", {}, 30),
     ("-(1+1/x)", "0", {}, 20000),
-    ("1/x^2", "1.5 - 1/(4*x^2)", {"endpoint": "zero"}, 900),
+    ("1/x^2", "1.5 - 1/(4*x^2)", {"endpoint": "zero"}, 30),
     BURN + ({}, None),
 ], ids=["constant-exp", "osc", "zero-endpoint", "burn-default-budget"])
 def test_no_sample_past_the_cap(monkeypatch, f, g, kwargs, budget):
@@ -599,13 +626,12 @@ def _rows_one_tail_each(report, count=9):
     reg = report._regime
     ss = _table_limits(report, count)
     rows = []
-    for s, val, m in zip(ss.tolist(), reg.value(ss).tolist(),
-                         reg.model(ss).tolist()):
+    for s, val, m, ratio in zip(ss.tolist(),
+                                *(c.tolist() for c in reg.table(ss))):
         x, k = (1.0 / s, 1.0 / s) if report.endpoint == "zero" else (s, 1.0)
         val, m = k * val, k * m
         tail = quadrature.l1_tail_norm(reg.weight, s, tol=1e-8).value
-        rows.append({"x": x, "value": val, "approximant": m,
-                     "ratio": val / m if m != 0 else math.inf,
+        rows.append({"x": x, "value": val, "approximant": m, "ratio": ratio,
                      "envelope_bound": math.expm1(tail)})
     return rows
 
@@ -632,8 +658,10 @@ def test_table_columns_match_the_row_by_row_table(table_reports):
 
 
 def test_table_tails_share_one_quadrature(table_reports, monkeypatch):
-    # the nine tails of a table come from one adaptive run, against nine
-    # run row by row, and that run takes no more samples than the nine
+    # the nine tails of a table are one reading of the weight's Tails: a
+    # closed form that runs nothing for a power-law weight, else one
+    # adaptive run, against nine run row by row, and that run takes no more
+    # samples than the nine
     adapt, runs = quadrature._adapt, [0]
 
     def counted_adapt(*args, **kwargs):
@@ -642,22 +670,83 @@ def test_table_tails_share_one_quadrature(table_reports, monkeypatch):
 
     monkeypatch.setattr(quadrature, "_adapt", counted_adapt)
     for r in table_reports:
-        reg = r._regime
-        weight, samples = reg.weight, [0]
+        tails = r._regime.tails
+        weight, samples = tails.fn, [0]
 
         def counting(x, weight=weight):
             samples[0] += np.size(x)
             return weight(x)
 
-        monkeypatch.setattr(reg, "weight", counting)
+        monkeypatch.setattr(tails, "fn", counting)
         runs[0] = 0
         r.sample_rows(9)
-        assert runs[0] == 1
+        assert runs[0] == (tails.power is None)
+        if tails.power is not None:
+            continue
         joint, samples[0], runs[0] = samples[0], 0, 0
         for s in _table_limits(r):
-            quadrature.l1_tail_norm(reg.weight, s, tol=1e-8)
+            quadrature.l1_tail_norm(tails.fn, s, tol=1e-8)
         assert runs[0] == 9
         assert 0 < joint <= samples[0]
+    # four of the five weights are single powers, osc-at-inf's is not
+    assert [r._regime.tails.power is None
+            for r in table_reports] == [False, False, True, False, False]
+
+
+def test_table_ratio_is_value_over_approximant(table_reports):
+    # the ratio comes from the parts value and approximant do not share,
+    # and agrees with their quotient to rounding where neither underflows
+    for r in table_reports:
+        for row in r.sample_rows(9):
+            assert row["ratio"] == pytest.approx(
+                row["value"] / row["approximant"], rel=1e-13)
+
+
+def test_far_cutoff_table_keeps_a_finite_ratio():
+    # value and approximant both carry e^-(origin + y), origin = 2 * 400,
+    # and underflow to 0; the ratio leaves that factor out
+    r = analyze("4", "1/x^2", interval=(400, math.inf))
+    for row in r.sample_rows(3):
+        assert row["value"] == 0.0 and row["approximant"] == 0.0
+        assert math.isfinite(row["ratio"])
+        assert abs(row["ratio"] - 1.0) <= row["envelope_bound"]
+
+
+_TAIL_CALLERS = ("find_cutoff", "_predict_end", "predicted_residual",
+                 "complete", "tail_integrals", "sample_rows",
+                 "_check_integrable", "classify_regime", "verify_certificate")
+
+
+def test_power_law_weights_take_no_adaptive_tail(monkeypatch):
+    # who runs each adaptive quadrature of a seed-1 certify analysis and
+    # its table: on the seven templates whose weight is one power, only the
+    # classification's integrability check and the certificate's
+    # independent verification; constant-exp-decay and osc-at-inf, whose
+    # weights are not powers, keep every run they took before
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import cases
+
+    adapt, runs = quadrature._adapt, []
+
+    def recording(*args, **kwargs):
+        names = [frame.name for frame in traceback.extract_stack()]
+        runs.append(next(n for n in reversed(names) if n in _TAIL_CALLERS))
+        return adapt(*args, **kwargs)
+
+    monkeypatch.setattr(quadrature, "_adapt", recording)
+    phased = ["find_cutoff", "_predict_end", "tail_integrals",
+              "tail_integrals", "verify_certificate", "sample_rows"]
+    before = {
+        "constant-exp-decay": ["_check_integrable"] + phased,
+        "osc-at-inf": ["classify_regime", "_check_integrable"]
+        + phased[:2] + ["predicted_residual"] + phased[2:4] + ["complete"]
+        + phased[4:],
+    }
+    for case in cases.draw_pool(cases.CERTIFY, 1, "certify", 1):
+        runs.clear()
+        analyze(case.f, case.g, **case.kwargs).sample_rows(9)
+        assert runs == before.get(case.template.name, [
+            "_check_integrable", "verify_certificate"]), case.template.name
 
 
 # -------------------------------------------------------- determinism

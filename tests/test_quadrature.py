@@ -178,6 +178,15 @@ def test_slow_tail_error_estimate_is_a_bound():
     assert abs(res.value - 2.0) <= res.error_estimate
 
 
+@pytest.mark.xfail(strict=True, reason=(
+    "ROADMAP item 5: the tail's own scale max(1, a) puts a feature at the "
+    "lower limit narrower than about a/200 between the first cell's nodes, "
+    "so e^-(x - a) from a = 1e6 reads 0 with an estimate of 0"))
+def test_narrow_feature_at_a_far_lower_limit():
+    res = integrate_to_infinity(lambda x: np.exp(-(x - 1e6)), 1e6)
+    assert abs(res.value - 1.0) <= max(res.error_estimate, 1e-9)
+
+
 @pytest.mark.parametrize("call, args, exact", [
     (integrate_finite, (lambda x: 1.0 / x, 1.0, 2.0), math.log(2.0)),
     (integrate_to_infinity, (lambda x: x ** -2.0, 1.0), 1.0),
@@ -433,7 +442,8 @@ def test_a_non_finite_sample_names_its_cell_in_x():
     lo, hi = _failing_cell(l1_tail_norm, fn, [1.0, 2.0, 5.0])
     assert (lo, hi) == (5.0, math.inf)
     # a finite cell maps through x = a0 + (D + L*t)/(1 - t), L = max(1, a0),
-    # alike
-    lo, hi = _failing_cell(analyze, "x^40", "0")
+    # alike: the tail prediction's run samples psi = x^-50 + c x^-22, a sum
+    # of powers, so it is a quadrature, until x^40 overflows
+    lo, hi = _failing_cell(analyze, "x^40", "1/x^30")
     assert lo == pytest.approx(46587904.0, rel=1e-9)
     assert hi == pytest.approx(93175808.0, rel=1e-9)

@@ -13,6 +13,7 @@ from lgasym.transform import (
     PhaseMap,
     PhaseTable,
     Regime,
+    Tails,
     classify_regime,
     compute_psi,
     invert_split,
@@ -631,6 +632,63 @@ def test_y_of_x_at_graded_nodes():
 def test_regime_predicates():
     assert Regime.OSC_SINGULAR.oscillatory
     assert Regime.ALGEBRAIC_INFINITY.algebraic
-    assert Regime.EXP_SINGULAR.at_zero
     assert not Regime.CONSTANT_EXP.oscillatory
-    assert not Regime.EXP_INFINITY.at_zero
+
+
+def test_closed_form_tails_match_the_quadrature(monkeypatch):
+    # the weights of the seven seed-1 certify templates that are one power
+    # (psi, or s g in the algebraic regime) and a2 where the oscillatory
+    # completion reads it: every closed form within 1e-9 of the adaptive
+    # quadrature of its tape, at a scalar limit and at an array of them,
+    # and none of them samples
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    import cases
+
+    limits = np.array([1.5, 3.0, 10.0, 40.0])
+    powers = []
+    for case in cases.draw_pool(cases.CERTIFY, 1, "certify", 1):
+        split = transform.CoefficientSplit.from_expressions(case.f, case.g)
+        cls = transform.classify_regime(
+            split, case.template.endpoint,
+            case.template.interval or ((0.0, 1.0) if case.template.endpoint
+                                       == "zero" else (1.0, math.inf)))
+        if cls.regime.algebraic:
+            weights = [split.sg_tails]
+        else:
+            weights = [cls.psi.psi_tails] + [cls.psi.a2_tails] * \
+                cls.regime.oscillatory
+        for tails in weights:
+            powers.append(tails.power is not None)
+            if tails.power is None:
+                continue
+            with quadrature.Work() as work:
+                exact = (tails.l1(limits[0], 1e-8), tails.l1(limits, 1e-8),
+                         tails.signed(limits[0], 1e-8))
+            assert work.quadrature_evaluations == 0
+            quad = (quadrature.l1_tail_norm(tails.fn, limits[0], tol=1e-14),
+                    quadrature.l1_tail_norm(tails.fn, limits, tol=1e-14),
+                    quadrature.integrate_to_infinity(tails.fn, limits[0],
+                                                     tol=1e-14))
+            for e, q in zip(exact, quad):
+                assert np.max(np.abs(np.asarray(e) / q.value - 1.0)) <= 1e-9
+            if cls.regime.algebraic:
+                moment = quadrature.integrate_finite(
+                    lambda s: s * tails.fn(s), 1.0, limits, tol=1e-14).value
+                assert np.max(np.abs(tails.moment(1.0, limits, 1e-8)
+                                     / moment - 1.0)) <= 1e-9
+    # psi of the seven, a2 of constant-osc and airy-osc; not osc-at-inf's
+    # or constant-exp-decay's
+    assert sum(powers) == 9 and len(powers) == 12
+
+
+def test_tails_take_the_quadrature_from_a_limit_at_or_below_zero():
+    # x^-2 from 0 diverges: no closed form reads it there
+    tails = Tails(lambda x: x ** -2.0, expr.parse("x^-2"))
+    assert tails.l1(2.0, 1e-10) == 0.5
+    with pytest.raises(quadrature.DivergenceError):
+        tails.l1(0.0, 1e-10)
+    # p >= -1 has no finite tail, and the quadrature says so
+    slow = Tails(lambda x: 1.0 / x, expr.parse("1/x"))
+    assert slow.power is None
+    with pytest.raises(quadrature.DivergenceError):
+        slow.l1(1.0, 1e-8)
