@@ -153,3 +153,9 @@ def test_compare_exits_with_1_on_what_breaks_identity(tmp_path):
     # a certify constant beyond its bound
     assert _exit_code(tmp_path, _OLD, _OLD.replace(
         "z_infinity 1.25", "z_infinity 1.250000001")) == 1
+    # a case's hash moves with its numbers, which moved within bounds
+    rehashed = within.replace("sha256 5e0a", "sha256 77b1")
+    assert _exit_code(tmp_path, _OLD, rehashed) == 0
+    # a hash that moves alone: some output moved that no line shows
+    assert _exit_code(tmp_path, _OLD, _OLD.replace("sha256 5e0a",
+                                                   "sha256 77b1")) == 1
